@@ -36,6 +36,7 @@ from .labeled import (
     Elem2,
     SymmetricConfig,
     ThickenedConfig,
+    WindowIndex,
     admissibility_sweep,
     config_eq,
     decompose_window,
@@ -87,7 +88,7 @@ __all__ = [
     "TrivialCarrier", "bm_canon", "bm_filtration_level", "in_T",
     "norm_circle", "tensor_eq",
     "AdmissibilityReport", "DecompResult", "DecomposeError", "Elem1",
-    "Elem2", "SymmetricConfig", "ThickenedConfig", "config_eq",
+    "Elem2", "SymmetricConfig", "ThickenedConfig", "WindowIndex", "config_eq",
     "admissibility_sweep", "decompose_window", "double", "in_T_labeled", "is_admissible",
     "is_mirror_invariant", "labeled_normalize", "labeled_rewrite_neighbors", "lc_sorted",
     "mirror_config", "positive_part", "rescale_config", "restrict",

@@ -268,4 +268,7 @@ def parse_loop(text):
             raise ParseError("unknown directive %r" % toks[0], ln, 1)
     if s is None:
         raise ParseError("missing 'moore <length>' line", 1, 1)
-    return MooreLoop(s, tuple(breakpoints), tuple(tuple(t) for t in segments))
+    try:
+        return MooreLoop(s, tuple(breakpoints), tuple(tuple(t) for t in segments))
+    except ValueError as e:
+        raise ParseError(str(e), 1, 1) from None

@@ -7,8 +7,10 @@ sums together: wherever intervals refuse to merge, their labels must sum.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .pam import UNIT, DomainError
 from .intervals import CLOSED, OPEN, Interval, clip_interval, is_compatible
@@ -205,6 +207,29 @@ def restrict(xi, a, b):
         if c is not None:
             out.append((c, m))
     return lc_sorted(out)
+
+
+class WindowIndex:
+    """A configuration indexed for repeated window reads.
+
+    Pieces are kept in ``lc_sorted`` order next to their left ends and the
+    running maximum of their right ends.  A window (a, b) bisects both to
+    the slice of pieces that can meet it; every piece outside that slice
+    has v <= a or u >= b and clips to nothing, so ``restrict`` on the slice
+    equals ``restrict`` on the whole configuration.
+    """
+
+    __slots__ = ("pieces", "_lefts", "_reach")
+
+    def __init__(self, xi):
+        self.pieces = lc_sorted(xi)
+        self._lefts = [j.u for j, _ in self.pieces]
+        self._reach = list(accumulate((j.v for j, _ in self.pieces), max))
+
+    def restrict(self, a, b):
+        first = bisect_right(self._reach, a)
+        stop = bisect_left(self._lefts, b)
+        return restrict(self.pieces[first:stop], a, b)
 
 
 def mirror_config(xi):
@@ -446,10 +471,15 @@ def window_sweep_points(xi, eps):
 
 
 def admissibility_sweep(xi, eps, pam):
-    """Decompose every combinatorially distinct window; yields (t, result)."""
+    """Decompose every combinatorially distinct window; yields (t, result).
+
+    Windows are read through one WindowIndex, so each read costs a
+    bisection plus the pieces near the window, not a pass over all pieces.
+    """
     eps = _frac(eps)
+    windows = WindowIndex(xi)
     for t in window_sweep_points(xi, eps):
-        content = restrict(xi, t - eps, t + eps)
+        content = windows.restrict(t - eps, t + eps)
         yield t, decompose_window(content, t - eps, t + eps, pam)
 
 

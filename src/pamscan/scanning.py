@@ -21,16 +21,11 @@ from .labeled import (
     E1_WHOLE,
     Elem1,
     Elem2,
+    WindowIndex,
     decompose_window,
     lc_sorted,
-    restrict,
 )
 from .tensor import BASEPOINT, bm_canon, norm_circle
-
-# Cut pairs admit two replacement conventions; the cut parity selects one.
-# Flipping this constant selects the other, and the loop continuity
-# invariant is the arbiter between them.
-E2_CLOSE_RIGHT_WHEN_CUT_CLOSED = True
 
 
 class TraceError(Exception):
@@ -111,10 +106,7 @@ def replace_elementary(items):
     for e in items:
         if isinstance(e, Elem2):
             jl, jr = e.left, e.right
-            close_right = jl.q == CLOSED
-            if not E2_CLOSE_RIGHT_WHEN_CUT_CLOSED:
-                close_right = not close_right
-            if close_right:
+            if jl.q == CLOSED:
                 jr = Interval(jr.u, jr.v, jr.p, CLOSED)
             else:
                 jl = Interval(jl.u, jl.v, CLOSED, jl.q)
@@ -131,10 +123,13 @@ def replace_elementary(items):
     return units
 
 
-def scan_core(xi, pam, u, t):
-    """Raw (value, label) emissions of the window at t, evaluated at u."""
+def scan_core(windows, pam, u, t):
+    """Raw (value, label) emissions of the window at t, evaluated at u.
+
+    ``windows`` is the WindowIndex of the configuration being scanned.
+    """
     u, t = _frac(u), _frac(t)
-    content = restrict(xi, t - 1, t + 1)
+    content = windows.restrict(t - 1, t + 1)
     decomp = decompose_window(content, t - 1, t + 1, pam)
     units = replace_elementary(decomp.items)
     return [(unit.value(u), unit.label) for unit in units]
@@ -150,7 +145,7 @@ def alpha_eval(xi, u, pam, t=None):
     t = u if t is None else _frac(t)
     if abs(u - t) >= Fraction(1, 2):
         raise DomainError("parameter %s outside the half-window around %s" % (u, t))
-    return bm_canon(pam, scan_core(xi, pam, u, t))
+    return bm_canon(pam, scan_core(WindowIndex(xi), pam, u, t))
 
 
 def path_eval_at_zero(eta, pam):
@@ -167,8 +162,14 @@ class MooreLoop:
     segments: tuple
 
     def __post_init__(self):
+        if self.s <= 0:
+            raise ValueError("loop length must be positive")
         if len(self.segments) != len(self.breakpoints) - 1:
             raise ValueError("segment count must be breakpoint count - 1")
+        if self.breakpoints[0] != 0 or self.breakpoints[-1] != self.s:
+            raise ValueError("breakpoints must run from 0 to %s" % self.s)
+        if any(x >= y for x, y in zip(self.breakpoints, self.breakpoints[1:])):
+            raise ValueError("breakpoints must be strictly increasing")
 
 
 def loop_eval(loop, u, pam):
@@ -186,12 +187,12 @@ def loop_eval(loop, u, pam):
     return bm_canon(pam, pairs)
 
 
-def _segment_tracks(xi, pam, lo, hi):
+def _segment_tracks(windows, pam, lo, hi):
     """Derive the affine tracks of one combinatorially stable segment."""
     step = (hi - lo) / 3
     u1, u2 = lo + step, hi - step
-    pts1 = scan_core(xi, pam, u1, u1)
-    pts2 = scan_core(xi, pam, u2, u2)
+    pts1 = scan_core(windows, pam, u1, u1)
+    pts2 = scan_core(windows, pam, u2, u2)
     if [m for _, m in pts1] != [m for _, m in pts2]:
         raise TraceError(
             "window structure changed inside segment (%s, %s)" % (lo, hi)
@@ -212,7 +213,7 @@ def _segment_tracks(xi, pam, lo, hi):
             )
         tracks.append((int(c1), v1 - c1 * u1, m))
     mid = (lo + hi) / 2
-    pts3 = scan_core(xi, pam, mid, mid)
+    pts3 = scan_core(windows, pam, mid, mid)
     expected = [
         (norm_circle(c1 * mid + c0), m) for c1, c0, m in tracks
     ]
@@ -231,6 +232,11 @@ def alpha_trace(xi, s, pam):
     in-segment track crossings, and the finished loop is checked for its
     invariants: empty value at both ends, one-sided continuity everywhere,
     and crossing-free segments.
+
+    Windows are read through one WindowIndex, so a window costs a bisection
+    plus the pieces near it.  A refinement round derives tracks only for the
+    segments that a crossing split; every other segment keeps the tracks of
+    the round that derived it.
     """
     s = _frac(s)
     if s <= 0:
@@ -245,13 +251,16 @@ def alpha_trace(xi, s, pam):
                 cand.add(t)
     breakpoints = sorted(cand)
 
+    windows = WindowIndex(xi)
+    known = {}
     for _ in range(4):
-        segments = [
-            _segment_tracks(xi, pam, lo, hi)
-            for lo, hi in zip(breakpoints, breakpoints[1:])
-        ]
+        spans = list(zip(breakpoints, breakpoints[1:]))
         crossings = set()
-        for (lo, hi), tracks in zip(zip(breakpoints, breakpoints[1:]), segments):
+        for lo, hi in spans:
+            if (lo, hi) in known:
+                # an unsplit segment has no crossing inside it
+                continue
+            tracks = known[lo, hi] = _segment_tracks(windows, pam, lo, hi)
             for i in range(len(tracks)):
                 for k in range(i + 1, len(tracks)):
                     c1a, c0a, _ = tracks[i]
@@ -266,7 +275,8 @@ def alpha_trace(xi, s, pam):
     else:
         raise TraceError("track crossings kept appearing after refinement")
 
-    loop = MooreLoop(s=s, breakpoints=tuple(breakpoints), segments=tuple(segments))
+    segments = tuple(known[span] for span in spans)
+    loop = MooreLoop(s=s, breakpoints=tuple(breakpoints), segments=segments)
     _check_loop_invariants(loop, xi, pam)
     return loop
 

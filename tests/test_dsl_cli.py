@@ -111,6 +111,20 @@ def test_loop_round_trip(m3):
     assert parse_loop(fmt_loop(loop)) == loop
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "moore 4\nbreakpoint 0\nbreakpoint 3\nbreakpoint 1\nbreakpoint 4\n"
+        "segment 0\nsegment 1\nsegment 2\n",
+        "moore 4\nbreakpoint 1\nbreakpoint 2\nsegment 0\n",
+        "moore 4\nbreakpoint 0\nbreakpoint 4\n",
+    ],
+)
+def test_loop_parse_rejects_bad_breakpoints(text):
+    with pytest.raises(ParseError):
+        parse_loop(text)
+
+
 def test_cli_pam_check(pam_file, capsys):
     assert main(["pam", "check", pam_file]) == 0
     assert capsys.readouterr().out == "ok: M3 (4 elements, 1 sums)\n"

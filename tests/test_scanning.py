@@ -9,6 +9,7 @@ from pamscan import (
     CLOSED,
     DomainError,
     Interval,
+    MooreLoop,
     OPEN,
     alpha_eval,
     alpha_trace,
@@ -135,3 +136,21 @@ def test_trace_needs_support(m3):
     xi = ((I(1, 5, *HO), "a"),)
     with pytest.raises(TraceError):
         alpha_trace(xi, F(3), m3)
+
+
+def test_moore_loop_rejects_unsorted_breakpoints():
+    # loop_eval would bisect the unsorted tuple
+    with pytest.raises(ValueError, match="strictly increasing"):
+        MooreLoop(F(4), (F(0), F(3), F(1), F(4)), ((), (), ()))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        MooreLoop(F(4), (F(0), F(2), F(2), F(4)), ((), (), ()))
+
+
+def test_moore_loop_rejects_breakpoints_off_the_span():
+    # loop_eval(loop, 0) would read the segment [1, 2]
+    with pytest.raises(ValueError, match="from 0 to 4"):
+        MooreLoop(F(4), (F(1), F(2)), (((0, F(0), "a"),),))
+    with pytest.raises(ValueError, match="from 0 to 4"):
+        MooreLoop(F(4), (F(0), F(2)), ((),))
+    with pytest.raises(ValueError, match="positive"):
+        MooreLoop(F(0), (F(0), F(0)), ((),))
