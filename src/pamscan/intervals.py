@@ -95,9 +95,9 @@ def normalize_config(intervals):
     """Reduced representative of an unlabeled multiset of intervals.
 
     Sorts, verifies the sorted sequence is a precedence chain (raising
-    IncompatibleConfig otherwise), then repeatedly deletes degenerate
-    intervals and pastes touching pairs.  The result has pairwise strictly
-    separated, non-degenerate members.
+    IncompatibleConfig otherwise), then deletes degenerate intervals and
+    pastes touching pairs in one left-to-right pass.  The result has
+    pairwise strictly separated, non-degenerate members.
     """
     items = sorted(intervals, key=Interval.sort_key)
     for a, b in zip(items, items[1:]):
@@ -105,18 +105,17 @@ def normalize_config(intervals):
             raise IncompatibleConfig(
                 "no valid order: %r does not precede %r" % (a, b)
             )
-    items = [j for j in items if not j.is_degenerate]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(items) - 1):
-            a, b = items[i], items[i + 1]
-            if a.v == b.u:
-                # chain order forces opposite parities here
-                items[i : i + 2] = [Interval(a.u, b.v, a.p, b.q)]
-                changed = True
-                break
-    return tuple(items)
+    out = []
+    for b in items:
+        if b.is_degenerate:
+            continue
+        if out and out[-1].v == b.u:
+            # chain order forces opposite parities here, and the paste keeps
+            # the left end, so nothing behind it starts to touch
+            a = out.pop()
+            b = Interval(a.u, b.v, a.p, b.q)
+        out.append(b)
+    return tuple(out)
 
 
 def is_compatible(intervals):

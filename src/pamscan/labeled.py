@@ -10,7 +10,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from heapq import heappop, heappush
+from itertools import accumulate, count, groupby
+from math import lcm
+from operator import itemgetter
 
 from .pam import UNIT, DomainError
 from .intervals import CLOSED, OPEN, Interval, clip_interval, is_compatible
@@ -60,49 +63,147 @@ def in_T_labeled(xi, pam, witness=False):
 def labeled_normalize(xi, pam):
     """Deterministic normal form of a labeled configuration.
 
-    Repeatedly applies the leftmost applicable move: drop zero labels, drop
-    degenerate intervals, merge identical intervals by summing labels, paste
-    touching equal-label pieces with complementary parities.  A failing
-    label merge means the input was outside the tensor region.
+    The moves are applied one at a time, always the leftmost applicable one
+    in ``lc_sorted`` order: drop zero labels, drop degenerate intervals,
+    merge two identical intervals by summing their labels (the two of
+    lowest element index first), and paste a touching equal-label pair with
+    complementary parities, the lowest piece that has a partner onto its
+    lowest partner.  A pasted piece that coincides with another is merged
+    at once.  A failing label merge means the input was outside the tensor
+    region and raises DomainError naming the interval and the two labels.
+
+    The moves are replayed in that order through an index of left ends, so
+    the cost is O(n log n) for n pieces rather than a re-sort and rescan
+    per move.  The result is canonical only where the moves converge to one
+    answer: a configuration with two irreducible presentations (such as
+    [0,1):g1 [1/2,1):g1 [1,2):g1 over Z/5, where either g1 piece ending at
+    1 may take the paste) gets the one this order reaches.
     """
-    items = list(lc_sorted(xi, pam))
-    while True:
-        items.sort(key=lambda jm: (jm[0].sort_key(), pam.index(jm[1])))
-        move = _nf_step(items, pam)
-        if not move:
-            return tuple(items)
+    items = []
+    for j, run in groupby(lc_sorted(xi, pam), key=itemgetter(0)):
+        if not j.is_degenerate:
+            m = _merge_labels(j, [m for _, m in run if m != UNIT], pam)
+            if m is not None:
+                items.append((j, m))
+    if len(items) < 2 or not _some_paste(items):
+        return tuple(items)
+    return _paste(items, pam)
 
 
-def _nf_step(items, pam):
-    for i, (j, m) in enumerate(items):
-        if m == UNIT:
-            del items[i]
-            return True
-    for i, (j, m) in enumerate(items):
-        if j.is_degenerate:
-            del items[i]
-            return True
-    for i in range(len(items) - 1):
-        j1, m1 = items[i]
-        j2, m2 = items[i + 1]
-        if j1 == j2:
-            s = pam.pair_sum(m1, m2)
-            if s is None:
-                raise DomainError(
-                    "not in the tensor region: coincident interval %r carries "
-                    "unsummable labels (%s, %s)" % (j1, m1, m2)
-                )
-            items[i : i + 2] = [(j1, s)]
-            return True
-    for i in range(len(items)):
-        j1, m1 = items[i]
-        for k in range(i + 1, len(items)):
-            j2, m2 = items[k]
-            if m1 == m2 and j1.v == j2.u and j1.q != j2.p:
-                items[k : k + 1] = []
-                items[i : i + 1] = [(Interval(j1.u, j2.v, j1.p, j2.q), m1)]
-                return True
-    return False
+def _some_paste(items):
+    """True when some piece of ``items`` pastes onto another.
+
+    Endpoints are keyed by their integer parts, which hash much faster than
+    a Fraction; equality, unlike the order ``_paste`` keeps, needs no
+    common denominator.
+    """
+    lefts = {(j.u.numerator, j.u.denominator, j.p, m) for j, m in items}
+    return any((j.v.numerator, j.v.denominator, -j.q, m) in lefts for j, m in items)
+
+
+def _coincident_sum(j, m1, m2, pam):
+    """Merge two labels on the interval j, lower element index first."""
+    s = pam.pair_sum(m1, m2)
+    if s is None:
+        raise DomainError(
+            "not in the tensor region: coincident interval %r carries "
+            "unsummable labels (%s, %s)" % (j, m1, m2)
+        )
+    return s
+
+
+def _merge_labels(j, labels, pam):
+    """Sum the labels on one interval, two of lowest index at a time.
+
+    ``labels`` is in element-index order and holds no 0.  Returns None
+    when no label is left.
+    """
+    if len(labels) < 2:
+        return labels[0] if labels else None
+    heap = [(pam.index(m), m) for m in labels]
+    while len(heap) > 1:
+        s = _coincident_sum(j, heappop(heap)[1], heappop(heap)[1], pam)
+        if s != UNIT:
+            heappush(heap, (pam.index(s), s))
+    return heap[0][1] if heap else None
+
+
+class _Piece:
+    """A piece in the paste index; dead once pasted or merged away."""
+
+    __slots__ = ("j", "m", "key", "live")
+
+    def __init__(self, j, m, key):
+        self.j, self.m, self.key, self.live = j, m, key, True
+
+
+def _prune(heap):
+    """Pop dead pieces off the top of a heap of (..., piece) entries."""
+    while heap and not heap[0][-1].live:
+        heappop(heap)
+    return heap
+
+
+def _paste(items, pam):
+    """Paste the distinct, labeled, sorted ``items`` to a fixpoint.
+
+    Pastes create no endpoint, so each endpoint is scaled once to an
+    integer over the common denominator; a piece's key (u, v, p, q) in
+    those integers sorts as its interval does, and names it in ``live``.
+    Pieces leave ``todo`` in key order.  One with no live partner waits
+    under the left end a partner would have and is queued again when a
+    piece with that left end is added.  Only a merge adds a new left end,
+    by putting a new label on it, and that is the one move that reaches
+    behind the cursor.  Dead pieces are skipped when they surface.
+    """
+    scale = lcm(*{x.denominator for j, _ in items for x in (j.u, j.v)})
+
+    def at(x):
+        return x.numerator * (scale // x.denominator)
+
+    order = count()
+    live = {}  # key -> piece
+    lefts = {}  # (u, p, label) -> heap of (v, q, n, piece)
+    waiting = {}  # (u, p, label) -> pieces that would paste onto such a piece
+    todo = []
+
+    def add(j, m, key):
+        piece = live[key] = _Piece(j, m, key)
+        left = (key[0], key[2], m)
+        heappush(_prune(lefts.setdefault(left, [])), (key[1], key[3], next(order), piece))
+        for c in waiting.pop(left, ()):
+            if c.live:
+                heappush(todo, (c.key, next(order), c))
+        heappush(todo, (key, next(order), piece))
+
+    for j, m in items:
+        add(j, m, (at(j.u), at(j.v), j.p, j.q))
+    while todo:
+        a = heappop(todo)[-1]
+        if not a.live:
+            continue
+        u, v, p, q = a.key
+        right = (v, -q, a.m)
+        partners = _prune(lefts.get(right, []))
+        if not partners:
+            waiting.setdefault(right, []).append(a)
+            continue
+        b = heappop(partners)[-1]
+        if not partners:
+            del lefts[right]
+        a.live = b.live = False
+        del live[a.key], live[b.key]
+        key = (u, b.key[1], p, b.key[3])
+        j = Interval(a.j.u, b.j.v, a.j.p, b.j.q)
+        m = a.m
+        x = live.pop(key, None)
+        if x is not None:
+            x.live = False
+            m = _coincident_sum(j, *sorted((m, x.m), key=pam.index), pam)
+            if m == UNIT:
+                continue
+        add(j, m, key)
+    return tuple((live[key].j, live[key].m) for key in sorted(live))
 
 
 def config_eq(x1, x2, pam, method="nf", depth=6, node_cap=20000):

@@ -15,11 +15,8 @@ from fractions import Fraction
 from .pam import DomainError
 from .intervals import CLOSED, OPEN, Interval
 from .labeled import (
-    E1_INTERIOR,
     E1_LEFT,
     E1_RIGHT,
-    E1_WHOLE,
-    Elem1,
     Elem2,
     WindowIndex,
     decompose_window,
@@ -117,8 +114,6 @@ def replace_elementary(items):
             j = Interval(j.u, j.v, CLOSED, j.q)
         elif e.kind == E1_RIGHT and j.p == OPEN:
             j = Interval(j.u, j.v, j.p, CLOSED)
-        elif e.kind in (E1_WHOLE, E1_INTERIOR):
-            pass
         units.append(ScanUnit((j,), e.label))
     return units
 
@@ -277,11 +272,11 @@ def alpha_trace(xi, s, pam):
 
     segments = tuple(known[span] for span in spans)
     loop = MooreLoop(s=s, breakpoints=tuple(breakpoints), segments=segments)
-    _check_loop_invariants(loop, xi, pam)
+    _check_loop_invariants(loop, pam)
     return loop
 
 
-def _check_loop_invariants(loop, xi, pam):
+def _check_loop_invariants(loop, pam):
     if not loop_eval(loop, 0, pam).is_empty:
         raise TraceError("loop value at 0 is not the empty element")
     if not loop_eval(loop, loop.s, pam).is_empty:

@@ -72,7 +72,7 @@ def oracle_trace(xi, s, pam):
     else:
         raise TraceError("track crossings kept appearing after refinement")
     loop = scanning.MooreLoop(s, tuple(breakpoints), tuple(segments))
-    scanning._check_loop_invariants(loop, xi, pam)
+    scanning._check_loop_invariants(loop, pam)
     return loop
 
 
