@@ -12,23 +12,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .pam import UNIT, DomainError
-from .intervals import CLOSED, OPEN, Interval
+from .intervals import CLOSED, OPEN, Interval, _frac
 from .labeled import (
+    _mirror_split,
     in_T_labeled,
     labeled_normalize,
     lc_sorted,
     mirror_config,
     positive_part,
     restrict,
-    split_sides,
     translate_config,
 )
 from .scanning import path_eval_at_zero
 from .tensor import BMElement
-
-
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _check_unit_t(t):
@@ -171,9 +167,7 @@ def cover_homotopy(eta, t, s, pam):
     if not is_in_O(z):
         raise DomainError("covering homotopy needs a point beyond 1/2")
     nf = labeled_normalize(eta, pam)
-    s_minus, s_zero, s_plus = split_sides(nf)
-    if mirror_config(s_minus) != lc_sorted(s_plus):
-        raise DomainError("configuration is not mirror-invariant")
+    s_zero, s_plus = _mirror_split(nf)
 
     def lam(x):
         if x <= t / 4:
@@ -270,7 +264,7 @@ def _match_pattern(eta, z, pam, window, far_allowed):
     if rights:
         return "unpaired anchored piece with cut %s:%s" % (rights[0][0], rights[0][2])
 
-    zsum = pam.sum_tuple(zpool) if len(zpool) <= 8 else None
+    zsum = pam.sum_tuple(zpool)
     if zsum is None:
         return "central labels %r do not sum" % (zpool,)
     want_m0 = z.m0 if z.m0 is not None else UNIT
@@ -392,9 +386,7 @@ def glue_g(eta, alpha, z, pam):
             pieces.append((right.mirror(), b))
 
     nf = labeled_normalize(eta, pam)
-    s_minus, s_zero, s_plus = split_sides(nf)
-    if mirror_config(s_minus) != lc_sorted(s_plus):
-        raise DomainError("configuration is not mirror-invariant")
+    s_zero, s_plus = _mirror_split(nf)
     payload = [(Interval(0, j.v, -j.q, j.q), m) for j, m in s_zero]
     payload.extend(s_plus)
     moved = translate_config(payload, 2)

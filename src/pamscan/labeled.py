@@ -16,18 +16,14 @@ from math import lcm
 from operator import itemgetter
 
 from .pam import UNIT, DomainError
-from .intervals import CLOSED, OPEN, Interval, clip_interval, is_compatible
-from .tensor import ConfigCarrier, EqVerdict, PamCarrier, in_T
+from .intervals import CLOSED, OPEN, Interval, _frac, clip_interval, is_compatible
+from .tensor import ConfigCarrier, EqVerdict, PamCarrier, _bidirectional_search, in_T
 
 _CONFIGS = ConfigCarrier()
 
 
 class DecomposeError(DomainError):
     """A window's content admits no elementary decomposition."""
-
-
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def lc_sorted(pairs, pam=None):
@@ -223,35 +219,13 @@ def config_eq(x1, x2, pam, method="nf", depth=6, node_cap=20000):
     cuts = sorted(
         {j.u for j, _ in list(x1) + list(x2)} | {j.v for j, _ in list(x1) + list(x2)}
     )
-    start_a = lc_sorted(x1, pam)
-    start_b = lc_sorted(x2, pam)
-    seen_a, seen_b = {start_a}, {start_b}
-    frontier_a, frontier_b = {start_a}, {start_b}
-    if seen_a & seen_b:
-        return EqVerdict.EQUAL
-    for _ in range(depth):
-        if not frontier_a and not frontier_b:
-            return EqVerdict.DISTINCT
-        if frontier_a and (not frontier_b or len(seen_a) <= len(seen_b)):
-            grow, seen = frontier_a, seen_a
-        else:
-            grow, seen = frontier_b, seen_b
-        new = set()
-        for node in grow:
-            new |= labeled_rewrite_neighbors(node, pam, extra_cuts=cuts)
-        new -= seen
-        seen |= new
-        if grow is frontier_a:
-            frontier_a = new
-        else:
-            frontier_b = new
-        if seen_a & seen_b:
-            return EqVerdict.EQUAL
-        if len(seen_a) + len(seen_b) > node_cap:
-            return EqVerdict.UNKNOWN
-    if not frontier_a and not frontier_b:
-        return EqVerdict.DISTINCT
-    return EqVerdict.UNKNOWN
+    return _bidirectional_search(
+        lc_sorted(x1, pam),
+        lc_sorted(x2, pam),
+        lambda node: labeled_rewrite_neighbors(node, pam, extra_cuts=cuts),
+        depth,
+        node_cap,
+    )
 
 
 def labeled_rewrite_neighbors(xi, pam, extra_cuts=()):
@@ -383,6 +357,18 @@ def split_sides(nf):
     return tuple(s_minus), tuple(s_zero), tuple(s_plus)
 
 
+def _mirror_split(nf):
+    """The zero-crossing and positive parts of a mirror-invariant normal form.
+
+    Raises DomainError unless the negative side is exactly the mirror of the
+    positive side.
+    """
+    s_minus, s_zero, s_plus = split_sides(nf)
+    if mirror_config(s_minus) != lc_sorted(s_plus):
+        raise DomainError("configuration is not mirror-invariant")
+    return s_zero, s_plus
+
+
 def positive_part(eta, pam):
     """Fold a mirror-invariant configuration onto the half line.
 
@@ -393,9 +379,7 @@ def positive_part(eta, pam):
     nf = labeled_normalize(eta, pam)
     if labeled_normalize(mirror_config(nf), pam) != nf:
         raise DomainError("configuration is not mirror-invariant")
-    s_minus, s_zero, s_plus = split_sides(nf)
-    if mirror_config(s_minus) != lc_sorted(s_plus):
-        raise DomainError("negative side is not the mirror of the positive side")
+    s_zero, s_plus = _mirror_split(nf)
     folded = [(Interval(0, j.v, CLOSED, j.q), m) for j, m in s_zero]
     return lc_sorted(folded + list(s_plus))
 
@@ -540,11 +524,6 @@ def decompose_window(xi_t, a, b, pam):
             if ri not in matched_r:
                 items.append(Elem1(E1_RIGHT, jr, mr))
                 labels.append(mr)
-        if len(labels) > 8:
-            raise DecomposeError(
-                "window (%s, %s): %d elementary labels exceed the desk-scale "
-                "summability bound" % (a, b, len(labels))
-            )
         if pam.sum_tuple(labels) is not None:
             results.append(tuple(sorted(items, key=lambda e: e.sort_key())))
     if not results:

@@ -33,14 +33,13 @@ class FinitePam:
     every violation found, each with a witnessing triple or pair.
     """
 
-    __slots__ = ("name", "elements", "_index", "_sums", "_tuple_cache")
+    __slots__ = ("name", "elements", "_index", "_sums")
 
     def __init__(self, name, elements, sums):
         self.name = name
         self.elements = tuple(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._sums = {}
-        self._tuple_cache = {}
         problems = self._build(sums)
         problems += self._violations()
         if problems:
@@ -138,40 +137,22 @@ class FinitePam:
     def sum_tuple(self, elems):
         """Total sum of a tuple, None if undefined.
 
-        A tuple is summable when every ordering folds left-to-right with all
-        intermediate pairs defined; all orderings then agree.  Desk scale
-        only: n <= 8.
+        Sums are symmetric, and the constructor checks that (a+b)+c is
+        defined exactly when a+(b+c) is, with equal values.  So swapping two
+        adjacent summands changes neither definedness nor value, every
+        ordering folds like the given one, and one left fold decides the sum.
         """
         elems = tuple(elems)
         for x in elems:
             self.check_element(x)
-        if len(elems) > 8:
-            raise PamError("sum_tuple supports at most 8 summands, got %d" % len(elems))
-        key = tuple(sorted(elems, key=self._index.__getitem__))
-        if key in self._tuple_cache:
-            return self._tuple_cache[key]
-        result = self._sum_tuple_uncached(key)
-        self._tuple_cache[key] = result
-        return result
-
-    def _sum_tuple_uncached(self, key):
-        if not key:
+        if not elems:
             return UNIT
-        if len(key) == 1:
-            return key[0]
-        values = set()
-        for perm in set(itertools.permutations(key)):
-            acc = perm[0]
-            for x in perm[1:]:
-                acc = self.pair_sum(acc, x)
-                if acc is None:
-                    return None
-            values.add(acc)
-        if len(values) != 1:
-            raise PamError(
-                "sum of %r depends on ordering: %r" % (key, sorted(values))
-            )
-        return values.pop()
+        acc = elems[0]
+        for x in elems[1:]:
+            acc = self.pair_sum(acc, x)
+            if acc is None:
+                return None
+        return acc
 
     def is_self_insummable(self):
         """True when a + a is undefined for every nonzero a."""

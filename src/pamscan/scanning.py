@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .pam import DomainError
-from .intervals import CLOSED, OPEN, Interval
+from .intervals import CLOSED, OPEN, Interval, _frac
 from .labeled import (
     E1_LEFT,
     E1_RIGHT,
@@ -27,10 +27,6 @@ from .tensor import BASEPOINT, bm_canon, norm_circle
 
 class TraceError(Exception):
     """A constructed loop violated one of its invariants."""
-
-
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def omega(j, s):

@@ -391,8 +391,22 @@ def tensor_eq(c1, c2, a, b, depth=6):
             if _trivial_canon(c1, c2, a) == _trivial_canon(c1, c2, b)
             else EqVerdict.DISTINCT
         )
-    start_a = _canon_pairs(c1, c2, a)
-    start_b = _canon_pairs(c1, c2, b)
+    return _bidirectional_search(
+        _canon_pairs(c1, c2, a),
+        _canon_pairs(c1, c2, b),
+        lambda node: rewrite_neighbors(c1, c2, node),
+        depth,
+    )
+
+
+def _bidirectional_search(start_a, start_b, neighbors, depth, node_cap=None):
+    """Bounded bidirectional walk between two nodes.
+
+    ``neighbors(node)`` returns a set of nodes.  Each round grows the side
+    that has seen fewer nodes.  Returns EQUAL when the two reachability sets
+    meet, DISTINCT when both are exhausted first, and UNKNOWN after
+    ``depth`` rounds or once more than ``node_cap`` nodes have been seen.
+    """
     seen_a, seen_b = {start_a}, {start_b}
     frontier_a, frontier_b = {start_a}, {start_b}
     if seen_a & seen_b:
@@ -400,21 +414,23 @@ def tensor_eq(c1, c2, a, b, depth=6):
     for _ in range(depth):
         if not frontier_a and not frontier_b:
             return EqVerdict.DISTINCT
-        # grow the smaller frontier first
         if frontier_a and (not frontier_b or len(seen_a) <= len(seen_b)):
-            new = set()
-            for node in frontier_a:
-                new |= rewrite_neighbors(c1, c2, node)
-            frontier_a = new - seen_a
-            seen_a |= frontier_a
+            grow, seen = frontier_a, seen_a
         else:
-            new = set()
-            for node in frontier_b:
-                new |= rewrite_neighbors(c1, c2, node)
-            frontier_b = new - seen_b
-            seen_b |= frontier_b
+            grow, seen = frontier_b, seen_b
+        new = set()
+        for node in grow:
+            new |= neighbors(node)
+        new -= seen
+        seen |= new
+        if grow is frontier_a:
+            frontier_a = new
+        else:
+            frontier_b = new
         if seen_a & seen_b:
             return EqVerdict.EQUAL
+        if node_cap is not None and len(seen_a) + len(seen_b) > node_cap:
+            return EqVerdict.UNKNOWN
     if not frontier_a and not frontier_b:
         return EqVerdict.DISTINCT
     return EqVerdict.UNKNOWN
@@ -505,13 +521,19 @@ def bm_canon(pam, pairs):
 
 
 def _minimal_unsummable(pam, labels):
-    import itertools as _it
+    """An inclusion-minimal unsummable sub-multiset of unsummable ``labels``.
 
-    for size in range(2, len(labels) + 1):
-        for combo in _it.combinations(labels, size):
-            if pam.sum_tuple(combo) is None:
-                return list(combo)
-    return list(labels)
+    Walks the labels from the end and drops each one whose removal leaves
+    the rest unsummable, in O(n^2) folds.  Every proper sub-multiset of the
+    witness sums: each kept label was kept because the witness at that step
+    summed without it, and a part of a summable family sums.
+    """
+    witness = list(labels)
+    for i in reversed(range(len(witness))):
+        rest = witness[:i] + witness[i + 1:]
+        if pam.sum_tuple(rest) is None:
+            witness = rest
+    return witness
 
 
 def bm_filtration_level(z: BMElement):

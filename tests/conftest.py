@@ -2,6 +2,8 @@ import pytest
 
 from pamscan import FinitePam
 
+from genutil import cyclic_pam, truncated_pam
+
 
 @pytest.fixture(scope="session")
 def m3():
@@ -11,3 +13,13 @@ def m3():
 @pytest.fixture(scope="session")
 def z2():
     return FinitePam("Z2", ["0", "g"], {("g", "g"): "0"})
+
+
+@pytest.fixture(scope="session", params=["m3", "z2", "z5", "trunc6"])
+def carrier(request):
+    """M3 and Z2, plus Z/5 and {0..6} under truncated addition."""
+    if request.param == "z5":
+        return cyclic_pam(5)
+    if request.param == "trunc6":
+        return truncated_pam(6)
+    return request.getfixturevalue(request.param)

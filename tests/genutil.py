@@ -9,10 +9,37 @@ by a caller-owned random.Random so failures replay from the seed.
 
 from fractions import Fraction
 
-from pamscan import CLOSED, OPEN, Interval, lc_sorted, mirror_config
+from pamscan import CLOSED, OPEN, UNIT, FinitePam, Interval, lc_sorted, mirror_config
 
 E = Fraction(1, 8)
 HALF_OPEN = ((OPEN, CLOSED), (CLOSED, OPEN))
+
+
+def cyclic_pam(n):
+    """Z/n on the elements 0, g1, ..., g(n-1)."""
+
+    def g(i):
+        return "g%d" % i if i else UNIT
+
+    return FinitePam(
+        "Z%d" % n,
+        [g(i) for i in range(n)],
+        {(g(i), g(k)): g((i + k) % n) for i in range(1, n) for k in range(i, n)},
+    )
+
+
+def truncated_pam(n):
+    """{0..n} under addition, defined while the total stays at most n."""
+    return FinitePam(
+        "T%d" % n,
+        [str(i) for i in range(n + 1)],
+        {
+            (str(i), str(k)): str(i + k)
+            for i in range(1, n + 1)
+            for k in range(i, n + 1)
+            if i + k <= n
+        },
+    )
 
 
 def rand_frac(rng, lo, hi):

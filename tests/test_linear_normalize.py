@@ -17,7 +17,6 @@ from pamscan import (
     CLOSED,
     OPEN,
     DomainError,
-    FinitePam,
     IncompatibleConfig,
     Interval,
     config_eq,
@@ -29,6 +28,8 @@ from pamscan import (
 from pamscan.dsl import parse_config
 from pamscan.pam import UNIT
 from pamscan.tensor import EqVerdict
+
+from genutil import cyclic_pam, truncated_pam
 
 
 def oracle_normalize(xi, pam):
@@ -101,22 +102,8 @@ def _outcome(normalize, *args):
         return "raised", type(e), str(e)
 
 
-Z5 = FinitePam(
-    "Z5",
-    ["0", "g1", "g2", "g3", "g4"],
-    {
-        ("g%d" % i, "g%d" % k): "g%d" % ((i + k) % 5) if (i + k) % 5 else "0"
-        for i in range(1, 5)
-        for k in range(i, 5)
-    },
-)
-
-# {0..6} under addition, defined while the total stays at most 6
-TRUNC6 = FinitePam(
-    "T6",
-    [str(i) for i in range(7)],
-    {(str(i), str(k)): str(i + k) for i in range(1, 7) for k in range(i, 7) if i + k <= 6},
-)
+Z5 = cyclic_pam(5)
+TRUNC6 = truncated_pam(6)
 
 
 def _rand_config(rng, pam):
@@ -154,15 +141,6 @@ def _rand_config(rng, pam):
             xi.append((j, m))
     rng.shuffle(xi)
     return xi
-
-
-@pytest.fixture(params=["m3", "z2", "z5", "trunc6"])
-def carrier(request):
-    if request.param == "z5":
-        return Z5
-    if request.param == "trunc6":
-        return TRUNC6
-    return request.getfixturevalue(request.param)
 
 
 def test_random_draws_match_oracle(carrier):
