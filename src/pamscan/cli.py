@@ -44,14 +44,18 @@ EXIT_DOMAIN = 3
 EXIT_UNKNOWN = 4
 
 
+def _read_carrier(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError("cannot read carrier file: %s" % e) from None
+
+
 def _load_pam(args):
     if not getattr(args, "pam", None):
         raise ParseError("a carrier file is required (--pam FILE)")
-    try:
-        with open(args.pam, encoding="utf-8") as fh:
-            return parse_pam_text(fh.read())
-    except OSError as e:
-        raise ParseError("cannot read carrier file: %s" % e) from None
+    return parse_pam_text(_read_carrier(args.pam))
 
 
 def _config(args, text, pam):
@@ -78,16 +82,16 @@ def _support(text):
 
 def _write_svg(args, render):
     if getattr(args, "svg", None):
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render())
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(render())
+        except OSError as e:
+            raise ParseError("cannot write svg file: %s" % e) from None
 
 
 def cmd_pam_check(args):
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            pam = parse_pam_text(fh.read())
-    except OSError as e:
-        raise ParseError("cannot read carrier file: %s" % e) from None
+        pam = parse_pam_text(_read_carrier(args.file))
     except PamError as e:
         for v in e.violations:
             print(v, file=sys.stderr)

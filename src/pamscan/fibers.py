@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .pam import UNIT, DomainError
-from .intervals import CLOSED, OPEN, Interval, _frac
+from .intervals import CLOSED, OPEN, Interval, _frac, _positive
 from .labeled import (
     _mirror_split,
     in_T_labeled,
@@ -51,7 +51,7 @@ def contract(eta, t, s, pam):
     the result is returned in normal form.
     """
     t = _check_unit_t(t)
-    s = _frac(s)
+    s = _positive(s, "length")
     d = t * s
 
     def f(x):
@@ -72,7 +72,7 @@ def cap_project(eta, s, pam):
     part pushed out by two units, with one cap strand per piece that starts
     within half a unit of 0.
     """
-    s = _frac(s)
+    s = _positive(s, "length")
     z = path_eval_at_zero(eta, pam)
     pos = positive_part(eta, pam)
     cap = []
@@ -90,7 +90,7 @@ def standard_lift(z, xi, s, pam):
     the sign dictates; the payload is pushed out by two units and the whole
     picture is mirrored.
     """
-    s = _frac(s)
+    s = _positive(s, "length")
     if z.m0 is not None:
         raise DomainError("standard lift requires no label at coordinate 0")
     core = []
@@ -162,7 +162,7 @@ def cover_homotopy(eta, t, s, pam):
     outward by 3t/2.  Returns (config, s + 3t/2).
     """
     t = _check_unit_t(t)
-    s = _frac(s)
+    s = _positive(s, "length")
     z = path_eval_at_zero(eta, pam)
     if not is_in_O(z):
         raise DomainError("covering homotopy needs a point beyond 1/2")

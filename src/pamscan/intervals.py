@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .pam import DomainError
+
 CLOSED = 1
 OPEN = -1
 
@@ -24,6 +26,14 @@ def _frac(x):
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def _positive(x, what):
+    """``x`` as a Fraction; DomainError naming ``what`` unless x > 0."""
+    x = _frac(x)
+    if x <= 0:
+        raise DomainError("%s must be positive" % what)
+    return x
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from math import lcm
 from operator import itemgetter
 
 from .pam import UNIT, DomainError
-from .intervals import CLOSED, OPEN, Interval, _frac, clip_interval, is_compatible
+from .intervals import CLOSED, OPEN, Interval, _frac, _positive, clip_interval, is_compatible
 from .tensor import ConfigCarrier, EqVerdict, PamCarrier, _bidirectional_search, in_T
 
 _CONFIGS = ConfigCarrier()
@@ -26,13 +26,9 @@ class DecomposeError(DomainError):
     """A window's content admits no elementary decomposition."""
 
 
-def lc_sorted(pairs, pam=None):
-    """Canonical ordering of a labeled configuration."""
-    if pam is None:
-        return tuple(sorted(pairs, key=lambda jm: (jm[0].sort_key(), jm[1])))
-    return tuple(
-        sorted(pairs, key=lambda jm: (jm[0].sort_key(), pam.index(jm[1])))
-    )
+def lc_sorted(pairs):
+    """Canonical ordering of a labeled configuration: interval, then label."""
+    return tuple(sorted(pairs, key=lambda jm: (jm[0].sort_key(), jm[1])))
 
 
 def pi_mul(xi):
@@ -75,8 +71,11 @@ def labeled_normalize(xi, pam):
     [0,1):g1 [1/2,1):g1 [1,2):g1 over Z/5, where either g1 piece ending at
     1 may take the paste) gets the one this order reaches.
     """
+    xi = tuple(xi)
+    for _, m in xi:
+        pam.check_element(m)
     items = []
-    for j, run in groupby(lc_sorted(xi, pam), key=itemgetter(0)):
+    for j, run in groupby(lc_sorted(xi), key=itemgetter(0)):
         if not j.is_degenerate:
             m = _merge_labels(j, [m for _, m in run if m != UNIT], pam)
             if m is not None:
@@ -111,12 +110,11 @@ def _coincident_sum(j, m1, m2, pam):
 def _merge_labels(j, labels, pam):
     """Sum the labels on one interval, two of lowest index at a time.
 
-    ``labels`` is in element-index order and holds no 0.  Returns None
-    when no label is left.
+    ``labels`` holds no 0.  Returns None when no label is left.
     """
     if len(labels) < 2:
         return labels[0] if labels else None
-    heap = [(pam.index(m), m) for m in labels]
+    heap = sorted((pam.index(m), m) for m in labels)
     while len(heap) > 1:
         s = _coincident_sum(j, heappop(heap)[1], heappop(heap)[1], pam)
         if s != UNIT:
@@ -202,11 +200,13 @@ def _paste(items, pam):
     return tuple((live[key].j, live[key].m) for key in sorted(live))
 
 
-def config_eq(x1, x2, pam, method="nf", depth=6, node_cap=20000):
+def config_eq(x1, x2, pam, method="nf", depth=6):
     """Equality in the labeled configuration space.
 
-    ``nf`` compares normal forms (exact).  ``search`` runs a bounded
-    bidirectional walk over one-step rewrites and may return UNKNOWN.
+    ``nf`` compares normal forms: EQUAL is always right, but DISTINCT is
+    not exact over every carrier, where the moves need not converge (see
+    ``labeled_normalize``).  ``search`` runs a bounded bidirectional walk
+    over one-step rewrites and answers UNKNOWN once it is out of bounds.
     """
     if method == "nf":
         return (
@@ -220,11 +220,10 @@ def config_eq(x1, x2, pam, method="nf", depth=6, node_cap=20000):
         {j.u for j, _ in list(x1) + list(x2)} | {j.v for j, _ in list(x1) + list(x2)}
     )
     return _bidirectional_search(
-        lc_sorted(x1, pam),
-        lc_sorted(x2, pam),
+        lc_sorted(x1),
+        lc_sorted(x2),
         lambda node: labeled_rewrite_neighbors(node, pam, extra_cuts=cuts),
         depth,
-        node_cap,
     )
 
 
@@ -240,7 +239,7 @@ def labeled_rewrite_neighbors(xi, pam, extra_cuts=()):
 
     def admit(cand):
         if in_T_labeled(cand, pam):
-            out.add(lc_sorted(cand, pam))
+            out.add(lc_sorted(cand))
 
     for i, (j, m) in enumerate(items):
         rest = items[:i] + items[i + 1 :]
@@ -556,7 +555,7 @@ def admissibility_sweep(xi, eps, pam):
     Windows are read through one WindowIndex, so each read costs a
     bisection plus the pieces near the window, not a pass over all pieces.
     """
-    eps = _frac(eps)
+    eps = _positive(eps, "eps")
     windows = WindowIndex(xi)
     for t in window_sweep_points(xi, eps):
         content = windows.restrict(t - eps, t + eps)
@@ -578,11 +577,11 @@ def is_admissible(xi, eps, support, pam):
     Returns an AdmissibilityReport; failures carry a reason instead of
     raising.
     """
-    eps = _frac(eps)
+    eps = _positive(eps, "eps")
     a, b = _frac(support[0]), _frac(support[1])
     if b - a <= eps:
         raise DomainError("support window must be wider than eps")
-    xi = lc_sorted(xi, pam)
+    xi = lc_sorted(xi)
     ok, wit = in_T_labeled(xi, pam, witness=True)
     if not ok:
         return AdmissibilityReport(False, "not in the tensor region: %r" % (wit,))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .pam import DomainError
-from .intervals import CLOSED, OPEN, Interval, _frac
+from .intervals import CLOSED, OPEN, Interval, _frac, _positive
 from .labeled import (
     E1_LEFT,
     E1_RIGHT,
@@ -229,9 +229,7 @@ def alpha_trace(xi, s, pam):
     segments that a crossing split; every other segment keeps the tracks of
     the round that derived it.
     """
-    s = _frac(s)
-    if s <= 0:
-        raise DomainError("loop length must be positive")
+    s = _positive(s, "loop length")
     xi = lc_sorted(xi)
     ends = sorted({x for j, _ in xi for x in (j.u, j.v)})
     cand = {Fraction(0), s}

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .pam import UNIT, DomainError, FinitePam, PamError
-from .intervals import Interval, merge_summable, normalize_config, IncompatibleConfig
+from .intervals import Interval, _frac, merge_summable, normalize_config, IncompatibleConfig
 
-MAX_TENSOR_SIZE = 16
+# Nodes a rewrite search may see, both sides together, before it answers
+# UNKNOWN: each node costs a tensor-membership check per neighbour.
+SEARCH_NODE_CAP = 20000
 
 
 class EqVerdict(enum.Enum):
@@ -104,7 +106,9 @@ BASEPOINT = Fraction(1)
 
 def norm_circle(t):
     """Normalize a rational to the circle's fundamental domain (-1, 1]."""
-    t = Fraction(t)
+    t = _frac(t)
+    if -t.denominator < t.numerator <= t.denominator:
+        return t
     r = t % 2
     if r > 1:
         r -= 2
@@ -209,66 +213,56 @@ def in_T(c1, c2, pairs, witness=False):
     """Tensor-region membership for a multiset of pairs.
 
     For every sub-multiset: if the first coordinates are pairwise insummable
-    the second coordinates must be tuple-summable, and symmetrically.  The
-    scan enumerates insummability cliques instead of raw subsets; a clique's
-    sub-multisets are covered because summability is closed under taking
-    sub-tuples.
+    the second coordinates must be tuple-summable, and symmetrically.  Such
+    a sub-multiset is a clique of the insummability graph.  Summability in
+    every carrier here passes to parts (a part of a summable tuple sums), so
+    some clique fails exactly when some maximal clique fails, and only the
+    maximal cliques are summed.  The witness is (side, indices): an
+    inclusion-minimal failing clique inside the first failing maximal one.
     """
     pairs = list(pairs)
-    n = len(pairs)
-    if n > MAX_TENSOR_SIZE:
-        raise DomainError(
-            "multiset too large for tensor membership check: %d > %d"
-            % (n, MAX_TENSOR_SIZE)
-        )
-    for first_side in (True, False):
-        if first_side:
-            us = [p[0] for p in pairs]
-            vs = [p[1] for p in pairs]
-            ca, cb = c1, c2
-        else:
-            us = [p[1] for p in pairs]
-            vs = [p[0] for p in pairs]
-            ca, cb = c2, c1
-        masks = _insummable_masks(ca, us)
-        bad = _clique_scan(masks, vs, cb)
-        if bad is not None:
-            if witness:
-                return False, (("first" if first_side else "second"), sorted(bad))
-            return False
-    if witness:
-        return True, None
-    return True
+    for k, side, ca, cb in ((0, "first", c1, c2), (1, "second", c2, c1)):
+        others = [p[1 - k] for p in pairs]
+
+        def sums(indices):
+            return cb.tuple_sum([others[i] for i in indices])
+
+        for clique in _maximal_cliques(_insummable_masks(ca, [p[k] for p in pairs])):
+            indices = list(_bits(clique))
+            if len(indices) >= 2 and sums(indices) is None:
+                bad = (side, _minimal_unsummable(sums, indices))
+                return (False, bad) if witness else False
+    return (True, None) if witness else True
 
 
-def _clique_scan(masks, others, carrier):
-    """Find a pairwise-insummable clique whose partner tuple is unsummable.
+def _bits(mask):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Returns the witnessing index list, or None.  Recursion only extends
-    cliques, so the number of visited nodes is the number of cliques in the
-    insummability graph; summability of sub-tuples is monotone, so pruning
-    on already-summable prefixes is not sound and every clique is checked.
+
+def _maximal_cliques(masks):
+    """Every maximal clique of the graph with adjacency bitmasks ``masks``.
+
+    Bron-Kerbosch with pivoting (Tomita, Tanaka and Takahashi 2006), on a
+    stack so a large clique cannot exhaust the recursion limit.  A node
+    (r, p, x) is a clique r, the vertices p that may extend it and those x
+    that extend it but were branched on already.  Yields bitmasks.
     """
-    n = len(masks)
-    found = []
-
-    def extend(indices, allowed, start):
-        if len(indices) >= 2:
-            if carrier.tuple_sum([others[i] for i in indices]) is None:
-                found.append(list(indices))
-                return True
-        for i in range(start, n):
-            if not (allowed >> i) & 1:
-                continue
-            indices.append(i)
-            if extend(indices, allowed & masks[i], i + 1):
-                return True
-            indices.pop()
-        return False
-
-    if extend([], (1 << n) - 1, 0):
-        return found[0]
-    return None
+    stack = [(0, (1 << len(masks)) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                yield r
+            continue
+        pivot = max(_bits(p | x), key=lambda u: (masks[u] & p).bit_count())
+        for v in _bits(p & ~masks[pivot]):
+            stack.append((r | 1 << v, p & masks[v], x & masks[v]))
+            p &= ~(1 << v)
+            x |= 1 << v
 
 
 def is_pairwise_insummable(carrier, xs):
@@ -298,7 +292,7 @@ def rewrite_neighbors(c1, c2, pairs):
 
     def admit(cand):
         cand = list(cand)
-        if len(cand) <= MAX_TENSOR_SIZE and in_T(c1, c2, cand):
+        if in_T(c1, c2, cand):
             out.add(_canon_pairs(c1, c2, cand))
 
     for i, (x, y) in enumerate(pairs):
@@ -381,7 +375,8 @@ def tensor_eq(c1, c2, a, b, depth=6):
 
     With a trivial carrier on either side the canonical form is exact.
     Otherwise a bounded bidirectional search over one-step rewrites returns
-    EQUAL, DISTINCT (both reachability sets exhausted), or UNKNOWN.
+    EQUAL, DISTINCT (both reachability sets exhausted), or UNKNOWN once
+    ``depth`` rounds or ``SEARCH_NODE_CAP`` nodes are spent.
     """
     if not in_T(c1, c2, a) or not in_T(c1, c2, b):
         raise DomainError("tensor_eq requires both multisets in the tensor region")
@@ -399,13 +394,14 @@ def tensor_eq(c1, c2, a, b, depth=6):
     )
 
 
-def _bidirectional_search(start_a, start_b, neighbors, depth, node_cap=None):
+def _bidirectional_search(start_a, start_b, neighbors, depth):
     """Bounded bidirectional walk between two nodes.
 
     ``neighbors(node)`` returns a set of nodes.  Each round grows the side
     that has seen fewer nodes.  Returns EQUAL when the two reachability sets
     meet, DISTINCT when both are exhausted first, and UNKNOWN after
-    ``depth`` rounds or once more than ``node_cap`` nodes have been seen.
+    ``depth`` rounds or once more than ``SEARCH_NODE_CAP`` nodes have been
+    seen.
     """
     seen_a, seen_b = {start_a}, {start_b}
     frontier_a, frontier_b = {start_a}, {start_b}
@@ -429,7 +425,7 @@ def _bidirectional_search(start_a, start_b, neighbors, depth, node_cap=None):
             frontier_b = new
         if seen_a & seen_b:
             return EqVerdict.EQUAL
-        if node_cap is not None and len(seen_a) + len(seen_b) > node_cap:
+        if len(seen_a) + len(seen_b) > SEARCH_NODE_CAP:
             return EqVerdict.UNKNOWN
     if not frontier_a and not frontier_b:
         return EqVerdict.DISTINCT
@@ -486,52 +482,41 @@ BM_EMPTY = BMElement(None, ())
 def bm_canon(pam, pairs):
     """Canonical form of a circle/label pair multiset.
 
-    Drops basepoint coordinates and zero labels, requires the remaining
-    labels to be jointly summable (raising DomainError with a minimal
-    witnessing subset otherwise), merges coincident coordinates by summing,
-    and drops groups whose sum is zero.
+    Requires the labels off the basepoint to be jointly summable (raising
+    DomainError with a minimal witnessing subset otherwise), then takes
+    ``_trivial_canon`` over the circle and the pam: basepoint coordinates
+    drop, and coincident coordinates merge by summing unless the sum is 0.
     """
-    cleaned = []
+    pairs = list(pairs)
+    labels = []
     for t, m in pairs:
         t = norm_circle(t)
         pam.check_element(m)
-        if t == BASEPOINT or m == UNIT:
-            continue
-        cleaned.append((t, m))
-    labels = [m for _, m in cleaned]
+        if t != BASEPOINT and m != UNIT:
+            labels.append(m)
     if pam.sum_tuple(labels) is None:
         raise DomainError(
             "not in the tensor region: labels %r are not jointly summable"
-            % (_minimal_unsummable(pam, labels),)
+            % (_minimal_unsummable(pam.sum_tuple, labels),)
         )
-    groups = {}
-    for t, m in cleaned:
-        groups.setdefault(t, []).append(m)
-    merged = []
-    m0 = None
-    for t in sorted(groups):
-        total = pam.sum_tuple(groups[t])
-        if total == UNIT:
-            continue
-        if t == 0:
-            m0 = total
-        else:
-            merged.append((t, total))
-    return BMElement(m0, tuple(merged))
+    canon = _trivial_canon(CircleCarrier(), PamCarrier(pam), pairs)
+    m0 = next((m for t, m in canon if t == 0), None)
+    return BMElement(m0, tuple((t, m) for t, m in canon if t != 0))
 
 
-def _minimal_unsummable(pam, labels):
-    """An inclusion-minimal unsummable sub-multiset of unsummable ``labels``.
+def _minimal_unsummable(sums, items):
+    """An inclusion-minimal sub-list of ``items`` on which ``sums`` is None.
 
-    Walks the labels from the end and drops each one whose removal leaves
-    the rest unsummable, in O(n^2) folds.  Every proper sub-multiset of the
-    witness sums: each kept label was kept because the witness at that step
-    summed without it, and a part of a summable family sums.
+    ``sums(items)`` must be None, and ``sums`` must pass summability to
+    parts.  Walks the items from the end and drops each one whose removal
+    leaves the rest unsummable, in O(n^2) sums.  Every proper sub-list of
+    the witness sums: each kept item was kept because the witness at that
+    step summed without it, and a part of a summable family sums.
     """
-    witness = list(labels)
+    witness = list(items)
     for i in reversed(range(len(witness))):
         rest = witness[:i] + witness[i + 1:]
-        if pam.sum_tuple(rest) is None:
+        if sums(rest) is None:
             witness = rest
     return witness
 

@@ -116,7 +116,7 @@ def test_witness_is_inclusion_minimal(carrier):
         for labels in itertools.combinations_with_replacement(carrier.elements, n):
             if carrier.sum_tuple(labels) is not None:
                 continue
-            witness = tensor._minimal_unsummable(carrier, labels)
+            witness = tensor._minimal_unsummable(carrier.sum_tuple, labels)
             assert carrier.sum_tuple(witness) is None
             for i in range(len(witness)):
                 assert carrier.sum_tuple(witness[:i] + witness[i + 1 :]) is not None

@@ -4,7 +4,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from pamscan import BASEPOINT, BMElement, DomainError, bm_canon, bm_filtration_level, norm_circle
+import pamscan.tensor as tensor
+from pamscan import (
+    BASEPOINT,
+    BMElement,
+    DomainError,
+    bm_canon,
+    bm_filtration_level,
+    config_eq,
+    norm_circle,
+)
+from pamscan.dsl import parse_config
 from pamscan.tensor import (
     CircleCarrier,
     ConfigCarrier,
@@ -128,3 +138,21 @@ def test_rewrite_neighbors(m3):
     # splitting c along its nonzero partitions is among the moves
     split = sorted([(F(1, 2), "a"), (F(1, 2), "b")])
     assert any(sorted(n) == split for n in nbrs)
+
+
+def test_rewrites_past_sixteen_pairs(z2):
+    circ = CircleCarrier()
+    pairs = [(F(k, 32), "g") for k in range(1, 17)]
+    assert any(len(n) == 17 for n in rewrite_neighbors(circ, PamCarrier(z2), pairs))
+
+
+def test_searches_stop_at_the_node_bound(m3, monkeypatch):
+    pc = PamCarrier(m3)
+    a, b = [("c", "c")], [("a", "a"), ("b", "a"), ("a", "b"), ("b", "b")]
+    xi = parse_config("(0,2]:c", m3)
+    alt = parse_config("(0,1):a [1,2]:a (0,1):b [1,2]:b", m3)
+    assert tensor_eq(pc, pc, a, b) == EqVerdict.EQUAL
+    assert config_eq(xi, alt, m3, method="search") == EqVerdict.EQUAL
+    monkeypatch.setattr(tensor, "SEARCH_NODE_CAP", 3)
+    assert tensor_eq(pc, pc, a, b) == EqVerdict.UNKNOWN
+    assert config_eq(xi, alt, m3, method="search") == EqVerdict.UNKNOWN
