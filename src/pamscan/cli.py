@@ -113,6 +113,8 @@ def cmd_config_normalize(args):
 
 
 def cmd_config_eq(args):
+    if args.depth < 0:
+        raise ParseError("--depth must be at least 0, got %d" % args.depth)
     pam = _load_pam(args)
     x1 = _config(args, args.left, pam)
     x2 = _config(args, args.right, pam)

@@ -170,7 +170,10 @@ def fmt_pam(pam):
 
 
 def parse_bm_pairs(text, pam=None):
-    """Parse `t:m` tokens into raw circle pairs (basepoint tokens allowed)."""
+    """Parse `t:m` tokens into raw circle pairs (basepoint tokens allowed).
+
+    A coordinate must lie in the fundamental domain (-1, 1]; `*` is 1.
+    """
     toks = _tokens(text)
     if len(toks) == 1 and toks[0][0] == EMPTY_MARK:
         return []
@@ -189,6 +192,8 @@ def parse_bm_pairs(text, pam=None):
             t = BASEPOINT
         else:
             t = parse_rational(ts, line, col)
+            if not -1 < t <= 1:
+                raise ParseError("circle coordinate %s outside (-1,1]" % ts, line, col)
         pairs.append((t, label))
     return pairs
 

@@ -11,9 +11,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .pam import UNIT, DomainError, FinitePam, PamError
-from .intervals import Interval, _frac, merge_summable, normalize_config, IncompatibleConfig
+from .intervals import (
+    IncompatibleConfig, Interval, _frac, interval_leq, merge_summable, normalize_config,
+)
 
 # Nodes a rewrite search may see, both sides together, before it answers
 # UNKNOWN: each node costs a tensor-membership check per neighbour.
@@ -198,15 +201,63 @@ class ConfigCarrier:
 
 
 def _insummable_masks(carrier, xs):
-    """Bitmask per index: which partners are insummable with it."""
-    n = len(xs)
-    masks = [0] * n
-    for i in range(n):
-        for k in range(i + 1, n):
-            if carrier.pair_sum(xs[i], xs[k]) is None:
+    """Bitmask per index: which partners are insummable with it.
+
+    The masks a test of every pair gives; ``in_T`` says why each way of
+    building them is exact.
+    """
+    if len(xs) < 2:
+        return [0] * len(xs)
+    if isinstance(carrier, ConfigCarrier):
+        return _overlap_masks([carrier._reduce(c) for c in xs])
+    return _twin_masks(carrier, xs)
+
+
+def _overlap_masks(reduced):
+    """Insummability masks of reduced configurations, by a sweep over hulls.
+
+    Two configurations whose hull closures are disjoint chain, so only the
+    pairs still open when a hull starts are tested.  A degenerate piece
+    reduces to () and sums with everything.
+    """
+    masks = [0] * len(reduced)
+    open_ends = []
+    open_now = {}
+    for lo, i in sorted((c[0].u, i) for i, c in enumerate(reduced) if c):
+        while open_ends and open_ends[0][0] < lo:
+            del open_now[heappop(open_ends)[1]]
+        c = reduced[i]
+        for k, d in open_now.items():
+            if len(c) == len(d) == 1:
+                clash = not (interval_leq(c[0], d[0]) or interval_leq(d[0], c[0]))
+            else:
+                clash = merge_summable(c, d) is None
+            if clash:
                 masks[i] |= 1 << k
                 masks[k] |= 1 << i
+        open_now[i] = c
+        heappush(open_ends, (c[-1].v, i))
     return masks
+
+
+def _twin_masks(carrier, xs):
+    """Insummability masks by value: one ``pair_sum`` per pair of values.
+
+    A value is summed with itself only when it occurs twice.
+    """
+    groups = {}
+    for i, x in enumerate(xs):
+        groups[x] = groups.get(x, 0) | 1 << i
+    values = list(groups)
+    partners = dict.fromkeys(values, 0)
+    for a, x in enumerate(values):
+        if groups[x] & (groups[x] - 1) and carrier.pair_sum(x, x) is None:
+            partners[x] |= groups[x]
+        for y in values[a + 1:]:
+            if carrier.pair_sum(x, y) is None:
+                partners[x] |= groups[y]
+                partners[y] |= groups[x]
+    return [partners[x] & ~(1 << i) for i, x in enumerate(xs)]
 
 
 def in_T(c1, c2, pairs, witness=False):
@@ -219,6 +270,15 @@ def in_T(c1, c2, pairs, witness=False):
     some clique fails exactly when some maximal clique fails, and only the
     maximal cliques are summed.  The witness is (side, indices): an
     inclusion-minimal failing clique inside the first failing maximal one.
+
+    The graph is the one a test of every pair gives, built in near-linear
+    time when few coordinates collide.  Two reduced configurations whose
+    hull closures are disjoint chain, so the sweep over hulls tests only
+    pairs whose closures meet.  A label, circle or trivial sum depends only
+    on the two values, so equal coordinates are twins and one sum per pair
+    of values decides every edge between them.  The pivot scan stops at the
+    first vertex no later vertex can beat, which is the vertex ``max``
+    returns, so the cliques and the witness come out in the same order.
     """
     pairs = list(pairs)
     for k, side, ca, cb in ((0, "first", c1, c2), (1, "second", c2, c1)):
@@ -258,20 +318,36 @@ def _maximal_cliques(masks):
             if not x:
                 yield r
             continue
-        pivot = max(_bits(p | x), key=lambda u: (masks[u] & p).bit_count())
+        pivot = _pivot(masks, p, x)
         for v in _bits(p & ~masks[pivot]):
             stack.append((r | 1 << v, p & masks[v], x & masks[v]))
             p &= ~(1 << v)
             x |= 1 << v
 
 
+def _pivot(masks, p, x):
+    """The vertex of ``p | x`` with the most neighbours in ``p``, lowest first.
+
+    This is the vertex ``max`` picks, found without scanning past it when
+    no later vertex can beat it: a vertex of ``p`` has at most |p| - 1
+    neighbours in ``p``, a vertex of ``x`` at most |p|, and a tie keeps the
+    earlier vertex.
+    """
+    size = p.bit_count()
+    best = -1
+    for u in _bits(p | x):
+        d = (masks[u] & p).bit_count()
+        if d > best:
+            best, pivot = d, u
+        if best == size or (best == size - 1 and not x >> (u + 1)):
+            break
+    return pivot
+
+
 def is_pairwise_insummable(carrier, xs):
-    xs = list(xs)
-    return all(
-        carrier.pair_sum(xs[i], xs[k]) is None
-        for i in range(len(xs))
-        for k in range(i + 1, len(xs))
-    )
+    masks = _insummable_masks(carrier, list(xs))
+    full = (1 << len(masks)) - 1
+    return all(m | 1 << i == full for i, m in enumerate(masks))
 
 
 def _canon_pairs(c1, c2, pairs):

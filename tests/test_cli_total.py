@@ -31,6 +31,7 @@ CASES = [
     (2, ["config"], None),
     (2, ["config", "eq", "--pam", "{m3}", "--method", "bogus", "[0,1):a", "[0,1):a"], None),
     (2, ["config", "eq", "--pam", "{m3}", "--depth", "x", "[0,1):a", "[0,1):a"], None),
+    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "-3", "(0,2]:c", "(0,2]:a"], None),
     (2, ["alpha", "eval", "--pam", "{m3}", "(1,3]:a"], None),
     # pam check
     (0, ["pam", "check", "{m3}"], "ok: M3 (4 elements, 1 sums)\n"),
@@ -78,6 +79,9 @@ CASES = [
     (0, ["bm", "canon", "--pam", "{m3}", "--svg", "{out}/bm.svg", "∅"], "∅\n"),
     (3, ["bm", "canon", "--pam", "{m3}", "1/4:a 1/2:a"], None),
     (2, ["bm", "canon", "--pam", "{m3}", "*:zz"], None),
+    (2, ["bm", "canon", "--pam", "{m3}", "2:a"], None),
+    (2, ["bm", "canon", "--pam", "{m3}", "1/2:a -1:b"], None),
+    (0, ["bm", "canon", "--pam", "{m3}", "1:a *:b"], "∅\n"),
     # mirror | double | positive-part
     (0, ["mirror", "--pam", "{m3}", "[0,1):a"], "[-1,0):a\n"),
     (0, ["double", "--pam", "{m3}", "[1,2):a"], "[-2,-1):a [1,2):a\n"),
@@ -102,6 +106,7 @@ CASES = [
     (0, ["fiber", "lift", "--pam", "{m3}", "--z", "1/2:a", "--len", "2"], None),
     (3, ["fiber", "lift", "--pam", "{m3}", "--z", "1/2:a", "--len", "-2"], None),
     (3, ["fiber", "lift", "--pam", "{m3}", "--z", "0:a", "--len", "2"], None),
+    (2, ["fiber", "lift", "--pam", "{m3}", "--z", "3/2:a", "--len", "2"], None),
     (0, ["fiber", "retract", "--pam", "{m3}", "--z", "1/2:c", H], None),
     (3, ["fiber", "retract", "--pam", "{m3}", "--z", "1/2:c", "(1,3]:a"], None),
     (3, ["fiber", "glue", "--pam", "{m3}", "--z", "1/2:c", "--alpha", "1/2:a,b", H], None),

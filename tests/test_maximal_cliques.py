@@ -6,6 +6,11 @@ coordinates collide and so could not take more than 16 pairs.  The library
 sums only the maximal cliques.  Summability passes to parts in every
 carrier, so the decisions must agree everywhere; the witnesses may differ,
 but each must be a failing clique all of whose proper parts sum.
+
+The graph itself has an oracle too: ``pairwise_masks`` tests every pair,
+as the library did before it swept hulls and grouped equal values, and
+``max_pivot_cliques`` scans every vertex for its pivot.  With both, the
+library's masks, clique order and witnesses must come out unchanged.
 """
 
 import itertools
@@ -14,18 +19,63 @@ from fractions import Fraction as F
 
 import pytest
 
-from pamscan import CLOSED, OPEN, Interval, in_T_labeled
+from pamscan import CLOSED, OPEN, Interval, in_T_labeled, is_compatible, tensor
 from pamscan.tensor import (
     CircleCarrier,
     ConfigCarrier,
     PamCarrier,
     TrivialCarrier,
+    _bits,
     _insummable_masks,
     _maximal_cliques,
+    _minimal_unsummable,
     in_T,
 )
 
 from genutil import cyclic_pam, truncated_pam
+
+
+def pairwise_masks(carrier, xs):
+    """Bitmask per index: which partners are insummable with it, pair by pair."""
+    n = len(xs)
+    masks = [0] * n
+    for i in range(n):
+        for k in range(i + 1, n):
+            if carrier.pair_sum(xs[i], xs[k]) is None:
+                masks[i] |= 1 << k
+                masks[k] |= 1 << i
+    return masks
+
+
+def max_pivot_cliques(masks):
+    """Bron-Kerbosch with the pivot ``max`` finds over every vertex of p | x."""
+    stack = [(0, (1 << len(masks)) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                yield r
+            continue
+        pivot = max(_bits(p | x), key=lambda u: (masks[u] & p).bit_count())
+        for v in _bits(p & ~masks[pivot]):
+            stack.append((r | 1 << v, p & masks[v], x & masks[v]))
+            p &= ~(1 << v)
+            x |= 1 << v
+
+
+def pairwise_in_T(c1, c2, pairs):
+    """``in_T`` with witness on the pairwise graph and the scanning pivot."""
+    for k, side, ca, cb in ((0, "first", c1, c2), (1, "second", c2, c1)):
+        others = [p[1 - k] for p in pairs]
+
+        def sums(indices):
+            return cb.tuple_sum([others[i] for i in indices])
+
+        for clique in max_pivot_cliques(pairwise_masks(ca, [p[k] for p in pairs])):
+            indices = list(_bits(clique))
+            if len(indices) >= 2 and sums(indices) is None:
+                return False, (side, _minimal_unsummable(sums, indices))
+    return True, None
 
 
 def oracle_in_T(c1, c2, pairs):
@@ -36,7 +86,7 @@ def oracle_in_T(c1, c2, pairs):
             us, vs, ca, cb = [p[0] for p in pairs], [p[1] for p in pairs], c1, c2
         else:
             us, vs, ca, cb = [p[1] for p in pairs], [p[0] for p in pairs], c2, c1
-        if oracle_clique_scan(_insummable_masks(ca, us), vs, cb) is not None:
+        if oracle_clique_scan(pairwise_masks(ca, us), vs, cb) is not None:
             return False
     return True
 
@@ -66,9 +116,11 @@ def oracle_clique_scan(masks, others, carrier):
 
 
 def check_against_oracle(c1, c2, pairs):
-    """Same decision as the oracle; a witness is a minimal failing clique."""
+    """Same decision as the oracle, the same witness as the pairwise graph
+    with the scanning pivot, and a witness is a minimal failing clique."""
     ok, wit = in_T(c1, c2, pairs, witness=True)
     assert ok == oracle_in_T(c1, c2, pairs), pairs
+    assert (ok, wit) == pairwise_in_T(c1, c2, pairs), pairs
     assert in_T(c1, c2, pairs) == ok
     if ok:
         assert wit is None
@@ -103,16 +155,21 @@ def test_trivial_carrier_on_all_6188_multisets(m3):
     assert checked == 6188 and 0 < rejected < checked
 
 
+def _rand_interval(rng):
+    """A piece on a coarse grid: degenerate, touching, coincident and nested ones abound."""
+    u = F(rng.randint(0, 8), 2)
+    v = u + F(rng.randint(0, 4), 2)
+    p = rng.choice((OPEN, CLOSED))
+    q = -p if u == v else rng.choice((OPEN, CLOSED))
+    return Interval(u, v, p, q)
+
+
 def _rand_pieces(rng, pam):
-    """Up to ten pieces on a coarse grid, so nests, overlaps and touches abound."""
-    out = []
-    for _ in range(rng.randint(0, 10)):
-        u = F(rng.randint(0, 8), 2)
-        v = u + F(rng.randint(0, 4), 2)
-        p = rng.choice((OPEN, CLOSED))
-        q = -p if u == v else rng.choice((OPEN, CLOSED))
-        out.append(((Interval(u, v, p, q),), rng.choice(pam.elements)))
-    return out
+    """Up to ten labeled pieces from ``_rand_interval``."""
+    return [
+        ((_rand_interval(rng),), rng.choice(pam.elements))
+        for _ in range(rng.randint(0, 10))
+    ]
 
 
 def test_config_carrier_draws(carrier):
@@ -142,15 +199,21 @@ def test_circle_carrier_draws(carrier):
     assert _some_rejected(rejected, 600, carrier)
 
 
+def _random_graph(rng, n, density):
+    """Edges and adjacency bitmasks of a random graph on n vertices."""
+    edges = {e for e in itertools.combinations(range(n), 2) if rng.random() < density}
+    masks = [0] * n
+    for i, j in edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return edges, masks
+
+
 def test_maximal_cliques_match_brute_force():
     rng = random.Random(5)
     for _ in range(300):
         n = rng.randint(0, 8)
-        edges = {e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5}
-        masks = [0] * n
-        for i, j in edges:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
+        edges, masks = _random_graph(rng, n, 0.5)
         cliques = [
             sum(1 << i for i in c)
             for r in range(n + 1)
@@ -195,3 +258,94 @@ def test_forty_colliding_pieces_witness(tuple_sums):
     ok, (side, idx) = in_T_labeled(_crowd(t6, ["1"] * 40), t6, witness=True)
     assert not ok and side == "first" and len(idx) == 7
     assert len(tuple_sums) <= 41
+
+
+def _rand_config(rng):
+    """A compatible configuration of up to three pieces, unreduced, or a bare piece."""
+    if rng.random() < 0.2:
+        return _rand_interval(rng)
+    while True:
+        c = tuple(_rand_interval(rng) for _ in range(rng.randint(0, 3)))
+        if is_compatible(c):
+            return c
+
+
+def test_masks_match_pairwise_loop(carrier):
+    rng = random.Random("masks-" + carrier.name)
+    circle = [F(k, 4) for k in range(-6, 7)]
+    trivial = TrivialCarrier(["0", "x", "y", "z"])
+    cases = [
+        (PamCarrier(carrier), lambda: rng.choice(carrier.elements)),
+        (ConfigCarrier(), lambda: (_rand_interval(rng),)),
+        (ConfigCarrier(), lambda: _rand_config(rng)),
+        (CircleCarrier(), lambda: rng.choice(circle)),
+        (trivial, lambda: rng.choice(trivial.points)),
+    ]
+    edges = 0
+    for c, draw in cases:
+        for _ in range(150):
+            xs = [draw() for _ in range(rng.randint(0, 12))]
+            masks = _insummable_masks(c, xs)
+            assert masks == pairwise_masks(c, xs), xs
+            edges += sum(m.bit_count() for m in masks)
+    assert edges > 0
+
+
+def test_maximal_cliques_keep_the_max_pivot_order():
+    rng = random.Random(5)
+    graphs = [_random_graph(rng, rng.randint(0, 8), 0.5)[1] for _ in range(300)]
+    graphs += [_random_graph(rng, rng.randint(0, 24), rng.random())[1] for _ in range(200)]
+    graphs += [[((1 << n) - 1) & ~(1 << i) for i in range(n)] for n in range(12)]
+    for masks in graphs:
+        assert list(_maximal_cliques(masks)) == list(max_pivot_cliques(masks)), masks
+
+
+def _two_collide(n):
+    """[0,2):a [1,3):b, which collide, then n disjoint a pieces."""
+    xi = [(Interval(0, 2, CLOSED, OPEN), "a"), (Interval(1, 3, CLOSED, OPEN), "b")]
+    return xi + [(Interval(4 + 2 * k, 5 + 2 * k, CLOSED, OPEN), "a") for k in range(n)]
+
+
+def test_two_colliding_pieces_take_constant_pair_tests(m3, monkeypatch):
+    # the pairwise loop makes (n+2)(n+1)/2 pair sums on each side
+    calls = []
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls.append(name)
+            return f(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(tensor, "interval_leq", counting("leq", tensor.interval_leq))
+    monkeypatch.setattr(tensor, "merge_summable", counting("merge", tensor.merge_summable))
+    for cls in (PamCarrier, ConfigCarrier):
+        monkeypatch.setattr(cls, "pair_sum", counting("pair", cls.pair_sum))
+    counts = []
+    for n in (256, 512):
+        calls.clear()
+        assert in_T_labeled(_two_collide(n), m3)
+        counts.append({name: calls.count(name) for name in ("leq", "merge", "pair")})
+    small, large = counts
+    assert small["leq"] >= 1 and small["pair"] >= 1, small
+    for name in small:
+        assert large[name] <= 2.5 * max(small[name], 1), counts
+
+
+class _CountingMasks(list):
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingMasks.reads += 1
+        return list.__getitem__(self, i)
+
+
+def test_complete_graph_pivot_scan_is_linear():
+    # max() over every vertex of p | x reads n(n+1)/2 masks for pivot keys alone
+    counts = []
+    for n in (256, 512):
+        masks = _CountingMasks(((1 << n) - 1) & ~(1 << i) for i in range(n))
+        _CountingMasks.reads = 0
+        assert list(_maximal_cliques(masks)) == [(1 << n) - 1]
+        counts.append(_CountingMasks.reads)
+    assert counts[1] <= 2.5 * counts[0], counts
