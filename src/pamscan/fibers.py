@@ -44,6 +44,22 @@ def _map_pieces(xi, f):
     return lc_sorted(out)
 
 
+def _clamp_toward(xi, centre, d, pam):
+    """Slide content toward ``centre`` by d from both sides, clamping there.
+
+    Pieces meeting at the centre paste, so the result is in normal form.
+    """
+
+    def f(x):
+        if x - centre >= d:
+            return x - d
+        if x - centre <= -d:
+            return x + d
+        return Fraction(centre)
+
+    return labeled_normalize(_map_pieces(labeled_normalize(xi, pam), f), pam)
+
+
 def contract(eta, t, s, pam):
     """Slide everything toward 0 by t*s, clamping at 0.
 
@@ -52,17 +68,7 @@ def contract(eta, t, s, pam):
     """
     t = _check_unit_t(t)
     s = _positive(s, "length")
-    d = t * s
-
-    def f(x):
-        if x >= d:
-            return x - d
-        if x <= -d:
-            return x + d
-        return Fraction(0)
-
-    nf = labeled_normalize(eta, pam)
-    return labeled_normalize(_map_pieces(nf, f), pam)
+    return _clamp_toward(eta, 0, t * s, pam)
 
 
 def cap_project(eta, s, pam):
@@ -109,19 +115,7 @@ def standard_lift(z, xi, s, pam):
 def push_homotopy(xi, t, pam):
     """Slide content toward the anchor at 2 (and -2), clamping there."""
     t = _check_unit_t(t)
-    d = 2 * t
-
-    def f(x):
-        y = x - 2
-        if y >= d:
-            y = y - d
-        elif y <= -d:
-            y = y + d
-        else:
-            y = Fraction(0)
-        return y + 2
-
-    return labeled_normalize(_map_pieces(labeled_normalize(xi, pam), f), pam)
+    return _clamp_toward(xi, 2, 2 * t, pam)
 
 
 def base_homotopy(z, t, pam):

@@ -445,10 +445,20 @@ def decompose_window(xi_t, a, b, pam):
     The content is first normalized (so the reading is class-level), then
     each piece is classified against the window (a, b); left- and
     right-anchored pieces with one shared label and complementary cut
-    parities may pair up into cut pairs.  All matchings are enumerated; a
-    matching is valid when the resulting label tuple is summable.  Returns
-    the first valid decomposition under a deterministic preference for more
-    pairings, along with the brute-force count of valid matchings.
+    parities may pair up into cut pairs.  A matching of left to right
+    pieces is valid when the resulting label tuple is summable.  Returns
+    the first valid matching in the order that prefers, left by left, the
+    first free partner over none, along with the number of valid matchings.
+
+    Nothing is listed: ``_count_matchings`` counts the valid matchings, and
+    the first one is first fit, each left piece in turn taking the first
+    free compatible right piece.  Left pieces come in order of their cuts,
+    so each has the most partners of those still to come, and its first
+    free partner is the one the fewest of them can use; trading partners
+    puts that pair in a maximum matching of what is left.  So first fit
+    keeps a maximum completion at every step, and that completion has the
+    fewest labels: a part of a summable tuple sums, so it is valid whenever
+    any matching is.
     """
     a, b = _frac(a), _frac(b)
     w = labeled_normalize(xi_t, pam)
@@ -480,58 +490,70 @@ def decompose_window(xi_t, a, b, pam):
         else:
             fixed.append(Elem1(kind, j, m))
 
-    compatible = {}
-    for li, (jl, ml) in enumerate(lefts):
-        compatible[li] = [
-            ri
-            for ri, (jr, mr) in enumerate(rights)
-            if ml == mr and jl.v < jr.u and jl.q + jr.p == 0
-        ]
-
-    valid = []
-
-    def assignments(li, used, acc):
-        if li == len(lefts):
-            valid.append(list(acc))
-            return
-        # prefer pairing: matched options first, then unmatched
-        for ri in compatible[li]:
-            if ri not in used:
-                acc.append((li, ri))
-                assignments(li + 1, used | {ri}, acc)
-                acc.pop()
-        assignments(li + 1, used, acc)
-
-    assignments(0, frozenset(), [])
-
-    results = []
-    for matching in valid:
-        matched_l = {li for li, _ in matching}
-        matched_r = {ri for _, ri in matching}
-        items = list(fixed)
-        labels = [e.label for e in fixed]
-        for li, ri in matching:
-            jl, ml = lefts[li]
-            jr, _ = rights[ri]
-            items.append(Elem2(jl, jr, ml))
-            labels.append(ml)
-        for li, (jl, ml) in enumerate(lefts):
-            if li not in matched_l:
-                items.append(Elem1(E1_LEFT, jl, ml))
-                labels.append(ml)
-        for ri, (jr, mr) in enumerate(rights):
-            if ri not in matched_r:
-                items.append(Elem1(E1_RIGHT, jr, mr))
-                labels.append(mr)
-        if pam.sum_tuple(labels) is not None:
-            results.append(tuple(sorted(items, key=lambda e: e.sort_key())))
-    if not results:
+    count = _count_matchings(pam, [e.label for e in fixed], lefts, rights)
+    if not count:
         raise DecomposeError(
             "window (%s, %s): no matching makes the label multiset summable "
             "(content %r)" % (a, b, list(w))
         )
-    # assignments() emits richer matchings first, so results[0] prefers pairs
-    return DecompResult(items=results[0], count=len(results))
+    items = fixed
+    free = list(rights)
+    for jl, ml in lefts:
+        jr = next((jr for jr, mr in free if mr == ml and jl.v < jr.u and jl.q + jr.p == 0), None)
+        if jr is None:
+            items.append(Elem1(E1_LEFT, jl, ml))
+        else:
+            free.remove((jr, ml))
+            items.append(Elem2(jl, jr, ml))
+    items.extend(Elem1(E1_RIGHT, jr, mr) for jr, mr in free)
+    return DecompResult(items=tuple(sorted(items, key=lambda e: e.sort_key())), count=count)
+
+
+def _count_matchings(pam, labels, lefts, rights):
+    """The number of matchings whose label tuple, with ``labels``, sums.
+
+    A left piece jl and a right piece jr are compatible when they share a
+    label and a cut parity and jl.v < jr.u, so each board (the pieces of
+    one label and one cut parity) is a Ferrers board: the partners of its
+    rows are nested.  Taking the rows by number of partners c, each row
+    extends the board's rook numbers by r'[k] = r[k] + r[k-1] * (c - k + 1)
+    (Goldman, Joichi and White, Rook theory I, 1975).  Boards are
+    independent, and a board with k pairs, of at most K, adds K - k copies
+    of its label to the tuple of a maximum matching.  That tuple is summed
+    once, and the extra copies are folded in board by board through a map
+    from partial sum to number of ways.
+    """
+    boards = {}
+    for jl, m in lefts:
+        boards.setdefault((m, jl.q), ([], []))[0].append(jl.v)
+    for jr, m in rights:
+        boards.setdefault((m, -jr.p), ([], []))[1].append(jr.u)
+    labels = list(labels)
+    folds = []
+    for (m, _), (cuts, starts) in boards.items():
+        starts.sort()
+        rooks = [1]
+        for c in sorted(len(starts) - bisect_right(starts, v) for v in cuts):
+            if c >= len(rooks):
+                rooks.append(0)
+            rooks = [r + (k and rooks[k - 1] * (c - k + 1)) for k, r in enumerate(rooks)]
+        labels += [m] * (len(cuts) + len(starts) - len(rooks) + 1)
+        if len(rooks) > 1:
+            folds.append((m, rooks))
+    total = pam.sum_tuple(labels)
+    if total is None:
+        return 0
+    ways = {total: 1}
+    for m, rooks in folds:
+        grown = {}
+        for s, n in ways.items():
+            for r in reversed(rooks):
+                grown[s] = grown.get(s, 0) + n * r
+                s = pam.pair_sum(s, m)
+                if s is None:
+                    break
+        ways = grown
+    return sum(ways.values())
 
 
 def window_sweep_points(xi, eps):
@@ -585,15 +607,12 @@ def is_admissible(xi, eps, support, pam):
     ok, wit = in_T_labeled(xi, pam, witness=True)
     if not ok:
         return AdmissibilityReport(False, "not in the tensor region: %r" % (wit,))
-    unique_required = pam.is_self_insummable()
     try:
-        for t, res in admissibility_sweep(xi, eps, pam):
-            if unique_required and res.count != 1:
-                return AdmissibilityReport(
-                    False,
-                    "window at t=%s has %d decompositions over a self-insummable "
-                    "pam" % (t, res.count),
-                )
+        # Every window must decompose; no count is checked.  Over a
+        # self-insummable pam a summable tuple holds each nonzero label at
+        # most once, which forces the matching, so the count is 1 there.
+        for _ in admissibility_sweep(xi, eps, pam):
+            pass
     except DomainError as e:
         return AdmissibilityReport(False, str(e))
     inner = restrict(xi, a + eps / 2, b - eps / 2)

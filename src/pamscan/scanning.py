@@ -172,10 +172,12 @@ def loop_eval(loop, u, pam):
         seg = i - 1
     else:
         seg = i - 1 if i > 0 else 0
-    pairs = [
-        (norm_circle(c1 * u + c0), label) for c1, c0, label in loop.segments[seg]
-    ]
-    return bm_canon(pam, pairs)
+    return bm_canon(pam, _track_values(loop.segments[seg], u))
+
+
+def _track_values(tracks, u):
+    """The (value, label) emission of each affine track at u."""
+    return [(norm_circle(c1 * u + c0), m) for c1, c0, m in tracks]
 
 
 def _segment_tracks(windows, pam, lo, hi):
@@ -205,11 +207,8 @@ def _segment_tracks(windows, pam, lo, hi):
         tracks.append((int(c1), v1 - c1 * u1, m))
     mid = (lo + hi) / 2
     pts3 = scan_core(windows, pam, mid, mid)
-    expected = [
-        (norm_circle(c1 * mid + c0), m) for c1, c0, m in tracks
-    ]
     actual = [(v, m) for v, m in pts3 if v != BASEPOINT]
-    if expected != actual:
+    if _track_values(tracks, mid) != actual:
         raise TraceError(
             "tracks in segment (%s, %s) are not affine" % (lo, hi)
         )
@@ -277,14 +276,8 @@ def _check_loop_invariants(loop, pam):
         raise TraceError("loop value at %s is not the empty element" % loop.s)
     for i in range(1, len(loop.breakpoints) - 1):
         bp = loop.breakpoints[i]
-        left = bm_canon(
-            pam,
-            [(norm_circle(c1 * bp + c0), m) for c1, c0, m in loop.segments[i - 1]],
-        )
-        right = bm_canon(
-            pam,
-            [(norm_circle(c1 * bp + c0), m) for c1, c0, m in loop.segments[i]],
-        )
+        left = bm_canon(pam, _track_values(loop.segments[i - 1], bp))
+        right = bm_canon(pam, _track_values(loop.segments[i], bp))
         if left != right:
             raise TraceError(
                 "loop discontinuity at breakpoint %s: %r vs %r" % (bp, left, right)

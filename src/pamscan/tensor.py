@@ -59,10 +59,44 @@ class PamCarrier:
         return self.pam.index(x)
 
 
-class TrivialCarrier:
-    """A based set with the trivial partial sum: only the base is a unit."""
+class _BasedSet:
+    """A based set with the trivial partial sum: only the base is a unit.
+
+    A subclass sets ``base`` and gives ``point(x)``, which checks x, or
+    normalizes it, and returns its canonical value.
+    """
 
     is_trivial = True
+
+    def zero(self):
+        return self.base
+
+    def is_zero(self, x):
+        return self.point(x) == self.base
+
+    def pair_sum(self, x, y):
+        x, y = self.point(x), self.point(y)
+        if x == self.base:
+            return y
+        if y == self.base:
+            return x
+        return None
+
+    def tuple_sum(self, xs):
+        nontrivial = [x for x in map(self.point, xs) if x != self.base]
+        if len(nontrivial) > 1:
+            return None
+        return nontrivial[0] if nontrivial else self.base
+
+    def partitions(self, m):
+        m = self.point(m)
+        if m == self.base:
+            return [(self.base, self.base)]
+        return [(self.base, m), (m, self.base)]
+
+
+class TrivialCarrier(_BasedSet):
+    """A finite based set with the trivial partial sum."""
 
     def __init__(self, points, base="0"):
         self.points = tuple(points)
@@ -70,32 +104,10 @@ class TrivialCarrier:
         if base not in self.points:
             raise PamError("base %r missing from carrier points" % (base,))
 
-    def zero(self):
-        return self.base
-
-    def is_zero(self, x):
+    def point(self, x):
         if x not in self.points:
             raise DomainError("unknown point %r" % (x,))
-        return x == self.base
-
-    def pair_sum(self, x, y):
-        if self.is_zero(x):
-            return y
-        if self.is_zero(y):
-            return x
-        return None
-
-    def tuple_sum(self, xs):
-        nontrivial = [x for x in xs if not self.is_zero(x)]
-        if len(nontrivial) > 1:
-            return None
-        return nontrivial[0] if nontrivial else self.base
-
-    def partitions(self, m):
-        self.is_zero(m)
-        if m == self.base:
-            return [(self.base, self.base)]
-        return [(self.base, m), (m, self.base)]
+        return x
 
     def elements(self):
         return list(self.points)
@@ -118,44 +130,18 @@ def norm_circle(t):
     return r
 
 
-class CircleCarrier:
+class CircleCarrier(_BasedSet):
     """The circle of radius one as a based set; basepoint 1 (= -1)."""
 
-    is_trivial = True
+    base = BASEPOINT
 
-    def __init__(self):
-        self.base = BASEPOINT
+    def point(self, t):
+        return norm_circle(t)
 
-    def zero(self):
-        return self.base
-
-    def is_zero(self, t):
-        return norm_circle(t) == self.base
-
-    def pair_sum(self, x, y):
-        if self.is_zero(x):
-            return norm_circle(y)
-        if self.is_zero(y):
-            return norm_circle(x)
-        return None
-
-    def tuple_sum(self, xs):
-        nontrivial = [norm_circle(x) for x in xs if not self.is_zero(x)]
-        if len(nontrivial) > 1:
-            return None
-        return nontrivial[0] if nontrivial else self.base
-
-    def partitions(self, m):
-        m = norm_circle(m)
-        if m == self.base:
-            return [(self.base, self.base)]
-        return [(self.base, m), (m, self.base)]
+    sort_key = point
 
     def elements(self):
         return None
-
-    def sort_key(self, t):
-        return norm_circle(t)
 
 
 class ConfigCarrier:
@@ -425,12 +411,9 @@ def _trivial_canon(c1, c2, pairs):
         kc, sc = c2, c1
     groups = {}
     for p in pairs:
-        k = p[key_side]
-        if kc.is_zero(k):
-            continue
-        if isinstance(kc, CircleCarrier):
-            k = norm_circle(k)
-        groups.setdefault(k, []).append(p[sum_side])
+        k = kc.point(p[key_side])
+        if k != kc.base:
+            groups.setdefault(k, []).append(p[sum_side])
     out = []
     for k, vals in groups.items():
         total = sc.tuple_sum(vals)

@@ -15,6 +15,11 @@ M3_TEXT = "pam M3\nelements 0 a b c\nsum a + b = c\n"
 FILES = {
     "m3": M3_TEXT,
     "z2": "pam Z2\nelements 0 g\nsum g + g = 0\n",
+    "z5": "pam Z5\nelements 0 g1 g2 g3 g4\n" + "".join(
+        "sum g%d + g%d = %s\n" % (i, k, "g%d" % ((i + k) % 5) if (i + k) % 5 else "0")
+        for i in range(1, 5)
+        for k in range(i, 5)
+    ),
     "skew": "pam NA\nelements 0 a b c\nsum a + a = b\nsum b + b = 0\nsum a + b = c\n",
     "notpam": "Exact tools for configuration spaces\n",
 }
@@ -23,6 +28,13 @@ FILES = {
 SEVENTEEN = " ".join(["[0,2):a", "[1,3):b"] + ["[%d,%d):a" % (10 + 3 * i, 11 + 3 * i) for i in range(15)])
 H = "(-3/2,-1/4]:b (-1/4,1/4]:a (1/4,3/2]:b"
 WIDE = "(-7/2,-1/4]:b (-1/4,1/4]:a (1/4,7/2]:b"
+# eight left and eight right g1 strands: windows with 8+8 anchored pieces
+# and 1,441,729 valid matchings over Z/5, counted rather than listed
+FAN = " ".join(["(0,%d/18]:g1" % i for i in range(1, 9)] + ["(%d/18,1):g1" % j for j in range(10, 18)])
+FAN_VERDICT = (
+    "not admissible: window (1/36, 37/36): piece Interval(u=Fraction(5, 9), "
+    "v=Fraction(1, 1), p=-1, q=-1):g1 is not elementary\n"
+)
 
 CASES = [
     # usage errors from argparse
@@ -58,6 +70,7 @@ CASES = [
     (2, ["config", "eq", "--pam", "{m3}", "(0,2]:c", "(0,2]:zz"], None),
     (0, ["config", "admissible", "--pam", "{m3}", "--support=-3,100", SEVENTEEN], "admissible\n"),
     (0, ["config", "admissible", "--pam", "{m3}", "--eps", "1", "--support", "0,5", "(1,3]:a"], "admissible\n"),
+    (1, ["config", "admissible", "--pam", "{z5}", "--eps", "1/2", "--support=-2,3", FAN], FAN_VERDICT),
     (1, ["config", "admissible", "--pam", "{m3}", "--support", "0,3", "[1,2]:a"], None),
     (3, ["config", "admissible", "--pam", "{m3}", "--eps", "0", "--support=-3,5", "[0,1]:a"], None),
     (3, ["config", "admissible", "--pam", "{m3}", "--eps", "-1", "--support", "0,3", "[0,2):a"], None),

@@ -99,6 +99,16 @@ def test_in_T_trivial_times_pam(m3):
     assert in_T(triv, pc, [("0", "a"), ("x", "a")])
 
 
+def test_unknown_trivial_point_raises_in_either_order(m3):
+    triv = TrivialCarrier(["0", "x"])
+    pc = PamCarrier(m3)
+    for pairs in ([("0", "a"), ("q", "b")], [("q", "b"), ("0", "a")]):
+        with pytest.raises(DomainError, match="unknown point 'q'"):
+            in_T(triv, pc, pairs)
+    with pytest.raises(DomainError, match="unknown point 'q'"):
+        triv.pair_sum("0", "q")
+
+
 def test_in_T_circle(m3):
     circ = CircleCarrier()
     pc = PamCarrier(m3)
