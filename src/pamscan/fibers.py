@@ -47,15 +47,19 @@ def _map_pieces(xi, f):
 def _clamp_toward(xi, centre, d, pam):
     """Slide content toward ``centre`` by d from both sides, clamping there.
 
-    Pieces meeting at the centre paste, so the result is in normal form.
+    Content left of 0 slides toward ``-centre`` instead, so the map
+    commutes with ``mirror_config`` on content with no endpoint at 0 (0
+    itself goes with the positive side).  Pieces meeting at a centre paste,
+    so the result is in normal form.
     """
 
     def f(x):
-        if x - centre >= d:
+        c = centre if x >= 0 else -centre
+        if x - c >= d:
             return x - d
-        if x - centre <= -d:
+        if x - c <= -d:
             return x + d
-        return Fraction(centre)
+        return Fraction(c)
 
     return labeled_normalize(_map_pieces(labeled_normalize(xi, pam), f), pam)
 
@@ -113,7 +117,11 @@ def standard_lift(z, xi, s, pam):
 
 
 def push_homotopy(xi, t, pam):
-    """Slide content toward the anchor at 2 (and -2), clamping there."""
+    """Slide content toward the anchor at 2, clamping there.
+
+    Content left of 0 slides toward -2, so the homotopy commutes with the
+    mirror on content with no endpoint at 0.
+    """
     t = _check_unit_t(t)
     return _clamp_toward(xi, 2, 2 * t, pam)
 

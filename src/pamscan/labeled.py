@@ -52,6 +52,32 @@ def in_T_labeled(xi, pam, witness=False):
     return in_T(_CONFIGS, PamCarrier(pam), pairs, witness=witness)
 
 
+def _endpoint_keys(pieces):
+    """The common scale S of ``pieces`` and each piece under its integer key.
+
+    S is the lcm of every endpoint denominator, so each endpoint x is the
+    integer x.numerator * (S // x.denominator) over S.  Scaling by S > 0
+    keeps order and equality, so the key (u*S, v*S, p, q) sorts, groups and
+    compares exactly as ``Interval.sort_key`` does, on integers alone.
+    Returns S and a list of (key, label, interval); sorted, that list is in
+    ``lc_sorted`` order, and entries that tie on key and label are equal.
+    """
+    scale = lcm(*{x.denominator for j, _ in pieces for x in (j.u, j.v)})
+    return scale, [
+        (
+            (
+                j.u.numerator * (scale // j.u.denominator),
+                j.v.numerator * (scale // j.v.denominator),
+                j.p,
+                j.q,
+            ),
+            m,
+            j,
+        )
+        for j, m in pieces
+    ]
+
+
 def labeled_normalize(xi, pam):
     """Deterministic normal form of a labeled configuration.
 
@@ -66,34 +92,35 @@ def labeled_normalize(xi, pam):
 
     The moves are replayed in that order through an index of left ends, so
     the cost is O(n log n) for n pieces rather than a re-sort and rescan
-    per move.  The result is canonical only where the moves converge to one
-    answer: a configuration with two irreducible presentations (such as
-    [0,1):g1 [1/2,1):g1 [1,2):g1 over Z/5, where either g1 piece ending at
-    1 may take the paste) gets the one this order reaches.
+    per move; pieces are sorted, grouped and matched on the integer keys of
+    ``_endpoint_keys``.  The result is canonical only where the moves
+    converge to one answer: a configuration with two irreducible
+    presentations (such as [0,1):g1 [1/2,1):g1 [1,2):g1 over Z/5, where
+    either g1 piece ending at 1 may take the paste) gets the one this order
+    reaches.
     """
     xi = tuple(xi)
     for _, m in xi:
         pam.check_element(m)
+    _, keyed = _endpoint_keys(xi)
+    keyed.sort()
     items = []
-    for j, run in groupby(lc_sorted(xi), key=itemgetter(0)):
-        if not j.is_degenerate:
-            m = _merge_labels(j, [m for _, m in run if m != UNIT], pam)
+    for key, run in groupby(keyed, key=itemgetter(0)):
+        if key[0] != key[1]:
+            run = list(run)
+            j = run[0][2]
+            m = _merge_labels(j, [m for _, m, _ in run if m != UNIT], pam)
             if m is not None:
-                items.append((j, m))
+                items.append((key, m, j))
     if len(items) < 2 or not _some_paste(items):
-        return tuple(items)
+        return tuple((j, m) for _, m, j in items)
     return _paste(items, pam)
 
 
 def _some_paste(items):
-    """True when some piece of ``items`` pastes onto another.
-
-    Endpoints are keyed by their integer parts, which hash much faster than
-    a Fraction; equality, unlike the order ``_paste`` keeps, needs no
-    common denominator.
-    """
-    lefts = {(j.u.numerator, j.u.denominator, j.p, m) for j, m in items}
-    return any((j.v.numerator, j.v.denominator, -j.q, m) in lefts for j, m in items)
+    """True when some piece of ``items``, keyed by ``_endpoint_keys``, pastes onto another."""
+    lefts = {(u, p, m) for (u, _, p, _), m, _ in items}
+    return any((v, -q, m) in lefts for (_, v, _, q), m, _ in items)
 
 
 def _coincident_sum(j, m1, m2, pam):
@@ -139,22 +166,18 @@ def _prune(heap):
 
 
 def _paste(items, pam):
-    """Paste the distinct, labeled, sorted ``items`` to a fixpoint.
+    """Paste the distinct, labeled ``items`` to a fixpoint.
 
-    Pastes create no endpoint, so each endpoint is scaled once to an
-    integer over the common denominator; a piece's key (u, v, p, q) in
-    those integers sorts as its interval does, and names it in ``live``.
-    Pieces leave ``todo`` in key order.  One with no live partner waits
-    under the left end a partner would have and is queued again when a
-    piece with that left end is added.  Only a merge adds a new left end,
-    by putting a new label on it, and that is the one move that reaches
-    behind the cursor.  Dead pieces are skipped when they surface.
+    ``items`` holds (key, label, interval) in key order, keyed by
+    ``_endpoint_keys``.  Pastes create no endpoint, so those integers
+    cover every piece that appears; a key sorts as its interval does and
+    names the piece in ``live``.  Pieces leave ``todo`` in key order.  One
+    with no live partner waits under the left end a partner would have and
+    is queued again when a piece with that left end is added.  Only a merge
+    adds a new left end, by putting a new label on it, and that is the one
+    move that reaches behind the cursor.  Dead pieces are skipped when they
+    surface.
     """
-    scale = lcm(*{x.denominator for j, _ in items for x in (j.u, j.v)})
-
-    def at(x):
-        return x.numerator * (scale // x.denominator)
-
     order = count()
     live = {}  # key -> piece
     lefts = {}  # (u, p, label) -> heap of (v, q, n, piece)
@@ -170,8 +193,8 @@ def _paste(items, pam):
                 heappush(todo, (c.key, next(order), c))
         heappush(todo, (key, next(order), piece))
 
-    for j, m in items:
-        add(j, m, (at(j.u), at(j.v), j.p, j.q))
+    for key, m, j in items:
+        add(j, m, key)
     while todo:
         a = heappop(todo)[-1]
         if not a.live:
@@ -287,22 +310,38 @@ class WindowIndex:
     """A configuration indexed for repeated window reads.
 
     Pieces are kept in ``lc_sorted`` order next to their left ends and the
-    running maximum of their right ends.  A window (a, b) bisects both to
+    running maximum of their right ends, both as the integer endpoints of
+    ``_endpoint_keys`` over the scale S.  A window (a, b) bisects both to
     the slice of pieces that can meet it; every piece outside that slice
     has v <= a or u >= b and clips to nothing, so ``restrict`` on the slice
     equals ``restrict`` on the whole configuration.
     """
 
-    __slots__ = ("pieces", "_lefts", "_reach")
+    __slots__ = ("pieces", "_scale", "_lefts", "_reach")
 
     def __init__(self, xi):
-        self.pieces = lc_sorted(xi)
-        self._lefts = [j.u for j, _ in self.pieces]
-        self._reach = list(accumulate((j.v for j, _ in self.pieces), max))
+        self._scale, keyed = _endpoint_keys(tuple(xi))
+        keyed.sort()
+        self.pieces = tuple((j, m) for _, m, j in keyed)
+        self._lefts = [key[0] for key, _, _ in keyed]
+        self._reach = list(accumulate((key[1] for key, _, _ in keyed), max))
+
+    def _bounds(self, a, b):
+        """The slice (first, stop) of pieces that can meet the window (a, b).
+
+        It holds the pieces whose reach exceeds a and whose left end lies
+        below b.  An integer exceeds a rational iff it exceeds its floor,
+        and lies below it iff it lies below its ceiling, so bisecting at
+        floor(a*S) and ceil(b*S) is exact.
+        """
+        s = self._scale
+        first = bisect_right(self._reach, a.numerator * s // a.denominator)
+        stop = bisect_left(self._lefts, -(-b.numerator * s // b.denominator))
+        return first, stop
 
     def restrict(self, a, b):
-        first = bisect_right(self._reach, a)
-        stop = bisect_left(self._lefts, b)
+        a, b = _frac(a), _frac(b)
+        first, stop = self._bounds(a, b)
         return restrict(self.pieces[first:stop], a, b)
 
 

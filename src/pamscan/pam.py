@@ -92,11 +92,12 @@ class FinitePam:
         if UNIT not in self._index:
             return []
         out = []
+        add = self._add
         for a, b, c in itertools.product(self.elements, repeat=3):
-            ab = self.pair_sum(a, b)
-            left = self.pair_sum(ab, c) if ab is not None else None
-            bc = self.pair_sum(b, c)
-            right = self.pair_sum(a, bc) if bc is not None else None
+            ab = add(a, b)
+            left = add(ab, c) if ab is not None else None
+            bc = add(b, c)
+            right = add(a, bc) if bc is not None else None
             if (left is None) != (right is None):
                 side = "(%s+%s)+%s" % (a, b, c) if left is not None else "%s+(%s+%s)" % (a, b, c)
                 out.append(
@@ -125,6 +126,10 @@ class FinitePam:
         """The sum of two elements, or None when the pair is insummable."""
         self.check_element(a)
         self.check_element(b)
+        return self._add(a, b)
+
+    def _add(self, a, b):
+        """``pair_sum`` of two elements already checked: a table lookup."""
         if a == UNIT:
             return b
         if b == UNIT:
@@ -149,7 +154,7 @@ class FinitePam:
             return UNIT
         acc = elems[0]
         for x in elems[1:]:
-            acc = self.pair_sum(acc, x)
+            acc = self._add(acc, x)
             if acc is None:
                 return None
         return acc
@@ -167,7 +172,7 @@ class FinitePam:
             (x, y)
             for x in self.elements
             for y in self.elements
-            if self.pair_sum(x, y) == m
+            if self._add(x, y) == m
         ]
         out.sort(key=lambda xy: (self._index[xy[0]], self._index[xy[1]]))
         return out

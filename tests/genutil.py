@@ -42,6 +42,16 @@ def truncated_pam(n):
     )
 
 
+def odd_primes(n):
+    """The first n odd primes: denominators whose lcm is their product."""
+    out, k = [], 3
+    while len(out) < n:
+        if all(k % p for p in out if p * p <= k):
+            out.append(k)
+        k += 2
+    return out
+
+
 def rand_frac(rng, lo, hi):
     """Uniform eighth-grid rational in [lo, hi]."""
     lo, hi = Fraction(lo), Fraction(hi)

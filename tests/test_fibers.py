@@ -1,5 +1,6 @@
 """Fiber patterns, retraction, gluing and the covering homotopies."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,12 +20,16 @@ from pamscan import (
     glue_g,
     is_in_O,
     labeled_normalize,
+    mirror_config,
     path_eval_at_zero,
     positive_part,
     push_homotopy,
     retract_r,
     standard_lift,
+    translate_config,
 )
+
+from genutil import rand_admissible
 
 
 def I(u, v, p, q):
@@ -222,6 +227,25 @@ def test_push_homotopy(m3):
     assert push_homotopy(pos, F(1), m3) == ()
     mid = push_homotopy(pos, F(1, 2), m3)
     assert all(j.u >= 1 for j, _ in mid)
+
+
+def test_push_homotopy_slides_negative_content_toward_minus_two(m3):
+    xi = ((I(-5, -3, *HO), "a"), (I(3, 5, CLOSED, OPEN), "a"))
+    assert push_homotopy(xi, F(1), m3) == (
+        (I(-3, -2, *HO), "a"),
+        (I(2, 3, CLOSED, OPEN), "a"),
+    )
+
+
+def test_push_homotopy_commutes_with_mirror(m3):
+    rng = random.Random(22)
+    for _ in range(80):
+        xi, s = rand_admissible(rng, 4)
+        # eighth-grid ends moved by an odd sixteenth, so none lands on 0
+        xi = translate_config(xi, -F(rng.randint(0, int(s * 8)), 8) - F(1, 16))
+        for t in (F(0), F(1, 8), F(1, 2), F(3, 4), F(1)):
+            pushed = push_homotopy(xi, t, m3)
+            assert push_homotopy(mirror_config(xi), t, m3) == mirror_config(pushed), (xi, t)
 
 
 def test_base_homotopy_spots(m3):

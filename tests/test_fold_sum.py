@@ -50,14 +50,15 @@ def test_fold_matches_permutation_oracle(carrier):
 
 
 def test_fold_makes_at_most_n_minus_1_pair_sums(monkeypatch):
+    # the fold looks its steps up unchecked, so the lookup is what is counted
     calls = []
-    pair_sum = FinitePam.pair_sum
+    add = FinitePam._add
 
     def counting(self, a, b):
         calls.append((a, b))
-        return pair_sum(self, a, b)
+        return add(self, a, b)
 
-    monkeypatch.setattr(FinitePam, "pair_sum", counting)
+    monkeypatch.setattr(FinitePam, "_add", counting)
     for n in (1, 9, 40, 200):
         for elems in (("g1",) * n, ("g2", "g3") * n):
             calls.clear()
@@ -66,6 +67,27 @@ def test_fold_makes_at_most_n_minus_1_pair_sums(monkeypatch):
     calls.clear()
     assert TRUNC6.sum_tuple(("3",) * 40) is None
     assert len(calls) <= 39
+
+
+def test_each_element_is_checked_once(monkeypatch):
+    calls = []
+    check = FinitePam.check_element
+
+    def counting(self, x):
+        calls.append(x)
+        return check(self, x)
+
+    monkeypatch.setattr(FinitePam, "check_element", counting)
+    assert Z5.sum_tuple(("g1",) * 12) == "g2"
+    assert len(calls) == 12
+    calls.clear()
+    t24 = truncated_pam(24)
+    assert len(calls) <= len(t24.elements)
+    # the public pair sum still checks, with the same message
+    with pytest.raises(DomainError, match="unknown element 'q' of pam 'Z5'"):
+        Z5.pair_sum("g1", "q")
+    with pytest.raises(DomainError, match="unknown element 'q' of pam 'Z5'"):
+        Z5.sum_tuple(("g1", "g2", "q"))
 
 
 def test_nine_half_open_pieces_in_one_window_are_admissible():

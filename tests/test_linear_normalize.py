@@ -2,8 +2,9 @@
 
 The oracles re-sort and rescan from the first piece after every move.  The
 library replays the same moves in the same order, so tuples and DomainError
-messages must agree exactly, over carriers beyond M3 and Z2 too.  The work
-guard counts sort keys, so a quadratic normal form cannot return without a
+messages must agree exactly, over carriers beyond M3 and Z2 too, and on
+endpoints over mixed and very large denominators.  The work guard counts
+integer endpoint keys, so a quadratic normal form cannot return without a
 failing test.
 """
 
@@ -29,7 +30,7 @@ from pamscan.dsl import parse_config
 from pamscan.pam import UNIT
 from pamscan.tensor import EqVerdict
 
-from genutil import cyclic_pam, truncated_pam
+from genutil import cyclic_pam, odd_primes, truncated_pam
 
 
 def oracle_normalize(xi, pam):
@@ -161,6 +162,50 @@ def test_random_draws_match_oracle(carrier):
     _random_draws_match_oracle(carrier)
 
 
+def _remap(rng, xi, dens):
+    """``xi`` under a random increasing map onto sums of 1/d for d in ``dens``.
+
+    An increasing map keeps every order, touch and coincidence, so the
+    draw keeps its moves while its endpoints take mixed denominators.
+    """
+    ends = sorted({x for j, _ in xi for x in (j.u, j.v)})
+    at, x = {}, F(rng.randint(-3, 3), rng.choice(dens))
+    for e in ends:
+        x += F(rng.randint(1, 5), rng.choice(dens))
+        at[e] = x
+    return [(Interval(at[j.u], at[j.v], j.p, j.q), m) for j, m in xi]
+
+
+def test_mixed_denominator_draws_match_oracle(carrier):
+    rng = random.Random("mixed-" + carrier.name)
+    for _ in range(150):
+        xi = _remap(rng, _rand_config(rng, carrier), (2, 3, 5, 7, 8, 12))
+        assert _outcome(labeled_normalize, xi, carrier) == _outcome(oracle_normalize, xi, carrier), xi
+
+
+def test_large_lcm_chain_matches_oracle(m3):
+    # 400 touching pieces whose ends i + 1/p each have their own prime p,
+    # with a few pastes and a few c labels split into a + b
+    rng = random.Random(400)
+    ends = [i + F(1, p) for i, p in enumerate(odd_primes(401))]
+    pastes = set(rng.sample(range(1, 400), 12))
+    xi, m, q = [], None, OPEN
+    for i in range(400):
+        if i in pastes:
+            p = -q
+        else:
+            m, p = rng.choice([x for x in "abc" if x != m]), rng.choice((OPEN, CLOSED))
+        q = rng.choice((OPEN, CLOSED))
+        xi.append((Interval(ends[i], ends[i + 1], p, q), m))
+    for i in rng.sample([i for i, (_, m) in enumerate(xi) if m == "c"], 8):
+        xi[i : i + 1] = [(xi[i][0], "a"), (xi[i][0], "b")]
+    rng.shuffle(xi)
+    assert labeled._endpoint_keys(xi)[0].bit_length() > 3000
+    fast = labeled_normalize(xi, m3)
+    assert fast == oracle_normalize(xi, m3)
+    assert len(fast) <= 400 - len(pastes)
+
+
 def test_random_draws_where_label_strings_sort_apart_from_indices():
     # over {0..12}, "10" < "2" as strings, but 2 comes first by index
     _random_draws_match_oracle(truncated_pam(12))
@@ -255,27 +300,31 @@ def _cut_chain(k):
 
 
 def test_work_grows_linearly(m3, monkeypatch):
-    # sort keys count the restart-from-the-front loop (7,888 and 31,136 of
-    # them at k = 16 and 32); heap pushes count the indexed paste loop
-    calls = {"sort_key": 0, "heappush": 0}
+    # integer endpoint keys count the sorting and grouping, so a normal form
+    # that keyed its pieces again after each of the 6k pastes would fail;
+    # heap pushes count the indexed paste loop
+    calls = {"keys": 0, "heappush": 0}
+    endpoint_keys, push = labeled._endpoint_keys, labeled.heappush
 
-    def counted(name, f):
-        def wrapper(*args):
-            calls[name] += 1
-            return f(*args)
+    def keys(pieces):
+        out = endpoint_keys(pieces)
+        calls["keys"] += len(out[1])
+        return out
 
-        return wrapper
+    def pushes(*args):
+        calls["heappush"] += 1
+        return push(*args)
 
-    monkeypatch.setattr(Interval, "sort_key", counted("sort_key", Interval.sort_key))
-    monkeypatch.setattr(labeled, "heappush", counted("heappush", labeled.heappush))
+    monkeypatch.setattr(labeled, "_endpoint_keys", keys)
+    monkeypatch.setattr(labeled, "heappush", pushes)
     counts = {}
     for k in (16, 32):
         xi = _cut_chain(k)
-        calls.update(sort_key=0, heappush=0)
+        calls.update(keys=0, heappush=0)
         assert len(labeled_normalize(xi, m3)) == 2 * k
         counts[k] = dict(calls)
     for name in calls:
-        assert counts[32][name] <= 2.5 * counts[16][name], counts
+        assert 0 < counts[32][name] <= 2.5 * counts[16][name], counts
 
 
 def _rand_intervals(rng):

@@ -2,12 +2,16 @@
 
 The oracle scan reads every window by clipping every piece and recomputes
 every segment in each refinement round; the library must agree with it byte
-for byte.  The work guards count clipped pieces and derived segments, so a
-quadratic scan cannot return without a failing test.
+for byte.  The index bisects integer endpoints over a common scale, and the
+Fraction bisection it replaced must find the same slices.  The work guards
+count clipped pieces and derived segments, so a quadratic scan cannot
+return without a failing test.
 """
 
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 
@@ -27,7 +31,7 @@ from pamscan import (
 )
 from pamscan.dsl import fmt_loop, parse_config
 
-from genutil import rand_admissible, rand_frac
+from genutil import odd_primes, rand_admissible, rand_frac
 
 
 class FullScan:
@@ -145,6 +149,61 @@ def test_window_index_matches_restrict():
             assert windows.restrict(a, b) == restrict(xi, a, b), (xi, a, b)
 
 
+def oracle_bounds(pieces, a, b):
+    """The window slice bisected on Fraction endpoints."""
+    lefts = [j.u for j, _ in pieces]
+    reach = list(accumulate((j.v for j, _ in pieces), max))
+    return bisect_right(reach, a), bisect_left(lefts, b)
+
+
+MIXED = (2, 3, 5, 7, 8, 12)
+
+
+def _mixed(rng, lo, hi):
+    d = rng.choice(MIXED)
+    return F(rng.randint(lo * d, hi * d), d)
+
+
+def _mixed_piece(rng):
+    u = _mixed(rng, 0, 6)
+    if rng.random() < 0.15:
+        p = rng.choice((OPEN, CLOSED))
+        return Interval(u, u, p, -p)
+    v = u + F(rng.randint(1, 12), rng.choice(MIXED)) * (4 if rng.random() < 0.2 else 1)
+    return Interval(u, v, rng.choice((OPEN, CLOSED)), rng.choice((OPEN, CLOSED)))
+
+
+def _window_end(rng, ends, scale):
+    """On an endpoint, just off one, between two, or anywhere."""
+    x = rng.choice(ends)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return x
+    if kind == 1:
+        # off the integer grid of the index, or off by a coarse amount
+        off = F(1, rng.choice((2, 3, 7)) * scale) if rng.random() < 0.5 else F(1, 997)
+        return x + off if rng.random() < 0.5 else x - off
+    if kind == 2:
+        return (x + rng.choice(ends)) / 2
+    return _mixed(rng, -1, 7)
+
+
+def test_integer_bisection_matches_fraction_bisection():
+    rng = random.Random(8)
+    draws = 0
+    while draws < 20000:
+        xi = [(_mixed_piece(rng), rng.choice("abc")) for _ in range(rng.randint(0, 10))]
+        windows = WindowIndex(xi)
+        ends = [x for j, _ in xi for x in (j.u, j.v)] or [F(0)]
+        for _ in range(20):
+            a = _window_end(rng, ends, windows._scale)
+            b = _window_end(rng, ends, windows._scale)
+            if rng.random() < 0.7:
+                a, b = min(a, b), max(a, b)
+            assert windows._bounds(a, b) == oracle_bounds(windows.pieces, a, b), (xi, a, b)
+            draws += 1
+
+
 def _pair_chain(k):
     """k translated copies of (1,3]:a [7/2,11/2):b with period 7."""
     xi = []
@@ -189,3 +248,16 @@ def test_refinement_derives_only_split_segments(m3, monkeypatch):
     assert len(set(calls)) == len(calls)
     # the single split segment is derived once before and once per part
     assert len(calls) == len(loop.segments) + 1
+
+
+def test_large_lcm_chain_matches_oracle(m3, monkeypatch):
+    # every endpoint of the 16-cluster pair chain moves by 1/p for its own
+    # prime p, so the index's scale is the product of 64 primes
+    xi, s = _pair_chain(16)
+    shifts = iter(F(1, p) for p in odd_primes(70)[6:])
+    xi = [
+        (Interval(j.u + next(shifts), j.v + next(shifts), j.p, j.q), m) for j, m in xi
+    ]
+    assert WindowIndex(xi)._scale.bit_length() > 400
+    assert is_admissible(xi, 1, (0, s), m3)
+    _assert_matches_oracle(xi, s, m3, monkeypatch)
