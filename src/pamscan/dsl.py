@@ -16,7 +16,10 @@ from .tensor import BASEPOINT, BMElement
 
 EMPTY_MARK = "∅"
 
-_RAT = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only: \d and str.isdigit also take digits of other scripts
+# and superscripts, outside the grammar
+_RAT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INDEX = re.compile(r"[0-9]+")
 _NAME = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
 
@@ -39,7 +42,7 @@ def _tokens(text):
 
 
 def parse_rational(tok, line=None, col=None):
-    if not _RAT.match(tok):
+    if not _RAT.fullmatch(tok):
         raise ParseError("expected a rational, got %r" % tok, line, col)
     try:
         return Fraction(tok)
@@ -255,7 +258,7 @@ def parse_loop(text):
                 raise ParseError("expected 'breakpoint <q>'", ln, 1)
             breakpoints.append(parse_rational(toks[1], ln, 1))
         elif toks[0] == "segment":
-            if len(toks) != 2 or not toks[1].isdigit():
+            if len(toks) != 2 or not _INDEX.fullmatch(toks[1]):
                 raise ParseError("expected 'segment <i>'", ln, 1)
             if int(toks[1]) != len(segments):
                 raise ParseError("segments out of order", ln, 1)

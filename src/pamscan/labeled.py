@@ -63,19 +63,23 @@ def _endpoint_keys(pieces):
     ``lc_sorted`` order, and entries that tie on key and label are equal.
     """
     scale = lcm(*{x.denominator for j, _ in pieces for x in (j.u, j.v)})
-    return scale, [
-        (
-            (
-                j.u.numerator * (scale // j.u.denominator),
-                j.v.numerator * (scale // j.v.denominator),
-                j.p,
-                j.q,
-            ),
-            m,
-            j,
-        )
-        for j, m in pieces
-    ]
+    return scale, _keys_over(pieces, scale)
+
+
+def _keys_over(pieces, scale):
+    """(key, label, interval) for each piece, endpoints as integers over ``scale``."""
+    return [((_num(j.u, scale), _num(j.v, scale), j.p, j.q), m, j) for j, m in pieces]
+
+
+def _num(x, scale):
+    """The rational x as an integer over ``scale``, which its denominator divides."""
+    return x.numerator * (scale // x.denominator)
+
+
+def _interval(key, scale):
+    """The Interval whose integer key over ``scale`` is ``key``."""
+    u, v, p, q = key
+    return Interval(Fraction(u, scale), Fraction(v, scale), p, q)
 
 
 def labeled_normalize(xi, pam):
@@ -93,8 +97,9 @@ def labeled_normalize(xi, pam):
     The moves are replayed in that order through an index of left ends, so
     the cost is O(n log n) for n pieces rather than a re-sort and rescan
     per move; pieces are sorted, grouped and matched on the integer keys of
-    ``_endpoint_keys``.  The result is canonical only where the moves
-    converge to one answer: a configuration with two irreducible
+    ``_endpoint_keys``, and only a piece that a paste made is built as an
+    Interval, once, at the end.  The result is canonical only where the
+    moves converge to one answer: a configuration with two irreducible
     presentations (such as [0,1):g1 [1/2,1):g1 [1,2):g1 over Z/5, where
     either g1 piece ending at 1 may take the paste) gets the one this order
     reaches.
@@ -102,39 +107,51 @@ def labeled_normalize(xi, pam):
     xi = tuple(xi)
     for _, m in xi:
         pam.check_element(m)
-    _, keyed = _endpoint_keys(xi)
+    scale, keyed = _endpoint_keys(xi)
     keyed.sort()
+    return tuple(
+        (j or _interval(key, scale), m) for key, m, j in _normal_keys(keyed, pam, scale)
+    )
+
+
+def _normal_keys(keyed, pam, scale):
+    """The normal form of sorted (key, label, interval) triples over ``scale``.
+
+    Returns such triples in key order, one per key; a piece a paste made
+    carries no interval.  Labels must be checked already.  The interval is
+    read only to pass it on, and an error rebuilds the one it names from
+    its key, so callers on the scan path pass None for it.
+    """
     items = []
     for key, run in groupby(keyed, key=itemgetter(0)):
         if key[0] != key[1]:
             run = list(run)
-            j = run[0][2]
-            m = _merge_labels(j, [m for _, m, _ in run if m != UNIT], pam)
+            m = _merge_labels(key, scale, [m for _, m, _ in run if m != UNIT], pam)
             if m is not None:
-                items.append((key, m, j))
+                items.append((key, m, run[0][2]))
     if len(items) < 2 or not _some_paste(items):
-        return tuple((j, m) for _, m, j in items)
-    return _paste(items, pam)
+        return items
+    return _paste(items, pam, scale)
 
 
 def _some_paste(items):
-    """True when some piece of ``items``, keyed by ``_endpoint_keys``, pastes onto another."""
+    """True when some piece of keyed ``items`` pastes onto another."""
     lefts = {(u, p, m) for (u, _, p, _), m, _ in items}
     return any((v, -q, m) in lefts for (_, v, _, q), m, _ in items)
 
 
-def _coincident_sum(j, m1, m2, pam):
-    """Merge two labels on the interval j, lower element index first."""
+def _coincident_sum(key, scale, m1, m2, pam):
+    """Merge two labels on the interval keyed ``key``, lower element index first."""
     s = pam.pair_sum(m1, m2)
     if s is None:
         raise DomainError(
             "not in the tensor region: coincident interval %r carries "
-            "unsummable labels (%s, %s)" % (j, m1, m2)
+            "unsummable labels (%s, %s)" % (_interval(key, scale), m1, m2)
         )
     return s
 
 
-def _merge_labels(j, labels, pam):
+def _merge_labels(key, scale, labels, pam):
     """Sum the labels on one interval, two of lowest index at a time.
 
     ``labels`` holds no 0.  Returns None when no label is left.
@@ -143,7 +160,7 @@ def _merge_labels(j, labels, pam):
         return labels[0] if labels else None
     heap = sorted((pam.index(m), m) for m in labels)
     while len(heap) > 1:
-        s = _coincident_sum(j, heappop(heap)[1], heappop(heap)[1], pam)
+        s = _coincident_sum(key, scale, heappop(heap)[1], heappop(heap)[1], pam)
         if s != UNIT:
             heappush(heap, (pam.index(s), s))
     return heap[0][1] if heap else None
@@ -165,13 +182,14 @@ def _prune(heap):
     return heap
 
 
-def _paste(items, pam):
+def _paste(items, pam, scale):
     """Paste the distinct, labeled ``items`` to a fixpoint.
 
-    ``items`` holds (key, label, interval) in key order, keyed by
-    ``_endpoint_keys``.  Pastes create no endpoint, so those integers
-    cover every piece that appears; a key sorts as its interval does and
-    names the piece in ``live``.  Pieces leave ``todo`` in key order.  One
+    ``items`` holds (key, label, interval) in key order, keyed over
+    ``scale``.  Pastes create no endpoint, so those integers cover every
+    piece that appears; a key sorts as its interval does and names the
+    piece in ``live``.  A pasted piece is a key and a label only, and
+    leaves with no interval.  Pieces leave ``todo`` in key order.  One
     with no live partner waits under the left end a partner would have and
     is queued again when a piece with that left end is added.  Only a merge
     adds a new left end, by putting a new label on it, and that is the one
@@ -211,16 +229,16 @@ def _paste(items, pam):
         a.live = b.live = False
         del live[a.key], live[b.key]
         key = (u, b.key[1], p, b.key[3])
-        j = Interval(a.j.u, b.j.v, a.j.p, b.j.q)
-        m = a.m
+        j, m = None, a.m
         x = live.pop(key, None)
         if x is not None:
             x.live = False
-            m = _coincident_sum(j, *sorted((m, x.m), key=pam.index), pam)
+            j = x.j
+            m = _coincident_sum(key, scale, *sorted((m, x.m), key=pam.index), pam)
             if m == UNIT:
                 continue
         add(j, m, key)
-    return tuple((live[key].j, live[key].m) for key in sorted(live))
+    return [(key, live[key].m, live[key].j) for key in sorted(live)]
 
 
 def config_eq(x1, x2, pam, method="nf", depth=6):
@@ -307,42 +325,73 @@ def restrict(xi, a, b):
 
 
 class WindowIndex:
-    """A configuration indexed for repeated window reads.
+    """A configuration indexed for repeated window reads on integers.
 
-    Pieces are kept in ``lc_sorted`` order next to their left ends and the
-    running maximum of their right ends, both as the integer endpoints of
-    ``_endpoint_keys`` over the scale S.  A window (a, b) bisects both to
-    the slice of pieces that can meet it; every piece outside that slice
-    has v <= a or u >= b and clips to nothing, so ``restrict`` on the slice
-    equals ``restrict`` on the whole configuration.
+    Pieces are kept in ``lc_sorted`` order under their integer keys over
+    the scale S of ``_endpoint_keys``, next to their left ends and the
+    running maximum of their right ends.  A window (lo, hi), given as
+    integers over a multiple K of S, bisects both to the slice of pieces
+    that can meet it; every piece outside that slice has v <= lo or
+    u >= hi and clips to nothing.  ``clip`` cuts the slice to the window
+    without building a Fraction or an Interval, so a scan or admissibility
+    read stays on integers from the index to its value.
     """
 
-    __slots__ = ("pieces", "_scale", "_lefts", "_reach")
+    __slots__ = ("pieces", "scale", "_keys", "_lefts", "_reach")
 
     def __init__(self, xi):
-        self._scale, keyed = _endpoint_keys(tuple(xi))
+        self.scale, keyed = _endpoint_keys(tuple(xi))
         keyed.sort()
         self.pieces = tuple((j, m) for _, m, j in keyed)
+        self._keys = [(key, m) for key, m, _ in keyed]
         self._lefts = [key[0] for key, _, _ in keyed]
         self._reach = list(accumulate((key[1] for key, _, _ in keyed), max))
 
-    def _bounds(self, a, b):
-        """The slice (first, stop) of pieces that can meet the window (a, b).
+    def _bounds(self, scale, lo, hi):
+        """The slice (first, stop) of pieces that can meet the window (lo, hi).
 
-        It holds the pieces whose reach exceeds a and whose left end lies
-        below b.  An integer exceeds a rational iff it exceeds its floor,
-        and lies below it iff it lies below its ceiling, so bisecting at
-        floor(a*S) and ceil(b*S) is exact.
+        ``lo`` and ``hi`` are integers over ``scale``, a multiple K of S.
+        The slice holds the pieces whose reach exceeds lo and whose left end
+        lies below hi.  An integer over S exceeds lo/K iff it exceeds its
+        floor, and lies below hi/K iff it lies below its ceiling, so
+        bisecting at floor(lo*S/K) and ceil(hi*S/K) is exact.
         """
-        s = self._scale
-        first = bisect_right(self._reach, a.numerator * s // a.denominator)
-        stop = bisect_left(self._lefts, -(-b.numerator * s // b.denominator))
-        return first, stop
+        f = scale // self.scale
+        return bisect_right(self._reach, lo // f), bisect_left(self._lefts, -(-hi // f))
+
+    def clip(self, scale, lo, hi):
+        """The window (lo, hi) as sorted (key, label, None) triples over ``scale``.
+
+        ``scale`` is a multiple of S and ``lo``, ``hi`` are integers over it.
+        Each piece is clipped as ``clip_interval`` clips it: surviving ends
+        keep their parity, cut ends open, and a width-zero result drops.
+        """
+        f = scale // self.scale
+        first, stop = self._bounds(scale, lo, hi)
+        out = []
+        for (u, v, p, q), m in self._keys[first:stop]:
+            u, v = u * f, v * f
+            if u == v:
+                if lo < u < hi:
+                    out.append(((u, v, p, q), m, None))
+                continue
+            if u <= lo:
+                u, p = lo, OPEN
+            if v >= hi:
+                v, q = hi, OPEN
+            if u < v:
+                out.append(((u, v, p, q), m, None))
+        out.sort()
+        return out
 
     def restrict(self, a, b):
+        """``restrict`` of the configuration to (a, b), read through ``clip``."""
         a, b = _frac(a), _frac(b)
-        first, stop = self._bounds(a, b)
-        return restrict(self.pieces[first:stop], a, b)
+        scale = lcm(self.scale, a.denominator, b.denominator)
+        return tuple(
+            (_interval(key, scale), m)
+            for key, m, _ in self.clip(scale, _num(a, scale), _num(b, scale))
+        )
 
 
 def mirror_config(xi):
@@ -458,23 +507,17 @@ class DecompResult:
     count: int
 
 
-def _classify_piece(j, a, b):
-    if j.u == a and j.v == b:
-        if j.p == OPEN and j.q == OPEN:
-            return E1_WHOLE
-        return None
-    if j.u == a:
-        if j.p == OPEN and a < j.v < b:
-            return E1_LEFT
-        return None
-    if j.v == b:
-        if j.q == OPEN and a < j.u < b:
-            return E1_RIGHT
-        return None
-    if a < j.u and j.v < b:
-        if j.p + j.q == 0:
-            return E1_INTERIOR
-        return None
+def _classify(key, lo, hi):
+    """The elementary kind of a piece keyed ``key`` in the window (lo, hi), or None."""
+    u, v, p, q = key
+    if u == lo and v == hi:
+        return E1_WHOLE if p == OPEN and q == OPEN else None
+    if u == lo:
+        return E1_LEFT if p == OPEN and lo < v < hi else None
+    if v == hi:
+        return E1_RIGHT if q == OPEN and lo < u < hi else None
+    if lo < u and v < hi and p + q == 0:
+        return E1_INTERIOR
     return None
 
 
@@ -498,75 +541,123 @@ def decompose_window(xi_t, a, b, pam):
     keeps a maximum completion at every step, and that completion has the
     fewest labels: a part of a summable tuple sums, so it is valid whenever
     any matching is.
+
+    The work is done by ``_decompose_keys`` on integer endpoints over the
+    lcm of every denominator, a and b included; this function only keys
+    the content and builds the Intervals of the result.
     """
     a, b = _frac(a), _frac(b)
-    w = labeled_normalize(xi_t, pam)
-    ok, wit = in_T_labeled(w, pam, witness=True)
-    if not ok:
-        side, idx = wit
-        labels = [w[i][1] for i in idx]
-        if side == "second":
+    xi_t = tuple(xi_t)
+    for _, m in xi_t:
+        pam.check_element(m)
+    scale = lcm(a.denominator, b.denominator, *(x.denominator for j, _ in xi_t for x in (j.u, j.v)))
+    keyed = _keys_over(xi_t, scale)
+    keyed.sort()
+    items, n = _decompose_keys(keyed, scale, _num(a, scale), _num(b, scale), pam)
+    return _decomp_result(items, n, scale)
+
+
+def _decomp_result(items, n, scale):
+    """The DecompResult of keyed elementary ``items`` over ``scale``."""
+    out = []
+    for e in items:
+        if e[0]:
+            out.append(Elem2(_interval(e[1], scale), _interval(e[2], scale), e[3]))
+        else:
+            out.append(Elem1(e[3], _interval(e[1], scale), e[2]))
+    return DecompResult(items=tuple(out), count=n)
+
+
+def _window_text(lo, hi, scale):
+    return "window (%s, %s)" % (Fraction(lo, scale), Fraction(hi, scale))
+
+
+def _decompose_keys(keyed, scale, lo, hi, pam):
+    """``decompose_window`` on integers: every step on endpoint keys over ``scale``.
+
+    ``keyed`` holds the window content as sorted (key, label, interval)
+    triples and (lo, hi) is the window, all integers over ``scale``.
+    Returns the elementary items and the number of valid matchings.  An
+    item is (0, key, label, kind) for a single piece and (1, left key,
+    right key, label) for a cut pair; items sort as the ``sort_key`` of
+    Elem1 and Elem2 sorts them.  A normal form that chains is compatible,
+    which decides tensor membership at once (see ``in_T_labeled``);
+    otherwise ``in_T_labeled`` runs on its rebuilt Intervals.  Beyond that
+    fallback, Intervals and Fractions are built only to word an error.
+    """
+    for _, m, _ in keyed:
+        pam.check_element(m)
+    w = _normal_keys(keyed, pam, scale)
+    if not all(
+        x[1] < y[0] or (x[1] == y[0] and x[3] != y[2]) for (x, _, _), (y, _, _) in zip(w, w[1:])
+    ):
+        pieces = [(_interval(key, scale), m) for key, m, _ in w]
+        ok, wit = in_T_labeled(pieces, pam, witness=True)
+        if not ok:
+            side, idx = wit
+            labels = [pieces[i][1] for i in idx]
+            if side == "second":
+                raise DecomposeError(
+                    "%s: labels %r are pairwise insummable but their "
+                    "intervals do not merge" % (_window_text(lo, hi, scale), labels)
+                )
             raise DecomposeError(
-                "window (%s, %s): labels %r are pairwise insummable but their "
-                "intervals do not merge" % (a, b, labels)
+                "%s: pieces %r collide but their labels %r are not jointly summable"
+                % (_window_text(lo, hi, scale), [pieces[i][0] for i in idx], labels)
             )
-        raise DecomposeError(
-            "window (%s, %s): pieces %r collide but their labels %r are not "
-            "jointly summable" % (a, b, [w[i][0] for i in idx], labels)
-        )
-    fixed = []
-    lefts, rights = [], []
-    for j, m in w:
-        kind = _classify_piece(j, a, b)
+    items, lefts, rights = [], [], []
+    for key, m, _ in w:
+        kind = _classify(key, lo, hi)
         if kind is None:
             raise DecomposeError(
-                "window (%s, %s): piece %r:%s is not elementary" % (a, b, j, m)
+                "%s: piece %r:%s is not elementary"
+                % (_window_text(lo, hi, scale), _interval(key, scale), m)
             )
         if kind == E1_LEFT:
-            lefts.append((j, m))
+            lefts.append((key, m))
         elif kind == E1_RIGHT:
-            rights.append((j, m))
+            rights.append((key, m))
         else:
-            fixed.append(Elem1(kind, j, m))
+            items.append((0, key, m, kind))
 
-    count = _count_matchings(pam, [e.label for e in fixed], lefts, rights)
-    if not count:
+    n = _count_matchings(pam, [e[2] for e in items], lefts, rights)
+    if not n:
         raise DecomposeError(
-            "window (%s, %s): no matching makes the label multiset summable "
-            "(content %r)" % (a, b, list(w))
+            "%s: no matching makes the label multiset summable (content %r)"
+            % (_window_text(lo, hi, scale), [(_interval(key, scale), m) for key, m, _ in w])
         )
-    items = fixed
-    free = list(rights)
-    for jl, ml in lefts:
-        jr = next((jr for jr, mr in free if mr == ml and jl.v < jr.u and jl.q + jr.p == 0), None)
-        if jr is None:
-            items.append(Elem1(E1_LEFT, jl, ml))
+    for kl, ml in lefts:
+        kr = next((kr for kr, mr in rights if mr == ml and kl[1] < kr[0] and kl[3] + kr[2] == 0), None)
+        if kr is None:
+            items.append((0, kl, ml, E1_LEFT))
         else:
-            free.remove((jr, ml))
-            items.append(Elem2(jl, jr, ml))
-    items.extend(Elem1(E1_RIGHT, jr, mr) for jr, mr in free)
-    return DecompResult(items=tuple(sorted(items, key=lambda e: e.sort_key())), count=count)
+            rights.remove((kr, ml))
+            items.append((1, kl, kr, ml))
+    items.extend((0, kr, mr, E1_RIGHT) for kr, mr in rights)
+    items.sort()
+    return items, n
 
 
 def _count_matchings(pam, labels, lefts, rights):
     """The number of matchings whose label tuple, with ``labels``, sums.
 
-    A left piece jl and a right piece jr are compatible when they share a
-    label and a cut parity and jl.v < jr.u, so each board (the pieces of
-    one label and one cut parity) is a Ferrers board: the partners of its
-    rows are nested.  Taking the rows by number of partners c, each row
-    extends the board's rook numbers by r'[k] = r[k] + r[k-1] * (c - k + 1)
-    (Goldman, Joichi and White, Rook theory I, 1975).  Boards are
-    independent, and a board with k pairs, of at most K, adds K - k copies
-    of its label to the tuple of a maximum matching.  That tuple is summed
-    once, and the extra copies are folded in board by board through a map
-    from partial sum to number of ways.
+    ``lefts`` and ``rights`` hold (key, label) pairs.  A left piece kl and
+    a right piece kr are compatible when they share a label and a cut
+    parity and kl's right end lies before kr's left end, so each board
+    (the pieces of one label and one cut parity) is a Ferrers board: the
+    partners of its rows are nested.  Taking the rows by number of partners
+    c, each row extends the board's rook numbers by
+    r'[k] = r[k] + r[k-1] * (c - k + 1) (Goldman, Joichi and White, Rook
+    theory I, 1975).  Boards are independent, and a board with k pairs, of
+    at most K, adds K - k copies of its label to the tuple of a maximum
+    matching.  That tuple is summed once, and the extra copies are folded
+    in board by board through a map from partial sum to number of ways.
     """
     boards = {}
-    for jl, m in lefts:
-        boards.setdefault((m, jl.q), ([], []))[0].append(jl.v)
-    for jr, m in rights:
-        boards.setdefault((m, -jr.p), ([], []))[1].append(jr.u)
+    for (_, v, _, q), m in lefts:
+        boards.setdefault((m, q), ([], []))[0].append(v)
+    for (u, _, p, _), m in rights:
+        boards.setdefault((m, -p), ([], []))[1].append(u)
     labels = list(labels)
     folds = []
     for (m, _), (cuts, starts) in boards.items():
@@ -595,32 +686,55 @@ def _count_matchings(pam, labels, lefts, rights):
     return sum(ways.values())
 
 
+def _sweep_centres(keys, scale, eps):
+    """The window centres of ``window_sweep_points`` as integers.
+
+    ``keys`` are integer keys over ``scale``.  Returns (K, e, centres):
+    the scale K = 2 * lcm(scale, eps.denominator), eps over K, and the
+    sorted centres over K.  Every end and every critical point e +- eps is
+    then an even integer, so each midpoint is an integer too, and one scale
+    serves every window of the sweep.
+    """
+    k = 2 * lcm(scale, eps.denominator)
+    f = k // scale
+    e = _num(eps, k)
+    ends = {x * f for key in keys for x in key[:2]}
+    if not ends:
+        return k, e, [0]
+    crit = sorted({x + d for x in ends for d in (-e, e)})
+    centres = set(crit)
+    centres.update((x + y) // 2 for x, y in zip(crit, crit[1:]))
+    centres.add(crit[0] - k)
+    centres.add(crit[-1] + k)
+    return k, e, sorted(centres)
+
+
 def window_sweep_points(xi, eps):
     """Window centers that cover every combinatorial type of restriction."""
-    eps = _frac(eps)
-    ends = sorted({x for j, _ in xi for x in (j.u, j.v)})
-    if not ends:
-        return [Fraction(0)]
-    crit = sorted({e + d for e in ends for d in (-eps, eps)})
-    ts = set(crit)
-    for x, y in zip(crit, crit[1:]):
-        ts.add((x + y) / 2)
-    ts.add(crit[0] - 1)
-    ts.add(crit[-1] + 1)
-    return sorted(ts)
+    scale, keyed = _endpoint_keys(tuple(xi))
+    k, _, centres = _sweep_centres([key for key, _, _ in keyed], scale, _frac(eps))
+    return [Fraction(t, k) for t in centres]
+
+
+def _sweep(xi, eps, pam):
+    """Decompose every window of the sweep on integers.
+
+    Yields (t, K, (items, count)) with the centre t over the scale K of
+    ``_sweep_centres``.  Windows are read through one WindowIndex, so each
+    read costs a bisection plus the pieces near the window.
+    """
+    windows = WindowIndex(xi)
+    k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, eps)
+    for t in centres:
+        lo, hi = t - e, t + e
+        yield t, k, _decompose_keys(windows.clip(k, lo, hi), k, lo, hi, pam)
 
 
 def admissibility_sweep(xi, eps, pam):
-    """Decompose every combinatorially distinct window; yields (t, result).
-
-    Windows are read through one WindowIndex, so each read costs a
-    bisection plus the pieces near the window, not a pass over all pieces.
-    """
+    """Decompose every combinatorially distinct window; yields (t, result)."""
     eps = _positive(eps, "eps")
-    windows = WindowIndex(xi)
-    for t in window_sweep_points(xi, eps):
-        content = windows.restrict(t - eps, t + eps)
-        yield t, decompose_window(content, t - eps, t + eps, pam)
+    for t, k, (items, n) in _sweep(xi, eps, pam):
+        yield Fraction(t, k), _decomp_result(items, n, k)
 
 
 @dataclass(frozen=True)
@@ -636,7 +750,8 @@ def is_admissible(xi, eps, support, pam):
     """Admissibility: tensor membership, decomposable windows, support.
 
     Returns an AdmissibilityReport; failures carry a reason instead of
-    raising.
+    raising.  The windows are swept on integers; the support check clips
+    each piece once.
     """
     eps = _positive(eps, "eps")
     a, b = _frac(support[0]), _frac(support[1])
@@ -650,7 +765,7 @@ def is_admissible(xi, eps, support, pam):
         # Every window must decompose; no count is checked.  Over a
         # self-insummable pam a summable tuple holds each nonzero label at
         # most once, which forces the matching, so the count is 1 there.
-        for _ in admissibility_sweep(xi, eps, pam):
+        for _ in _sweep(xi, eps, pam):
             pass
     except DomainError as e:
         return AdmissibilityReport(False, str(e))

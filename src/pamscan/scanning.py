@@ -4,6 +4,13 @@ At each parameter the window of radius one around it is decomposed into
 elementary configurations; each elementary piece contributes one circle
 point, linearly interpolating between the basepoint and the window center.
 Values live in the fundamental domain (-1, 1] with 1 the basepoint.
+
+A window read is exact integer arithmetic: the window is clipped,
+decomposed and evaluated on endpoint keys over one common scale (see
+``scan_core``), and each value becomes a Fraction only when it is emitted.
+The parameter axis (breakpoints, segment thirds, crossings) stays on
+Fractions.  ``omega`` and ``merged_strand_value`` key their arguments the
+same way and wrap the integer evaluators.
 """
 
 from __future__ import annotations
@@ -11,15 +18,17 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .pam import DomainError
-from .intervals import CLOSED, OPEN, Interval, _frac, _positive
+from .intervals import CLOSED, OPEN, _frac, _positive
 from .labeled import (
     E1_LEFT,
     E1_RIGHT,
-    Elem2,
     WindowIndex,
-    decompose_window,
+    _decompose_keys,
+    _interval,
+    _num,
     lc_sorted,
 )
 from .tensor import BASEPOINT, bm_canon, norm_circle
@@ -37,93 +46,102 @@ def omega(j, s):
     short intervals) and returns to the basepoint past the right end.
     """
     s = _frac(s)
-    u, v, p, q = j.u, j.v, j.p, j.q
-    half = Fraction(1, 2)
-    if v - u > 1:
-        if u - half < s <= u + half:
-            val = p * (s - u - half)
-        elif u + half < s <= v - half:
-            val = Fraction(0)
-        elif v - half < s <= v + half:
-            val = q * (s - v + half)
-        else:
-            return BASEPOINT
-    else:
-        if p == q:
-            raise DomainError(
-                "interval %r with equal parities must have length > 1" % (j,)
-            )
-        if u - half < s <= v - half:
-            val = p * (s - u - half)
-        elif v - half < s <= u + half:
-            val = p * (v - u - 1)
-        elif u + half < s <= v + half:
-            val = q * (s - v + half)
-        else:
-            return BASEPOINT
-    return norm_circle(val)
-
-
-@dataclass(frozen=True)
-class ScanUnit:
-    """One replaced elementary configuration, ready to emit a point."""
-
-    pieces: tuple
-    label: str
-
-    def value(self, s):
-        if len(self.pieces) == 1:
-            return omega(self.pieces[0], s)
-        ka, kb = self.pieces
-        return merged_strand_value(ka, kb, s)
+    k = lcm(2, j.u.denominator, j.v.denominator, s.denominator)
+    return Fraction(_omega((_num(j.u, k), _num(j.v, k), j.p, j.q), _num(s, k), k), k)
 
 
 def merged_strand_value(ka, kb, s):
     """Scan value of a cut pair: the two strands glued along a plateau."""
     s = _frac(s)
-    half = Fraction(1, 2)
-    if s <= kb.u - half:
-        return omega(ka, s)
-    if s >= ka.v + half:
-        return omega(kb, s)
-    return norm_circle(ka.q * (kb.u - ka.v))
+    k = lcm(2, s.denominator, *(x.denominator for j in (ka, kb) for x in (j.u, j.v)))
+    keys = [(_num(j.u, k), _num(j.v, k), j.p, j.q) for j in (ka, kb)]
+    return Fraction(_merged_strand(*keys, _num(s, k), k), k)
 
 
-def replace_elementary(items):
-    """Close the outer ends that keep adjacent windows consistent.
+def _norm(val, k):
+    """``norm_circle`` of val/k, as an integer over k: into (-k, k]."""
+    if -k < val <= k:
+        return val
+    val %= 2 * k
+    return val - 2 * k if val > k else val
 
-    Anchored single pieces with an open cut end get their window end closed;
-    for cut pairs the cut parity picks which strand's outer end closes.
-    """
-    units = []
-    for e in items:
-        if isinstance(e, Elem2):
-            jl, jr = e.left, e.right
-            if jl.q == CLOSED:
-                jr = Interval(jr.u, jr.v, jr.p, CLOSED)
-            else:
-                jl = Interval(jl.u, jl.v, CLOSED, jl.q)
-            units.append(ScanUnit((jl, jr), e.label))
-            continue
-        j = e.piece
-        if e.kind == E1_LEFT and j.q == OPEN:
-            j = Interval(j.u, j.v, CLOSED, j.q)
-        elif e.kind == E1_RIGHT and j.p == OPEN:
-            j = Interval(j.u, j.v, j.p, CLOSED)
-        units.append(ScanUnit((j,), e.label))
-    return units
+
+def _omega(key, s, k):
+    """``omega`` on integers over an even scale k; the basepoint is k."""
+    u, v, p, q = key
+    h = k // 2
+    if v - u > k:
+        if u - h < s <= u + h:
+            val = p * (s - u - h)
+        elif u + h < s <= v - h:
+            return 0
+        elif v - h < s <= v + h:
+            val = q * (s - v + h)
+        else:
+            return k
+    else:
+        if p == q:
+            raise DomainError(
+                "interval %r with equal parities must have length > 1"
+                % (_interval(key, k),)
+            )
+        if u - h < s <= v - h:
+            val = p * (s - u - h)
+        elif v - h < s <= u + h:
+            val = p * (v - u - k)
+        elif u + h < s <= v + h:
+            val = q * (s - v + h)
+        else:
+            return k
+    return _norm(val, k)
+
+
+def _merged_strand(ka, kb, s, k):
+    """``merged_strand_value`` on integer keys over an even scale k."""
+    h = k // 2
+    if s <= kb[0] - h:
+        return _omega(ka, s, k)
+    if s >= ka[1] + h:
+        return _omega(kb, s, k)
+    return _norm(ka[3] * (kb[0] - ka[1]), k)
 
 
 def scan_core(windows, pam, u, t):
     """Raw (value, label) emissions of the window at t, evaluated at u.
 
-    ``windows`` is the WindowIndex of the configuration being scanned.
+    ``windows`` is the WindowIndex of the configuration being scanned.  The
+    read runs on integers over K = lcm(2S, u.denominator, t.denominator),
+    with S the scale of the index: the window (t - 1, t + 1) is clipped and
+    decomposed on endpoint keys, and each unit is evaluated there, so the
+    only Fraction built is its value.  Replacing an elementary piece
+    closes the outer ends that keep adjacent windows consistent: an
+    anchored single piece with an open cut end gets its window end closed,
+    and for a cut pair the cut parity picks which strand's outer end
+    closes.
     """
     u, t = _frac(u), _frac(t)
-    content = windows.restrict(t - 1, t + 1)
-    decomp = decompose_window(content, t - 1, t + 1, pam)
-    units = replace_elementary(decomp.items)
-    return [(unit.value(u), unit.label) for unit in units]
+    k = lcm(2 * windows.scale, u.denominator, t.denominator)
+    s, c = _num(u, k), _num(t, k)
+    lo, hi = c - k, c + k
+    items, _ = _decompose_keys(windows.clip(k, lo, hi), k, lo, hi, pam)
+    out = []
+    for e in items:
+        if e[0]:
+            _, (a0, a1, p, q), (b0, b1, bp, bq), m = e
+            if q == CLOSED:
+                bq = CLOSED
+            else:
+                p = CLOSED
+            val = _merged_strand((a0, a1, p, q), (b0, b1, bp, bq), s, k)
+        else:
+            _, (a0, a1, p, q), m, kind = e
+            if kind == E1_LEFT and q == OPEN:
+                p = CLOSED
+            elif kind == E1_RIGHT and p == OPEN:
+                q = CLOSED
+            val = _omega((a0, a1, p, q), s, k)
+        out.append((Fraction(val, k), m))
+    return out
 
 
 def alpha_eval(xi, u, pam, t=None):

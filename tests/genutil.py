@@ -96,16 +96,17 @@ def _cluster_duo(rng, x, labels):
     return [(first, m1), (second, m2)], second.v
 
 
-def rand_admissible(rng, max_clusters=3):
+def rand_admissible(rng, max_clusters=3, clusters=None):
     """A 1-admissible configuration together with its support length.
 
     Support is (0, s).  Each cluster is one of: a half-open piece, a
     co-parity piece of length at least two, a same-label cut pair, or two
-    nearby pieces with distinct summable labels.
+    nearby pieces with distinct summable labels.  There are ``clusters``
+    of them, or a random number up to ``max_clusters``.
     """
     x = Fraction(1, 2) + E + rand_frac(rng, 0, 1)
     pieces = []
-    for _ in range(rng.randint(1, max_clusters)):
+    for _ in range(clusters or rng.randint(1, max_clusters)):
         kind = rng.randrange(4)
         if kind == 0:
             got, x = _cluster_single(rng, x, rng.choice(("a", "b", "c")))

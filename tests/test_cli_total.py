@@ -60,6 +60,11 @@ CASES = [
     (2, ["config", "normalize", "--pam", "{m3}", "[0,1):zz"], None),
     (2, ["config", "normalize", "--pam", "{m3}", "--default-label", "zz", "[0,1)"], None),
     (2, ["config", "normalize", "--pam", "{m3}", "[1,0):a"], None),
+    # the grammar's digits are ASCII: fullwidth and Arabic-Indic digits
+    # are parse errors
+    (2, ["config", "normalize", "--pam", "{m3}", "(\uff11,2]:a [\u0663,4):b"], None),
+    (2, ["config", "normalize", "--pam", "{m3}", "(0,\uff11/\uff12]:a"], None),
+    (2, ["config", "admissible", "--pam", "{m3}", "--eps", "\u0662", "--support", "0,5", "(1,3]:a"], None),
     (2, ["config", "normalize", "[0,1):a"], None),
     (2, ["config", "normalize", "--pam", "{binary}", "[0,1):a"], None),
     (3, ["config", "normalize", "--pam", "{m3}", "[0,1):a [0,1):a"], None),

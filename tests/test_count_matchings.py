@@ -27,12 +27,33 @@ from pamscan import (
     in_T_labeled,
     labeled_normalize,
 )
-from pamscan.labeled import E1_LEFT, E1_RIGHT, _classify_piece
+from pamscan.labeled import E1_INTERIOR, E1_LEFT, E1_RIGHT, E1_WHOLE
 
 from genutil import cyclic_pam, truncated_pam
 
 Z5 = cyclic_pam(5)
 PARITIES = (OPEN, CLOSED)
+
+
+def oracle_classify(j, a, b):
+    """The elementary kind of the Interval j in the window (a, b), on Fractions."""
+    if j.u == a and j.v == b:
+        if j.p == OPEN and j.q == OPEN:
+            return E1_WHOLE
+        return None
+    if j.u == a:
+        if j.p == OPEN and a < j.v < b:
+            return E1_LEFT
+        return None
+    if j.v == b:
+        if j.q == OPEN and a < j.u < b:
+            return E1_RIGHT
+        return None
+    if a < j.u and j.v < b:
+        if j.p + j.q == 0:
+            return E1_INTERIOR
+        return None
+    return None
 
 
 def oracle_decompose(xi_t, a, b, pam):
@@ -54,7 +75,7 @@ def oracle_decompose(xi_t, a, b, pam):
         )
     fixed, lefts, rights = [], [], []
     for j, m in w:
-        kind = _classify_piece(j, a, b)
+        kind = oracle_classify(j, a, b)
         if kind is None:
             raise DecomposeError(
                 "window (%s, %s): piece %r:%s is not elementary" % (a, b, j, m)

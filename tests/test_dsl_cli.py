@@ -46,6 +46,17 @@ def test_rational_round_trip():
         parse_rational("1.5")
     with pytest.raises(ParseError):
         parse_rational("1/0")
+    # only ASCII digits: \d and str.isdigit take these too
+    for text in ("\uff11/\uff12", "\u0663", "1/\u0967"):
+        with pytest.raises(ParseError, match="expected a rational"):
+            parse_rational(text)
+
+
+def test_loop_parse_rejects_non_ascii_digits():
+    with pytest.raises(ParseError, match="expected 'segment <i>'"):
+        parse_loop("moore 1\nbreakpoint 0\nbreakpoint 1\nsegment \u00b2")
+    with pytest.raises(ParseError, match="expected a rational"):
+        parse_loop("moore \u0661\nbreakpoint 0\nbreakpoint 1\nsegment 0")
 
 
 def test_config_round_trip(m3):

@@ -283,18 +283,18 @@ def test_unsummable_pair_appears_only_after_a_paste(m3):
     )
 
 
-def _cut_chain(k):
-    """k copies of (1,3]:a [7/2,11/2):b, period 7, each piece in 4 parts."""
+def _cut_chain(k, parts=4):
+    """k copies of (1,3]:a [7/2,11/2):b, period 7, each piece in ``parts`` parts."""
     xi = []
     for i in range(k):
         for u, v, p, q, m in ((1, 3, OPEN, CLOSED, "a"), (F(7, 2), F(11, 2), CLOSED, OPEN, "b")):
             u, v = u + 7 * i, v + 7 * i
-            step = (v - u) / 4
-            ends = [u + step * t for t in range(5)]
-            for t in range(4):
+            step = (v - u) / parts
+            ends = [u + step * t for t in range(parts + 1)]
+            for t in range(parts):
                 xi.append(
                     (Interval(ends[t], ends[t + 1], p if t == 0 else CLOSED,
-                              q if t == 3 else OPEN), m)
+                              q if t == parts - 1 else OPEN), m)
                 )
     return xi
 
@@ -325,6 +325,27 @@ def test_work_grows_linearly(m3, monkeypatch):
         counts[k] = dict(calls)
     for name in calls:
         assert 0 < counts[32][name] <= 2.5 * counts[16][name], counts
+
+
+def test_paste_builds_each_survivor_once(m3, monkeypatch):
+    # 432 parts of 24 pieces, with zero labels and degenerate pieces mixed
+    # in: pastes run on keys, and only the 24 pasted survivors are built
+    xi = _cut_chain(12, parts=18)
+    xi += [(Interval(7 * i, 7 * i + 1, CLOSED, OPEN), "0") for i in range(4)]
+    xi += [(Interval(7 * i, 7 * i, CLOSED, OPEN), "a") for i in range(4)]
+    random.Random(440).shuffle(xi)
+    built = []
+    post_init = Interval.__post_init__
+
+    def counting(self):
+        built.append(None)
+        post_init(self)
+
+    monkeypatch.setattr(Interval, "__post_init__", counting)
+    nf = labeled_normalize(xi, m3)
+    assert (len(xi), len(nf), len(built)) == (440, 24, 24)
+    monkeypatch.undo()
+    assert nf == oracle_normalize(xi, m3)
 
 
 def _rand_intervals(rng):
