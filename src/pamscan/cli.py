@@ -8,6 +8,7 @@ errors to stderr.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -68,6 +69,17 @@ def _bm(text, pam):
 
 def _rat(text):
     return parse_rational(text.strip())
+
+
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _int(text):
+    """An integer in ASCII digits: ``int`` alone reads any Unicode digit,
+    spaces and underscores.  A sign is left to the caller's range check."""
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    return int(text)
 
 
 def _support(text):
@@ -304,7 +316,7 @@ def build_parser():
     q.add_argument("right")
     _add_pam_opt(q)
     q.add_argument("--method", choices=("nf", "search"), default="nf")
-    q.add_argument("--depth", type=int, default=6)
+    q.add_argument("--depth", type=_int, default=6)
     q.set_defaults(fn=cmd_config_eq)
     q = psub.add_parser("admissible", help="check thickened admissibility")
     q.add_argument("config")

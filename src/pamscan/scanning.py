@@ -8,9 +8,12 @@ Values live in the fundamental domain (-1, 1] with 1 the basepoint.
 A window read is exact integer arithmetic: the window is clipped,
 decomposed and evaluated on endpoint keys over one common scale (see
 ``scan_core``), and each value becomes a Fraction only when it is emitted.
-The parameter axis (breakpoints, segment thirds, crossings) stays on
-Fractions.  ``omega`` and ``merged_strand_value`` key their arguments the
-same way and wrap the integer evaluators.
+A trace runs on one integer scale too (see ``alpha_trace``): its
+breakpoints, the affine tracks of each segment, their crossings and the
+continuity check are integers, with one keyed read per segment, and
+Fractions are built only for the finished MooreLoop.  ``omega`` and
+``merged_strand_value`` key their arguments the same way and wrap the
+integer evaluators.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .pam import DomainError
+from .pam import UNIT, DomainError
 from .intervals import CLOSED, OPEN, _frac, _positive
 from .labeled import (
     E1_LEFT,
@@ -29,9 +32,8 @@ from .labeled import (
     _decompose_keys,
     _interval,
     _num,
-    lc_sorted,
 )
-from .tensor import BASEPOINT, bm_canon, norm_circle
+from .tensor import bm_canon, norm_circle
 
 
 class TraceError(Exception):
@@ -114,17 +116,24 @@ def scan_core(windows, pam, u, t):
     with S the scale of the index: the window (t - 1, t + 1) is clipped and
     decomposed on endpoint keys, and each unit is evaluated there, so the
     only Fraction built is its value.  Replacing an elementary piece
-    closes the outer ends that keep adjacent windows consistent: an
-    anchored single piece with an open cut end gets its window end closed,
-    and for a cut pair the cut parity picks which strand's outer end
-    closes.
+    closes the outer ends that keep adjacent windows consistent (see
+    ``_units``).
     """
     u, t = _frac(u), _frac(t)
     k = lcm(2 * windows.scale, u.denominator, t.denominator)
     s, c = _num(u, k), _num(t, k)
     lo, hi = c - k, c + k
     items, _ = _decompose_keys(windows.clip(k, lo, hi), k, lo, hi, pam)
-    out = []
+    return [(Fraction(_unit_value(keys, s, k), k), m) for keys, m in _units(items)]
+
+
+def _units(items):
+    """Each keyed elementary item as (keys, label), its outer ends closed.
+
+    An anchored single piece with an open cut end gets its window end
+    closed, and for a cut pair the cut parity picks which strand's outer
+    end closes.  ``keys`` holds one key, or the two strands of a cut pair.
+    """
     for e in items:
         if e[0]:
             _, (a0, a1, p, q), (b0, b1, bp, bq), m = e
@@ -132,16 +141,21 @@ def scan_core(windows, pam, u, t):
                 bq = CLOSED
             else:
                 p = CLOSED
-            val = _merged_strand((a0, a1, p, q), (b0, b1, bp, bq), s, k)
+            yield ((a0, a1, p, q), (b0, b1, bp, bq)), m
         else:
             _, (a0, a1, p, q), m, kind = e
             if kind == E1_LEFT and q == OPEN:
                 p = CLOSED
             elif kind == E1_RIGHT and p == OPEN:
                 q = CLOSED
-            val = _omega((a0, a1, p, q), s, k)
-        out.append((Fraction(val, k), m))
-    return out
+            yield ((a0, a1, p, q),), m
+
+
+def _unit_value(keys, s, k):
+    """The value over k of a unit from ``_units`` at s."""
+    if len(keys) == 2:
+        return _merged_strand(*keys, s, k)
+    return _omega(keys[0], s, k)
 
 
 def alpha_eval(xi, u, pam, t=None):
@@ -190,113 +204,166 @@ def loop_eval(loop, u, pam):
         seg = i - 1
     else:
         seg = i - 1 if i > 0 else 0
-    return bm_canon(pam, _track_values(loop.segments[seg], u))
+    return _segment_value(loop, seg, u, pam)
 
 
-def _track_values(tracks, u):
-    """The (value, label) emission of each affine track at u."""
-    return [(norm_circle(c1 * u + c0), m) for c1, c0, m in tracks]
-
-
-def _segment_tracks(windows, pam, lo, hi):
-    """Derive the affine tracks of one combinatorially stable segment."""
-    step = (hi - lo) / 3
-    u1, u2 = lo + step, hi - step
-    pts1 = scan_core(windows, pam, u1, u1)
-    pts2 = scan_core(windows, pam, u2, u2)
-    if [m for _, m in pts1] != [m for _, m in pts2]:
-        raise TraceError(
-            "window structure changed inside segment (%s, %s)" % (lo, hi)
-        )
-    tracks = []
-    for (v1, m), (v2, _) in zip(pts1, pts2):
-        if v1 == BASEPOINT and v2 == BASEPOINT:
-            continue
-        if v1 == BASEPOINT or v2 == BASEPOINT:
-            raise TraceError(
-                "track hits the basepoint inside segment (%s, %s)" % (lo, hi)
-            )
-        c1 = (v2 - v1) / (u2 - u1)
-        if c1 not in (-1, 0, 1):
-            raise TraceError(
-                "track slope %s outside {-1, 0, 1} in segment (%s, %s)"
-                % (c1, lo, hi)
-            )
-        tracks.append((int(c1), v1 - c1 * u1, m))
-    mid = (lo + hi) / 2
-    pts3 = scan_core(windows, pam, mid, mid)
-    actual = [(v, m) for v, m in pts3 if v != BASEPOINT]
-    if _track_values(tracks, mid) != actual:
-        raise TraceError(
-            "tracks in segment (%s, %s) are not affine" % (lo, hi)
-        )
-    return tuple(tracks)
+def _segment_value(loop, i, u, pam):
+    """``bm_canon`` of the tracks of segment i at u."""
+    return bm_canon(pam, [(norm_circle(c1 * u + c0), m) for c1, c0, m in loop.segments[i]])
 
 
 def alpha_trace(xi, s, pam):
     """Trace the full loop of a configuration over [0, s].
 
-    Breakpoints start from all endpoint shifts by half-units, are refined at
-    in-segment track crossings, and the finished loop is checked for its
-    invariants: empty value at both ends, one-sided continuity everywhere,
-    and crossing-free segments.
+    Breakpoints start from 0, s and every endpoint shifted by +-1/2 and
+    +-1, segments are split where two of their tracks cross, and the loop
+    is checked for its invariants: empty value at both ends and one-sided
+    continuity at every breakpoint.
 
-    Windows are read through one WindowIndex, so a window costs a bisection
-    plus the pieces near it.  A refinement round derives tracks only for the
-    segments that a crossing split; every other segment keeps the tracks of
-    the round that derived it.
+    The whole trace runs on one integer scale T = 4 * lcm(2S, s.denominator)
+    (``k`` below), with S the scale of the configuration's WindowIndex.
+    T / S is a multiple of 8, T / 2 a multiple of 4 and s * T a multiple
+    of 4, so every initial breakpoint is a multiple of 4 over T, and the
+    midpoint m of a segment is an even integer with m - 1 and m + 1 inside
+    it.
+
+    Inside a segment nothing combinatorial moves.  No endpoint crosses a
+    window end, as every endpoint +-1 is a breakpoint, so the window
+    content, its normal form and its decomposition stay the same except
+    for the clipped ends, which sit on the window ends and move with the
+    centre; no endpoint lies on a window end either.  No endpoint +-1/2 is
+    crossed, and a clipped end stays a whole unit from the centre, so each
+    unit stays on one branch of ``_omega`` or ``_merged_strand``: the
+    basepoint, a constant, or a ramp of slope -1, 0 or 1 whose values lie
+    strictly inside (-T, T).  (A clipped piece whose other end passes the
+    centre changes its length test there, and both branches give the same
+    ramp.)  So each unit is an affine track on the whole segment: one keyed
+    decomposition at m gives its value there, and its value at m + 1 with
+    the clipped ends moved by one gives the slope c1, and c0 is the value
+    at m less c1 * m.  Every key and T / 2 is even, so the value at an even
+    parameter and c0 are even.  For the same reasons the four checks of
+    the three-point derivation that the tests keep as an oracle cannot
+    fail: two reads inside one segment have the same labels, no track
+    meets the basepoint inside unless it stays there, every slope is -1, 0
+    or 1, and the tracks are affine at m.
+
+    Two tracks with slopes differing by 1 or 2 and even intercepts cross
+    at an integer.  The parts of a split segment keep their parent's
+    tracks, and two affine tracks cross at most once, so no part has a
+    crossing inside and one crossing pass is enough.
+
+    The end and continuity checks compare, at each breakpoint x, the map
+    that takes each track value other than the basepoint T to the sum of
+    its labels, unit totals dropped, once the labels of that side are
+    jointly summable.  ``bm_canon`` of the same tracks at x / T groups the
+    values off the basepoint the same way, sums each group and drops unit
+    totals, and a BMElement is exactly that set of (value, total) points.
+    Division by T is one to one, so two maps are equal exactly when the
+    two ``bm_canon`` values are.
+
+    Fractions are built for the MooreLoop, and to word an error: a window
+    that fails to decompose is read again by ``scan_core`` a third of the
+    way along its segment, and the error names that window; an unsummable
+    side, a discontinuity or a non-empty end is worded through
+    ``bm_canon``.
     """
     s = _positive(s, "loop length")
-    xi = lc_sorted(xi)
-    ends = sorted({x for j, _ in xi for x in (j.u, j.v)})
-    cand = {Fraction(0), s}
-    for e in ends:
-        for d in (-1, Fraction(-1, 2), Fraction(1, 2), 1):
-            t = e + d
-            if 0 < t < s:
-                cand.add(t)
-    breakpoints = sorted(cand)
-
     windows = WindowIndex(xi)
-    known = {}
-    for _ in range(4):
-        spans = list(zip(breakpoints, breakpoints[1:]))
-        crossings = set()
-        for lo, hi in spans:
-            if (lo, hi) in known:
-                # an unsplit segment has no crossing inside it
-                continue
-            tracks = known[lo, hi] = _segment_tracks(windows, pam, lo, hi)
-            for i in range(len(tracks)):
-                for k in range(i + 1, len(tracks)):
-                    c1a, c0a, _ = tracks[i]
-                    c1b, c0b, _ = tracks[k]
-                    if c1a != c1b:
-                        u_star = Fraction(c0b - c0a, c1a - c1b)
-                        if lo < u_star < hi:
-                            crossings.add(u_star)
-        if not crossings:
-            break
-        breakpoints = sorted(set(breakpoints) | crossings)
-    else:
-        raise TraceError("track crossings kept appearing after refinement")
+    k = 4 * lcm(2 * windows.scale, s.denominator)
+    f, half, end = k // windows.scale, k // 2, _num(s, k)
+    grid = {0, end}
+    for (u, v, _, _), _ in windows._keys:
+        for x in (u * f, v * f):
+            for t in (x - k, x - half, x + half, x + k):
+                if 0 < t < end:
+                    grid.add(t)
+    grid = sorted(grid)
 
-    segments = tuple(known[span] for span in spans)
-    loop = MooreLoop(s=s, breakpoints=tuple(breakpoints), segments=segments)
-    _check_loop_invariants(loop, pam)
+    points, tracks, loop_tracks = [], [], []
+    for lo, hi in zip(grid, grid[1:]):
+        try:
+            seg = _segment_tracks(windows, pam, k, (lo + hi) // 2)
+        except DomainError:
+            u = Fraction(2 * lo + hi, 3 * k)
+            scan_core(windows, pam, u, u)
+            raise
+        exact = tuple((c1, Fraction(c0, k), m) for c1, c0, m in seg)
+        for x in [lo] + _crossings(seg, lo, hi):
+            points.append(x)
+            tracks.append(seg)
+            loop_tracks.append(exact)
+    points.append(end)
+
+    loop = MooreLoop(
+        s=s,
+        breakpoints=tuple(Fraction(x, k) for x in points),
+        segments=tuple(loop_tracks),
+    )
+    if _circle_sums(loop, 0, tracks, 0, k, pam):
+        raise TraceError("loop value at 0 is not the empty element")
+    if _circle_sums(loop, -1, tracks, end, k, pam):
+        raise TraceError("loop value at %s is not the empty element" % s)
+    for i in range(1, len(points) - 1):
+        left = _circle_sums(loop, i - 1, tracks, points[i], k, pam)
+        right = left if tracks[i] is tracks[i - 1] else _circle_sums(loop, i, tracks, points[i], k, pam)
+        if left != right:
+            x = loop.breakpoints[i]
+            raise TraceError(
+                "loop discontinuity at breakpoint %s: %r vs %r"
+                % (x, _segment_value(loop, i - 1, x, pam), _segment_value(loop, i, x, pam))
+            )
     return loop
 
 
-def _check_loop_invariants(loop, pam):
-    if not loop_eval(loop, 0, pam).is_empty:
-        raise TraceError("loop value at 0 is not the empty element")
-    if not loop_eval(loop, loop.s, pam).is_empty:
-        raise TraceError("loop value at %s is not the empty element" % loop.s)
-    for i in range(1, len(loop.breakpoints) - 1):
-        bp = loop.breakpoints[i]
-        left = bm_canon(pam, _track_values(loop.segments[i - 1], bp))
-        right = bm_canon(pam, _track_values(loop.segments[i], bp))
-        if left != right:
-            raise TraceError(
-                "loop discontinuity at breakpoint %s: %r vs %r" % (bp, left, right)
-            )
+def _segment_tracks(windows, pam, k, m):
+    """The (c1, c0, label) tracks, c0 over k, of the segment with midpoint m.
+
+    The window (m - k, m + k) is decomposed once on keys; a unit at the
+    basepoint at m is there on the whole segment and leaves no track.
+    """
+    a, b = m - k, m + k
+    items, _ = _decompose_keys(windows.clip(k, a, b), k, a, b, pam)
+    out = []
+    for keys, label in _units(items):
+        val = _unit_value(keys, m, k)
+        if val == k:
+            continue
+        moved = tuple((u + 1 if u == a else u, v + 1 if v == b else v, p, q) for u, v, p, q in keys)
+        c1 = _unit_value(moved, m + 1, k) - val
+        out.append((c1, val - c1 * m, label))
+    return out
+
+
+def _crossings(tracks, lo, hi):
+    """The sorted integer parameters strictly inside (lo, hi) where two tracks cross."""
+    out = set()
+    for i, (c1a, c0a, _) in enumerate(tracks):
+        for c1b, c0b, _ in tracks[i + 1 :]:
+            if c1a != c1b:
+                x = (c0b - c0a) // (c1a - c1b)
+                if lo < x < hi:
+                    out.add(x)
+    return sorted(out)
+
+
+def _circle_sums(loop, i, tracks, x, k, pam):
+    """The value -> label total map of segment i's tracks at x, over k.
+
+    Values at the basepoint k and unit totals are dropped.  When the labels
+    are not jointly summable, ``bm_canon`` of the loop's tracks raises the
+    error, worded as it words it.
+    """
+    labels, totals = [], {}
+    for c1, c0, m in tracks[i]:
+        val = _norm(c1 * x + c0, k)
+        if val != k and m != UNIT:
+            labels.append(m)
+            totals.setdefault(val, []).append(m)
+    if pam.sum_tuple(labels) is None:
+        _segment_value(loop, i, Fraction(x, k), pam)
+    out = {}
+    for val, ms in totals.items():
+        total = pam.sum_tuple(ms)
+        if total != UNIT:
+            out[val] = total
+    return out

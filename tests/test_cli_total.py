@@ -44,6 +44,14 @@ CASES = [
     (2, ["config", "eq", "--pam", "{m3}", "--method", "bogus", "[0,1):a", "[0,1):a"], None),
     (2, ["config", "eq", "--pam", "{m3}", "--depth", "x", "[0,1):a", "[0,1):a"], None),
     (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "-3", "(0,2]:c", "(0,2]:a"], None),
+    # --depth takes ASCII digits only: Arabic-Indic and fullwidth digits,
+    # a plus sign, spaces and underscores are usage errors
+    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "\u0663", "[0,1):a", "[0,1):a"], None),
+    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "\uff13", "[0,1):a", "[0,1):a"], None),
+    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "+3", "[0,1):a", "[0,1):a"], None),
+    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", " 3", "[0,1):a", "[0,1):a"], None),
+    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "1_0", "[0,1):a", "[0,1):a"], None),
+    (0, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "3", "[0,1):a", "[0,1):a"], "equal\n"),
     (2, ["alpha", "eval", "--pam", "{m3}", "(1,3]:a"], None),
     # pam check
     (0, ["pam", "check", "{m3}"], "ok: M3 (4 elements, 1 sums)\n"),

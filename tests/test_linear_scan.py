@@ -1,14 +1,18 @@
-"""Integer window reads, indexed scans and split-only refinement against their slow oracles.
+"""Integer window reads, indexed scans and the integer trace against their slow oracles.
 
 The oracle scan reads every window by clipping every piece on Fractions,
 decomposes it by listing matchings, and evaluates each unit with the
-Fraction ``omega``; it recomputes every segment in each refinement round.
-The library clips, decomposes and evaluates on integer keys over one scale
-per read, and must agree with the oracle byte for byte, error texts
-included.  The index bisects integer endpoints, and the Fraction bisection
-it replaced must find the same slices.  The work guards count clipped
-pieces, built Intervals and derived segments, so a quadratic scan or a
-scan that falls back to Fractions cannot return without a failing test.
+Fraction ``omega``.  The oracle parameter axis derives each segment's
+tracks from three window reads on Fractions, refines split segments in
+rounds and checks the loop through ``bm_canon``; it runs over the
+Fraction reads or over the keyed ``scan_core``.  The library clips,
+decomposes and evaluates on integer keys over one scale per read, traces
+on one integer scale with one read per segment, and must agree with the
+oracles byte for byte, error texts included.  The index bisects integer
+endpoints, and the Fraction bisection it replaced must find the same
+slices.  The work guards count clipped pieces, built Intervals, window
+decompositions and Fractions, so a quadratic scan or a scan that falls
+back to Fractions cannot return without a failing test.
 """
 
 import random
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import accumulate
 from math import lcm
-from unittest import mock
 
 import pytest
 
@@ -31,12 +34,15 @@ from pamscan import (
     DomainError,
     Elem2,
     Interval,
+    MooreLoop,
     TraceError,
     WindowIndex,
     alpha_trace,
+    bm_canon,
     in_T_labeled,
     is_admissible,
     lc_sorted,
+    loop_eval,
     norm_circle,
     omega,
     restrict,
@@ -143,41 +149,115 @@ def oracle_scan_core(windows, pam, u, t):
     return [(unit.value(u), unit.label) for unit in units]
 
 
-def oracle_trace(xi, s, pam):
-    """alpha_trace with Fraction window reads and full-recompute refinement."""
+def _track_values(tracks, u):
+    """The (value, label) emission of each affine track at u."""
+    return [(norm_circle(c1 * u + c0), m) for c1, c0, m in tracks]
+
+
+def oracle_segment_tracks(read, windows, pam, lo, hi):
+    """Derive the affine tracks of one segment from three window reads."""
+    step = (hi - lo) / 3
+    u1, u2 = lo + step, hi - step
+    pts1 = read(windows, pam, u1, u1)
+    pts2 = read(windows, pam, u2, u2)
+    if [m for _, m in pts1] != [m for _, m in pts2]:
+        raise TraceError(
+            "window structure changed inside segment (%s, %s)" % (lo, hi)
+        )
+    tracks = []
+    for (v1, m), (v2, _) in zip(pts1, pts2):
+        if v1 == BASEPOINT and v2 == BASEPOINT:
+            continue
+        if v1 == BASEPOINT or v2 == BASEPOINT:
+            raise TraceError(
+                "track hits the basepoint inside segment (%s, %s)" % (lo, hi)
+            )
+        c1 = (v2 - v1) / (u2 - u1)
+        if c1 not in (-1, 0, 1):
+            raise TraceError(
+                "track slope %s outside {-1, 0, 1} in segment (%s, %s)"
+                % (c1, lo, hi)
+            )
+        tracks.append((int(c1), v1 - c1 * u1, m))
+    mid = (lo + hi) / 2
+    pts3 = read(windows, pam, mid, mid)
+    actual = [(v, m) for v, m in pts3 if v != BASEPOINT]
+    if _track_values(tracks, mid) != actual:
+        raise TraceError(
+            "tracks in segment (%s, %s) are not affine" % (lo, hi)
+        )
+    return tuple(tracks)
+
+
+def oracle_check_loop_invariants(loop, pam):
+    """Empty ends and one-sided continuity, compared through ``bm_canon``."""
+    if not loop_eval(loop, 0, pam).is_empty:
+        raise TraceError("loop value at 0 is not the empty element")
+    if not loop_eval(loop, loop.s, pam).is_empty:
+        raise TraceError("loop value at %s is not the empty element" % loop.s)
+    for i in range(1, len(loop.breakpoints) - 1):
+        bp = loop.breakpoints[i]
+        left = bm_canon(pam, _track_values(loop.segments[i - 1], bp))
+        right = bm_canon(pam, _track_values(loop.segments[i], bp))
+        if left != right:
+            raise TraceError(
+                "loop discontinuity at breakpoint %s: %r vs %r" % (bp, left, right)
+            )
+
+
+def _initial_grid(xi, s):
+    """0, s and every endpoint +-1/2 and +-1 inside (0, s), on Fractions."""
+    grid = {F(0), s}
+    for x in {x for j, _ in xi for x in (j.u, j.v)}:
+        grid.update(t for t in (x - 1, x - F(1, 2), x + F(1, 2), x + 1) if 0 < t < s)
+    return sorted(grid)
+
+
+def oracle_refined_trace(read, windows, xi, s, pam):
+    """The Fraction parameter axis: thirds, refinement rounds, bm_canon checks.
+
+    Breakpoints start from ``_initial_grid``; each segment is derived by
+    ``oracle_segment_tracks`` through ``read``, and a round derives again
+    only the segments that an in-segment crossing split.
+    """
     s = F(s)
     if s <= 0:
         raise DomainError("loop length must be positive")
-    xi = lc_sorted(xi)
-    windows = FullScan(xi)
-    cand = {F(0), s}
-    for e in sorted({x for j, _ in xi for x in (j.u, j.v)}):
-        for d in (-1, F(-1, 2), F(1, 2), 1):
-            if 0 < e + d < s:
-                cand.add(e + d)
-    breakpoints = sorted(cand)
-    with mock.patch.object(scanning, "scan_core", oracle_scan_core):
-        for _ in range(4):
-            spans = list(zip(breakpoints, breakpoints[1:]))
-            segments = [scanning._segment_tracks(windows, pam, lo, hi) for lo, hi in spans]
-            crossings = set()
-            for (lo, hi), tracks in zip(spans, segments):
-                for i in range(len(tracks)):
-                    for k in range(i + 1, len(tracks)):
-                        c1a, c0a, _ = tracks[i]
-                        c1b, c0b, _ = tracks[k]
-                        if c1a != c1b:
-                            u_star = F(c0b - c0a, c1a - c1b)
-                            if lo < u_star < hi:
-                                crossings.add(u_star)
-            if not crossings:
-                break
-            breakpoints = sorted(set(breakpoints) | crossings)
-        else:
-            raise TraceError("track crossings kept appearing after refinement")
-    loop = scanning.MooreLoop(s, tuple(breakpoints), tuple(segments))
-    scanning._check_loop_invariants(loop, pam)
+    breakpoints = _initial_grid(xi, s)
+    known = {}
+    for _ in range(4):
+        spans = list(zip(breakpoints, breakpoints[1:]))
+        crossings = set()
+        for lo, hi in spans:
+            if (lo, hi) in known:
+                continue
+            tracks = known[lo, hi] = oracle_segment_tracks(read, windows, pam, lo, hi)
+            for i in range(len(tracks)):
+                for k in range(i + 1, len(tracks)):
+                    c1a, c0a, _ = tracks[i]
+                    c1b, c0b, _ = tracks[k]
+                    if c1a != c1b:
+                        u_star = F(c0b - c0a, c1a - c1b)
+                        if lo < u_star < hi:
+                            crossings.add(u_star)
+        if not crossings:
+            break
+        breakpoints = sorted(set(breakpoints) | crossings)
+    else:
+        raise TraceError("track crossings kept appearing after refinement")
+    loop = MooreLoop(s, tuple(breakpoints), tuple(known[span] for span in spans))
+    oracle_check_loop_invariants(loop, pam)
     return loop
+
+
+def oracle_trace(xi, s, pam):
+    """The refined Fraction parameter axis over Fraction window reads."""
+    return oracle_refined_trace(oracle_scan_core, FullScan(xi), lc_sorted(xi), s, pam)
+
+
+def oracle_axis_trace(xi, s, pam):
+    """The refined Fraction parameter axis over the keyed ``scan_core``."""
+    return oracle_refined_trace(scanning.scan_core, WindowIndex(xi), lc_sorted(xi), s, pam)
 
 
 def oracle_sweep_points(xi, eps):
@@ -369,22 +449,47 @@ def test_clipped_pieces_grow_linearly(m3, monkeypatch):
     assert 0 < counts[32] <= 2.5 * counts[16], counts
 
 
-def test_refinement_derives_only_split_segments(m3, monkeypatch):
-    calls = []
-    derive = scanning._segment_tracks
-
-    def counting(*args):
-        calls.append(args[2:])
-        return derive(*args)
-
-    monkeypatch.setattr(scanning, "_segment_tracks", counting)
+def test_trace_reads_each_grid_segment_once(m3, monkeypatch):
     xi, s = _pair_chain(8)
     # one pair whose facing tracks cross inside a segment
     xi += parse_config("[57,117/2):a [59,61):b", m3)
-    loop = alpha_trace(xi, s + 7, m3)
-    assert len(set(calls)) == len(calls)
-    # the single split segment is derived once before and once per part
-    assert len(calls) == len(loop.segments) + 1
+    s += 7
+    windows, scans, built = [], [], []
+    decompose, scan = scanning._decompose_keys, scanning.scan_core
+
+    def counting_decompose(keyed, k, lo, hi, pam):
+        windows.append((lo, hi, k))
+        return decompose(keyed, k, lo, hi, pam)
+
+    def counting_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    new = vars(F)["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls)
+        return new.__func__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(scanning, "_decompose_keys", counting_decompose)
+    monkeypatch.setattr(scanning, "scan_core", counting_scan)
+    F.__new__ = staticmethod(counting_new)
+    try:
+        loop = alpha_trace(xi, s, m3)
+    finally:
+        F.__new__ = new
+    grid = _initial_grid(xi, s)
+    # exactly one keyed decomposition per segment of the initial grid, at
+    # its midpoint, and none for the parts of the segment a crossing split
+    assert len(loop.segments) > len(grid) - 1
+    assert sorted((F(lo, k), F(hi, k)) for lo, hi, k in windows) == [
+        ((a + b) / 2 - 1, (a + b) / 2 + 1) for a, b in zip(grid, grid[1:])
+    ]
+    assert scans == []
+    # the only Fractions are the loop's breakpoints and the intercepts of
+    # each derived segment, shared by its parts: none per read
+    derived = {id(t): len(t) for t in loop.segments}
+    assert len(built) <= len(loop.breakpoints) + sum(derived.values()), (len(built), len(windows))
 
 
 def test_large_lcm_chain_matches_oracle(m3):
@@ -407,7 +512,12 @@ READ_ERRORS = ("is not elementary", "collide but", "no matching makes", "coincid
 
 def _q(rng, lo, hi):
     """A rational in [lo, hi] over one of DENS."""
-    d = rng.choice(DENS)
+    return _q_over(rng, DENS, lo, hi)
+
+
+def _q_over(rng, dens, lo, hi):
+    """A rational in [lo, hi] over one of ``dens``."""
+    d = rng.choice(dens)
     return F(rng.randint(lo * d, hi * d), d)
 
 
@@ -536,3 +646,48 @@ def test_scan_reads_build_no_interval_per_window(m3, monkeypatch):
     assert calls["Interval"] <= len(xi), (calls, len(xi))
     assert calls["clip_interval"] <= len(xi), (calls, len(xi))
     assert calls["decompose_window"] == 0, calls
+
+
+OVERLAP_DENS = (2, 3, 4, 6)
+
+
+def _overlapping(rng, labels):
+    """1 to 5 pieces that may overlap, ends in [0, 12] over 2, 3, 4 or 6, and a length s."""
+    xi = []
+    for _ in range(rng.randint(1, 5)):
+        u = _q_over(rng, OVERLAP_DENS, 0, 11)
+        v = min(u + _q_over(rng, OVERLAP_DENS, 0, 4), F(12))
+        p, q = rng.choice((OPEN, CLOSED)), rng.choice((OPEN, CLOSED))
+        xi.append((Interval(u, v, p, -p if u == v else q), rng.choice(labels)))
+    s = max(j.v for j, _ in xi) + _q_over(rng, OVERLAP_DENS, -1, 2)
+    return xi, s if s > 0 else F(1)
+
+
+def test_integer_trace_matches_fraction_axis(m3, z2):
+    # 5,000 traces against the three-point derivation, its refinement
+    # rounds and the bm_canon checks over the keyed scan_core: 250
+    # relabelled admissible chains and 1,000 overlapping draws per carrier
+    seen = dict.fromkeys(("ok", "split", "empty end", "discontinuity", "DecomposeError", "DomainError"), 0)
+    for pam in (m3, z2, cyclic_pam(5), truncated_pam(6)):
+        rng = random.Random("trace-" + pam.name)
+        labels = [m for m in pam.elements if m != "0"]
+        for n in range(1250):
+            if n < 250:
+                xi, s = rand_admissible(rng, 2)
+                if pam is not m3 or n % 2:
+                    rel = {m: rng.choice(labels) for m in "abc"}
+                    xi = [(j, rel[m]) for j, m in xi]
+            else:
+                xi, s = _overlapping(rng, labels)
+            fast = _trace_text(alpha_trace, xi, s, pam)
+            assert fast == _trace_text(oracle_axis_trace, xi, s, pam), (xi, s, pam.name)
+            if fast.startswith("moore"):
+                seen["ok"] += 1
+                seen["split"] += fast.count("breakpoint") > len(_initial_grid(xi, F(s)))
+            elif "not the empty element" in fast:
+                seen["empty end"] += 1
+            elif "discontinuity" in fast:
+                seen["discontinuity"] += 1
+            else:
+                seen[fast.split(":")[0]] += 1
+    assert min(seen.values()) >= 10, seen
