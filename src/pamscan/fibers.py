@@ -24,7 +24,7 @@ from .labeled import (
     translate_config,
 )
 from .scanning import path_eval_at_zero
-from .tensor import BMElement
+from .tensor import BMElement, bm_canon
 
 
 def _check_unit_t(t):
@@ -138,8 +138,6 @@ def base_homotopy(z, t, pam):
         else:
             v = 2 * u / (2 - t)
         pairs.append((v, m))
-    from .tensor import bm_canon
-
     return bm_canon(pam, pairs)
 
 

@@ -41,7 +41,9 @@ def in_T_labeled(xi, pam, witness=False):
 
     A compatible interval multiset short-circuits to True: all of its
     sub-multisets are compatible, so neither direction of the tensor
-    condition has anything to force.
+    condition has anything to force.  A witness is on the "first" side:
+    a failing clique of pairwise insummable labels has two overlapping
+    pieces, and those fail first on the interval side.
     """
     xi = list(xi)
     for _, m in xi:
@@ -532,86 +534,65 @@ def decompose_window(xi_t, a, b, pam):
     the first valid matching in the order that prefers, left by left, the
     first free partner over none, along with the number of valid matchings.
 
-    Nothing is listed: ``_count_matchings`` counts the valid matchings, and
-    the first one is first fit, each left piece in turn taking the first
-    free compatible right piece.  Left pieces come in order of their cuts,
-    so each has the most partners of those still to come, and its first
-    free partner is the one the fewest of them can use; trading partners
-    puts that pair in a maximum matching of what is left.  So first fit
-    keeps a maximum completion at every step, and that completion has the
-    fewest labels: a part of a summable tuple sums, so it is valid whenever
-    any matching is.
-
-    The work is done by ``_decompose_keys`` on integer endpoints over the
-    lcm of every denominator, a and b included; this function only keys
-    the content and builds the Intervals of the result.
+    Nothing is listed.  The first valid matching is first fit, each left
+    piece in turn taking the first free compatible right piece.  Left
+    pieces come in order of their cuts, so each has the most partners of
+    those still to come, and its first free partner is the one the fewest
+    of them can use; trading partners puts that pair in a maximum matching
+    of what is left.  So first fit keeps a maximum completion at every
+    step, and that completion has the fewest labels: a part of a summable
+    tuple sums, so it is valid whenever any matching is.  The read
+    (``_decompose_keys``, on integer endpoints over the lcm of every
+    denominator, a and b included) checks first fit alone, and the count
+    is made here, by ``_count_matchings``, only for the result.
     """
     a, b = _frac(a), _frac(b)
     xi_t = tuple(xi_t)
-    for _, m in xi_t:
-        pam.check_element(m)
     scale = lcm(a.denominator, b.denominator, *(x.denominator for j, _ in xi_t for x in (j.u, j.v)))
     keyed = _keys_over(xi_t, scale)
     keyed.sort()
-    items, n = _decompose_keys(keyed, scale, _num(a, scale), _num(b, scale), pam)
-    return _decomp_result(items, n, scale)
+    items = _decompose_keys(keyed, scale, _num(a, scale), _num(b, scale), pam)
+    return _decomp_result(items, scale, pam)
 
 
-def _decomp_result(items, n, scale):
-    """The DecompResult of keyed elementary ``items`` over ``scale``."""
+def _decomp_result(items, scale, pam):
+    """The DecompResult of keyed elementary ``items`` over ``scale``, counted."""
     out = []
     for e in items:
         if e[0]:
             out.append(Elem2(_interval(e[1], scale), _interval(e[2], scale), e[3]))
         else:
             out.append(Elem1(e[3], _interval(e[1], scale), e[2]))
-    return DecompResult(items=tuple(out), count=n)
-
-
-def _window_text(lo, hi, scale):
-    return "window (%s, %s)" % (Fraction(lo, scale), Fraction(hi, scale))
+    return DecompResult(items=tuple(out), count=_count_matchings(pam, items))
 
 
 def _decompose_keys(keyed, scale, lo, hi, pam):
-    """``decompose_window`` on integers: every step on endpoint keys over ``scale``.
+    """First fit of ``decompose_window`` on integers, over ``scale``.
 
     ``keyed`` holds the window content as sorted (key, label, interval)
     triples and (lo, hi) is the window, all integers over ``scale``.
-    Returns the elementary items and the number of valid matchings.  An
-    item is (0, key, label, kind) for a single piece and (1, left key,
-    right key, label) for a cut pair; items sort as the ``sort_key`` of
-    Elem1 and Elem2 sorts them.  A normal form that chains is compatible,
-    which decides tensor membership at once (see ``in_T_labeled``);
-    otherwise ``in_T_labeled`` runs on its rebuilt Intervals.  Beyond that
-    fallback, Intervals and Fractions are built only to word an error.
+    Returns the elementary items of first fit.  An item is (0, key, label,
+    kind) for a single piece and (1, left key, right key, label) for a cut
+    pair; items sort as the ``sort_key`` of Elem1 and Elem2 sorts them.
+
+    A read is four steps: normal form, classify, first fit, and one sum of
+    first fit's labels, a cut pair's label once.  Some matching is valid
+    exactly when that sum is defined (see ``decompose_window``), and then
+    the window is in the tensor region: the two pieces of a cut pair chain
+    (kl ends before kr starts), so a clique of overlapping pieces holds at
+    most one of them, and its labels, a part of the summed tuple, sum.  The
+    label side then holds too (see ``in_T_labeled``).  So only a failing
+    read builds Intervals and runs ``in_T_labeled``, whose error wins.
     """
     for _, m, _ in keyed:
         pam.check_element(m)
     w = _normal_keys(keyed, pam, scale)
-    if not all(
-        x[1] < y[0] or (x[1] == y[0] and x[3] != y[2]) for (x, _, _), (y, _, _) in zip(w, w[1:])
-    ):
-        pieces = [(_interval(key, scale), m) for key, m, _ in w]
-        ok, wit = in_T_labeled(pieces, pam, witness=True)
-        if not ok:
-            side, idx = wit
-            labels = [pieces[i][1] for i in idx]
-            if side == "second":
-                raise DecomposeError(
-                    "%s: labels %r are pairwise insummable but their "
-                    "intervals do not merge" % (_window_text(lo, hi, scale), labels)
-                )
-            raise DecomposeError(
-                "%s: pieces %r collide but their labels %r are not jointly summable"
-                % (_window_text(lo, hi, scale), [pieces[i][0] for i in idx], labels)
-            )
     items, lefts, rights = [], [], []
     for key, m, _ in w:
         kind = _classify(key, lo, hi)
         if kind is None:
-            raise DecomposeError(
-                "%s: piece %r:%s is not elementary"
-                % (_window_text(lo, hi, scale), _interval(key, scale), m)
+            raise _read_error(
+                w, scale, lo, hi, pam, "piece %r:%s is not elementary" % (_interval(key, scale), m)
             )
         if kind == E1_LEFT:
             lefts.append((key, m))
@@ -619,13 +600,6 @@ def _decompose_keys(keyed, scale, lo, hi, pam):
             rights.append((key, m))
         else:
             items.append((0, key, m, kind))
-
-    n = _count_matchings(pam, [e[2] for e in items], lefts, rights)
-    if not n:
-        raise DecomposeError(
-            "%s: no matching makes the label multiset summable (content %r)"
-            % (_window_text(lo, hi, scale), [(_interval(key, scale), m) for key, m, _ in w])
-        )
     for kl, ml in lefts:
         kr = next((kr for kr, mr in rights if mr == ml and kl[1] < kr[0] and kl[3] + kr[2] == 0), None)
         if kr is None:
@@ -634,31 +608,59 @@ def _decompose_keys(keyed, scale, lo, hi, pam):
             rights.remove((kr, ml))
             items.append((1, kl, kr, ml))
     items.extend((0, kr, mr, E1_RIGHT) for kr, mr in rights)
+    if pam.sum_tuple([e[3] if e[0] else e[2] for e in items]) is None:
+        raise _read_error(
+            w, scale, lo, hi, pam,
+            "no matching makes the label multiset summable (content %r)"
+            % ([(_interval(key, scale), m) for key, m, _ in w],),
+        )
     items.sort()
-    return items, n
+    return items
 
 
-def _count_matchings(pam, labels, lefts, rights):
-    """The number of matchings whose label tuple, with ``labels``, sums.
+def _read_error(w, scale, lo, hi, pam, reason):
+    """The DecomposeError of a failing read of ``w``; a tensor failure wins."""
+    pieces = [(_interval(key, scale), m) for key, m, _ in w]
+    ok, wit = in_T_labeled(pieces, pam, witness=True)
+    if not ok:
+        js, ms = zip(*(pieces[i] for i in wit[1]))
+        reason = "pieces %r collide but their labels %r are not jointly summable" % (list(js), list(ms))
+    return DecomposeError("window (%s, %s): %s" % (Fraction(lo, scale), Fraction(hi, scale), reason))
 
-    ``lefts`` and ``rights`` hold (key, label) pairs.  A left piece kl and
-    a right piece kr are compatible when they share a label and a cut
-    parity and kl's right end lies before kr's left end, so each board
-    (the pieces of one label and one cut parity) is a Ferrers board: the
-    partners of its rows are nested.  Taking the rows by number of partners
-    c, each row extends the board's rook numbers by
+
+def _count_matchings(pam, items):
+    """The number of valid matchings of a window whose first fit is ``items``.
+
+    ``items`` are keyed elementary items as ``_decompose_keys`` returns
+    them.  Whole and interior pieces are in every tuple; every anchored
+    piece, in a cut pair or not, may take part in a matching.  A left
+    piece kl and a right piece kr are compatible when they share a label
+    and a cut parity and kl's right end lies before kr's left end, so each
+    board (the pieces of one label and one cut parity) is a Ferrers board:
+    the partners of its rows are nested.  Taking the rows by number of
+    partners c, each row extends the board's rook numbers by
     r'[k] = r[k] + r[k-1] * (c - k + 1) (Goldman, Joichi and White, Rook
     theory I, 1975).  Boards are independent, and a board with k pairs, of
     at most K, adds K - k copies of its label to the tuple of a maximum
     matching.  That tuple is summed once, and the extra copies are folded
     in board by board through a map from partial sum to number of ways.
     """
-    boards = {}
-    for (_, v, _, q), m in lefts:
-        boards.setdefault((m, q), ([], []))[0].append(v)
-    for (u, _, p, _), m in rights:
-        boards.setdefault((m, -p), ([], []))[1].append(u)
-    labels = list(labels)
+    boards, labels = {}, []
+    for e in items:
+        if e[0]:
+            _, left, right, m = e
+        else:
+            _, key, m, kind = e
+            left = key if kind == E1_LEFT else None
+            right = key if kind == E1_RIGHT else None
+            if not (left or right):
+                labels.append(m)
+                continue
+        cuts, starts = boards.setdefault((m, left[3] if left else -right[2]), ([], []))
+        if left:
+            cuts.append(left[1])
+        if right:
+            starts.append(right[0])
     folds = []
     for (m, _), (cuts, starts) in boards.items():
         starts.sort()
@@ -719,9 +721,10 @@ def window_sweep_points(xi, eps):
 def _sweep(xi, eps, pam):
     """Decompose every window of the sweep on integers.
 
-    Yields (t, K, (items, count)) with the centre t over the scale K of
-    ``_sweep_centres``.  Windows are read through one WindowIndex, so each
-    read costs a bisection plus the pieces near the window.
+    Yields (t, K, items), first fit's keyed items with the centre t over
+    the scale K of ``_sweep_centres``.  Windows are read through one
+    WindowIndex, so each read costs a bisection plus the pieces near the
+    window.
     """
     windows = WindowIndex(xi)
     k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, eps)
@@ -733,8 +736,8 @@ def _sweep(xi, eps, pam):
 def admissibility_sweep(xi, eps, pam):
     """Decompose every combinatorially distinct window; yields (t, result)."""
     eps = _positive(eps, "eps")
-    for t, k, (items, n) in _sweep(xi, eps, pam):
-        yield Fraction(t, k), _decomp_result(items, n, k)
+    for t, k, items in _sweep(xi, eps, pam):
+        yield Fraction(t, k), _decomp_result(items, k, pam)
 
 
 @dataclass(frozen=True)
@@ -762,9 +765,10 @@ def is_admissible(xi, eps, support, pam):
     if not ok:
         return AdmissibilityReport(False, "not in the tensor region: %r" % (wit,))
     try:
-        # Every window must decompose; no count is checked.  Over a
-        # self-insummable pam a summable tuple holds each nonzero label at
-        # most once, which forces the matching, so the count is 1 there.
+        # Every window must decompose: a read checks first fit with one
+        # sum and counts nothing.  Over a self-insummable pam a summable
+        # tuple holds each nonzero label at most once, which forces the
+        # matching, so the count ``admissibility_sweep`` reports is 1 there.
         for _ in _sweep(xi, eps, pam):
             pass
     except DomainError as e:

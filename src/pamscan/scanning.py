@@ -123,7 +123,7 @@ def scan_core(windows, pam, u, t):
     k = lcm(2 * windows.scale, u.denominator, t.denominator)
     s, c = _num(u, k), _num(t, k)
     lo, hi = c - k, c + k
-    items, _ = _decompose_keys(windows.clip(k, lo, hi), k, lo, hi, pam)
+    items = _decompose_keys(windows.clip(k, lo, hi), k, lo, hi, pam)
     return [(Fraction(_unit_value(keys, s, k), k), m) for keys, m in _units(items)]
 
 
@@ -322,7 +322,7 @@ def _segment_tracks(windows, pam, k, m):
     basepoint at m is there on the whole segment and leaves no track.
     """
     a, b = m - k, m + k
-    items, _ = _decompose_keys(windows.clip(k, a, b), k, a, b, pam)
+    items = _decompose_keys(windows.clip(k, a, b), k, a, b, pam)
     out = []
     for keys, label in _units(items):
         val = _unit_value(keys, m, k)

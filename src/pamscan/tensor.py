@@ -149,9 +149,6 @@ class ConfigCarrier:
 
     is_trivial = False
 
-    def __init__(self):
-        pass
-
     def zero(self):
         return ()
 

@@ -6,10 +6,17 @@ depth-first order; the library counts by pair numbers and finds the first
 valid matching by first fit.  Both must give the same DecompResult, or
 raise the same error.  The work guard counts sums, so a decomposition that
 lists matchings cannot return without a failing test.
+
+The keyed oracle is the read that checked tensor membership and counted
+the matchings on every window before it took first fit; the library's read
+takes first fit and sums its labels once, and only a result is counted.
+Both must give the same items and counts, or raise the same error.
 """
 
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -23,13 +30,27 @@ from pamscan import (
     Elem1,
     Elem2,
     Interval,
+    WindowIndex,
+    admissibility_sweep,
     decompose_window,
     in_T_labeled,
     labeled_normalize,
+    restrict,
 )
-from pamscan.labeled import E1_INTERIOR, E1_LEFT, E1_RIGHT, E1_WHOLE
+from pamscan.labeled import (
+    E1_INTERIOR,
+    E1_LEFT,
+    E1_RIGHT,
+    E1_WHOLE,
+    _classify,
+    _interval,
+    _keys_over,
+    _normal_keys,
+    _num,
+    _sweep_centres,
+)
 
-from genutil import cyclic_pam, truncated_pam
+from genutil import cyclic_pam, rand_admissible, truncated_pam
 
 Z5 = cyclic_pam(5)
 PARITIES = (OPEN, CLOSED)
@@ -234,3 +255,179 @@ def test_sums_grow_slowly_with_the_window(monkeypatch):
         assert counts[16][name] <= 4 * counts[8][name], counts
         assert counts[32][name] <= 4 * counts[16][name], counts
 
+
+
+def _window_text(lo, hi, scale):
+    return "window (%s, %s)" % (F(lo, scale), F(hi, scale))
+
+
+def oracle_decompose_keys(keyed, scale, lo, hi, pam):
+    """The keyed read with a tensor check and a count: returns (items, count)."""
+    for _, m, _ in keyed:
+        pam.check_element(m)
+    w = _normal_keys(keyed, pam, scale)
+    if not all(
+        x[1] < y[0] or (x[1] == y[0] and x[3] != y[2]) for (x, _, _), (y, _, _) in zip(w, w[1:])
+    ):
+        pieces = [(_interval(key, scale), m) for key, m, _ in w]
+        ok, wit = in_T_labeled(pieces, pam, witness=True)
+        if not ok:
+            side, idx = wit
+            labels = [pieces[i][1] for i in idx]
+            if side == "second":
+                raise DecomposeError(
+                    "%s: labels %r are pairwise insummable but their "
+                    "intervals do not merge" % (_window_text(lo, hi, scale), labels)
+                )
+            raise DecomposeError(
+                "%s: pieces %r collide but their labels %r are not jointly summable"
+                % (_window_text(lo, hi, scale), [pieces[i][0] for i in idx], labels)
+            )
+    items, lefts, rights = [], [], []
+    for key, m, _ in w:
+        kind = _classify(key, lo, hi)
+        if kind is None:
+            raise DecomposeError(
+                "%s: piece %r:%s is not elementary"
+                % (_window_text(lo, hi, scale), _interval(key, scale), m)
+            )
+        if kind == E1_LEFT:
+            lefts.append((key, m))
+        elif kind == E1_RIGHT:
+            rights.append((key, m))
+        else:
+            items.append((0, key, m, kind))
+
+    n = oracle_count_matchings(pam, [e[2] for e in items], lefts, rights)
+    if not n:
+        raise DecomposeError(
+            "%s: no matching makes the label multiset summable (content %r)"
+            % (_window_text(lo, hi, scale), [(_interval(key, scale), m) for key, m, _ in w])
+        )
+    for kl, ml in lefts:
+        kr = next((kr for kr, mr in rights if mr == ml and kl[1] < kr[0] and kl[3] + kr[2] == 0), None)
+        if kr is None:
+            items.append((0, kl, ml, E1_LEFT))
+        else:
+            rights.remove((kr, ml))
+            items.append((1, kl, kr, ml))
+    items.extend((0, kr, mr, E1_RIGHT) for kr, mr in rights)
+    items.sort()
+    return items, n
+
+
+def oracle_count_matchings(pam, labels, lefts, rights):
+    """Valid matchings by rook numbers, from the (key, label) anchored pieces."""
+    boards = {}
+    for (_, v, _, q), m in lefts:
+        boards.setdefault((m, q), ([], []))[0].append(v)
+    for (u, _, p, _), m in rights:
+        boards.setdefault((m, -p), ([], []))[1].append(u)
+    labels = list(labels)
+    folds = []
+    for (m, _), (cuts, starts) in boards.items():
+        starts.sort()
+        rooks = [1]
+        for c in sorted(len(starts) - bisect_right(starts, v) for v in cuts):
+            if c >= len(rooks):
+                rooks.append(0)
+            rooks = [r + (k and rooks[k - 1] * (c - k + 1)) for k, r in enumerate(rooks)]
+        labels += [m] * (len(cuts) + len(starts) - len(rooks) + 1)
+        if len(rooks) > 1:
+            folds.append((m, rooks))
+    total = pam.sum_tuple(labels)
+    if total is None:
+        return 0
+    ways = {total: 1}
+    for m, rooks in folds:
+        grown = {}
+        for s, n in ways.items():
+            for r in reversed(rooks):
+                grown[s] = grown.get(s, 0) + n * r
+                s = pam.pair_sum(s, m)
+                if s is None:
+                    break
+        ways = grown
+    return sum(ways.values())
+
+
+def oracle_result(items, n, scale):
+    """The DecompResult of keyed ``items`` and the count ``n``."""
+    out = []
+    for e in items:
+        if e[0]:
+            out.append(Elem2(_interval(e[1], scale), _interval(e[2], scale), e[3]))
+        else:
+            out.append(Elem1(e[3], _interval(e[1], scale), e[2]))
+    return DecompResult(items=tuple(out), count=n)
+
+
+def oracle_keyed_window(xi_t, a, b, pam):
+    """``decompose_window`` through the keyed oracle."""
+    a, b = F(a), F(b)
+    xi_t = tuple(xi_t)
+    for _, m in xi_t:
+        pam.check_element(m)
+    scale = lcm(a.denominator, b.denominator, *(x.denominator for j, _ in xi_t for x in (j.u, j.v)))
+    keyed = sorted(_keys_over(xi_t, scale))
+    return oracle_result(*oracle_decompose_keys(keyed, scale, _num(a, scale), _num(b, scale), pam), scale)
+
+
+def oracle_keyed_sweep(xi, eps, pam):
+    """``admissibility_sweep`` through the keyed oracle, as a list."""
+    windows = WindowIndex(xi)
+    k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, F(eps))
+    out = []
+    for t in centres:
+        lo, hi = t - e, t + e
+        items, n = oracle_decompose_keys(windows.clip(k, lo, hi), k, lo, hi, pam)
+        out.append((F(t, k), oracle_result(items, n, k)))
+    return out
+
+
+def rand_pieces(rng, labels):
+    """1 to 5 pieces on a quarter grid in [-1, 3] that may overlap or touch, either parity."""
+    xi = []
+    for _ in range(rng.randint(1, 5)):
+        u = F(rng.randint(-4, 11), 4)
+        v = u + F(rng.randint(0, 6), 4)
+        p, q = rng.choice(PARITIES), rng.choice(PARITIES)
+        xi.append((Interval(u, v, p, -p if u == v else q), rng.choice(labels)))
+    return xi
+
+
+def test_first_fit_read_matches_the_counting_oracle(m3, z2):
+    # 3,000 windows per carrier, half of them anchored content with many
+    # matchings and half the clip of free pieces to the window, plus the
+    # sweeps over admissible chains and free pieces, whose windows make up
+    # the rest of the 20,000.  Reads that fail on tensor membership with a piece that is
+    # not elementary, and reads in the tensor region with no summable
+    # matching, both come up
+    seen = dict.fromkeys(("counted", "collide, not elementary", "no matching"), 0)
+    windows = 0
+    for pam in (m3, z2, Z5, truncated_pam(6)):
+        rng = random.Random("first-fit-" + pam.name)
+        labels = [m for m in pam.elements if m != "0"]
+        for n in range(3000):
+            xi = rand_window(rng, labels) if n % 2 else restrict(rand_pieces(rng, labels), 0, 2)
+            want = _outcome(oracle_keyed_window, xi, 0, 2, pam)
+            assert _outcome(decompose_window, xi, 0, 2, pam) == want, (xi, pam.name)
+            windows += 1
+            if isinstance(want, DecompResult):
+                seen["counted"] += want.count > 1
+            elif "collide but" in want[1]:
+                nf = labeled_normalize(xi, pam)
+                seen["collide, not elementary"] += any(oracle_classify(j, 0, 2) is None for j, _ in nf)
+            elif "no matching" in want[1]:
+                seen["no matching"] += 1
+        for n in range(200):
+            if n % 2:
+                xi = rand_pieces(rng, labels)
+            else:
+                xi, _ = rand_admissible(rng, 2)
+                rel = {m: rng.choice(labels) for m in "abc"}
+                xi = [(j, m if pam is m3 else rel[m]) for j, m in xi]
+            want = _outcome(oracle_keyed_sweep, xi, 1, pam)
+            assert _outcome(lambda: list(admissibility_sweep(xi, 1, pam))) == want, (xi, pam.name)
+            windows += len(want) if isinstance(want, list) else 1
+    assert windows >= 20000 and min(seen.values()) >= 100, (windows, seen)

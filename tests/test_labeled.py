@@ -199,6 +199,11 @@ def test_decompose_rejects_non_elementary(m3):
         decompose_window(
             restrict(pair, F(-9, 16), F(23, 16)), F(-9, 16), F(23, 16), m3
         )
+    # [1,2]:a is not elementary, but its collision with [3/2,3):a is named first
+    collide = ((I(1, 2, CLOSED, CLOSED), "a"), (I("3/2", 3, CLOSED, OPEN), "a"))
+    with pytest.raises(DecomposeError) as err:
+        decompose_window(collide, 0, 4, m3)
+    assert str(err.value).endswith("collide but their labels ['a', 'a'] are not jointly summable")
 
 
 def test_window_sweep_points():

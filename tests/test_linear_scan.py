@@ -27,6 +27,7 @@ import pytest
 import pamscan.intervals as intervals
 import pamscan.labeled as labeled
 import pamscan.scanning as scanning
+import pamscan.tensor as tensor
 from pamscan import (
     BASEPOINT,
     CLOSED,
@@ -37,8 +38,10 @@ from pamscan import (
     MooreLoop,
     TraceError,
     WindowIndex,
+    alpha_eval,
     alpha_trace,
     bm_canon,
+    decompose_window,
     in_T_labeled,
     is_admissible,
     lc_sorted,
@@ -490,6 +493,45 @@ def test_trace_reads_each_grid_segment_once(m3, monkeypatch):
     # each derived segment, shared by its parts: none per read
     derived = {id(t): len(t) for t in loop.segments}
     assert len(built) <= len(loop.breakpoints) + sum(derived.values()), (len(built), len(windows))
+
+
+def test_scan_reads_neither_count_nor_check_the_tensor(m3, monkeypatch):
+    # a read is first fit and one sum.  On the pair chain with its crossing
+    # pair, and again with two overlapping pieces of summable labels after
+    # it, no trace, evaluation or admissibility read counts matchings or
+    # runs in_T; is_admissible runs in_T once on a configuration that
+    # overlaps, for its own check of the whole
+    xi, s = _pair_chain(8)
+    xi += parse_config("[57,117/2):a [59,61):b", m3)
+    s += 7
+    duo = parse_config("[64,65):a [129/2,131/2):b", m3)
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    count = labeled._count_matchings
+    monkeypatch.setattr(labeled, "_count_matchings", counted("count", count))
+    for module in (labeled, tensor):
+        monkeypatch.setattr(module, "in_T", counted("in_T", tensor.in_T))
+    for config, length, whole in ((xi, s, []), (xi + list(duo), s + 4, ["in_T"])):
+        alpha_trace(config, length, m3)
+        for u in range(int(length) + 1):
+            alpha_eval(config, u + F(1, 3), m3)
+        assert calls == []
+        assert is_admissible(config, 1, (0, length), m3)
+        assert calls == whole
+        del calls[:]
+        # decompose_window still counts, once per result
+        for t in range(int(length) + 1):
+            window = restrict(config, t - 1, t + 1)
+            assert decompose_window(window, t - 1, t + 1, m3) == oracle_decompose(window, t - 1, t + 1, m3)
+        assert calls.count("count") == int(length) + 1
+        del calls[:]
 
 
 def test_large_lcm_chain_matches_oracle(m3):

@@ -180,6 +180,8 @@ def test_config_carrier_draws(carrier):
         pairs = _rand_pieces(rng, carrier)
         ok = check_against_oracle(cc, pc, pairs)
         assert in_T_labeled([(c[0], m) for c, m in pairs], carrier) == ok
+        # a failing label-side clique holds two overlapping pieces, which fail first
+        assert ok or in_T_labeled([(c[0], m) for c, m in pairs], carrier, witness=True)[1][0] == "first"
         rejected += not ok
     assert _some_rejected(rejected, 500, carrier)
 
