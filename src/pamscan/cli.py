@@ -3,6 +3,16 @@
 Exit codes: 0 success (or a true answer), 1 false/distinct/neither,
 2 parse error, 3 domain error, 4 undecided.  Results go to stdout,
 errors to stderr.
+
+Each command is one row of ``COMMANDS``: verb, action (None for a verb
+without actions), help line, arguments in order, handler.  ``build_parser``
+makes the top-level parser and every verb parser, whose names and help
+lines print at the top level, but adds a verb's action parsers, and a
+command's arguments, only when that name is a token of argv.  This is
+exact: argparse enters a subparser only through an argv token equal to its
+name (an exact lookup, with no abbreviation), so every parser that a parse
+reaches, for help, a usage error or a value, is complete.  Nothing is
+cached between calls.
 """
 
 from __future__ import annotations
@@ -10,9 +20,8 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 
-from . import fibers, svg
+from . import fibers
 from .dsl import (
     ParseError,
     fmt_bm,
@@ -36,6 +45,7 @@ from .labeled import (
 )
 from .pam import DomainError, PamError
 from .scanning import TraceError, alpha_eval, alpha_trace
+from .svg import bm_svg, config_svg, loop_svg
 from .tensor import EqVerdict, bm_canon
 
 EXIT_OK = 0
@@ -51,24 +61,6 @@ def _read_carrier(path):
             return fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError("cannot read carrier file: %s" % e) from None
-
-
-def _load_pam(args):
-    if not getattr(args, "pam", None):
-        raise ParseError("a carrier file is required (--pam FILE)")
-    return parse_pam_text(_read_carrier(args.pam))
-
-
-def _config(args, text, pam):
-    return parse_config(text, pam=pam, default_label=getattr(args, "default_label", None))
-
-
-def _bm(text, pam):
-    return bm_canon(pam, parse_bm_pairs(text, pam))
-
-
-def _rat(text):
-    return parse_rational(text.strip())
 
 
 _INT = re.compile(r"-?[0-9]+")
@@ -92,184 +84,121 @@ def _support(text):
     return a, b
 
 
-def _write_svg(args, render):
-    if getattr(args, "svg", None):
-        try:
-            with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(render())
-        except OSError as e:
-            raise ParseError("cannot write svg file: %s" % e) from None
+class _Args(argparse.Namespace):
+    """A parsed argv, as every handler receives it.
+
+    The carrier file is read on first use, and every operand read through
+    ``xi``, ``bm`` or ``rat`` is read after it, so a missing or invalid
+    carrier is reported before a bad operand.  Only a handler's own checks
+    on plain options (``config eq``'s ``--depth``) come before the read.
+    """
+
+    svg = None  # a command without --svg draws nothing
+    _carrier = None
+
+    @property
+    def carrier(self):
+        if self._carrier is None:
+            if not self.pam:
+                raise ParseError("a carrier file is required (--pam FILE)")
+            self._carrier = parse_pam_text(_read_carrier(self.pam))
+        return self._carrier
+
+    def xi(self, text=None):
+        """The configuration ``text``, by default the ``config`` argument."""
+        text = self.config if text is None else text
+        return parse_config(text, pam=self.carrier, default_label=self.default_label)
+
+    def bm(self, text):
+        return bm_canon(self.carrier, parse_bm_pairs(text, self.carrier))
+
+    def rat(self, text):
+        self.carrier  # read first, as for every operand
+        return parse_rational(text.strip())
+
+    def show(self, xi, length=None):
+        """Print a configuration (and a loop length), then draw it."""
+        print(fmt_config(xi))
+        if length is not None:
+            print("length %s" % fmt_rational(length))
+        self.draw(config_svg, xi)
+
+    def draw(self, render, value):
+        if self.svg:
+            try:
+                with open(self.svg, "w", encoding="utf-8") as fh:
+                    fh.write(render(value))
+            except OSError as e:
+                raise ParseError("cannot write svg file: %s" % e) from None
 
 
-def cmd_pam_check(args):
+def _pam_check(a):
     try:
-        pam = parse_pam_text(_read_carrier(args.file))
+        pam = parse_pam_text(_read_carrier(a.file))
     except PamError as e:
         for v in e.violations:
             print(v, file=sys.stderr)
-        print("invalid", file=sys.stdout)
+        print("invalid")
         return EXIT_DOMAIN
     print("ok: %s (%d elements, %d sums)" % (pam.name, len(pam.elements), len(pam.sum_rows())))
-    if args.require_self_insummable and not pam.is_self_insummable():
+    if a.require_self_insummable and not pam.is_self_insummable():
         print("not self-insummable")
         return EXIT_FALSE
-    return EXIT_OK
 
 
-def cmd_config_normalize(args):
-    pam = _load_pam(args)
-    nf = labeled_normalize(_config(args, args.config, pam), pam)
-    print(fmt_config(nf))
-    _write_svg(args, lambda: svg.config_svg(nf))
-    return EXIT_OK
+def _config_eq(a):
+    if a.depth < 0:
+        raise ParseError("--depth must be at least 0, got %d" % a.depth)
+    verdict = config_eq(a.xi(a.left), a.xi(a.right), a.carrier, method=a.method, depth=a.depth)
+    print(verdict.value)
+    return {EqVerdict.EQUAL: EXIT_OK, EqVerdict.DISTINCT: EXIT_FALSE}.get(verdict, EXIT_UNKNOWN)
 
 
-def cmd_config_eq(args):
-    if args.depth < 0:
-        raise ParseError("--depth must be at least 0, got %d" % args.depth)
-    pam = _load_pam(args)
-    x1 = _config(args, args.left, pam)
-    x2 = _config(args, args.right, pam)
-    verdict = config_eq(x1, x2, pam, method=args.method, depth=args.depth)
-    if verdict == EqVerdict.EQUAL:
-        print("equal")
-        return EXIT_OK
-    if verdict == EqVerdict.DISTINCT:
-        print("distinct")
-        return EXIT_FALSE
-    print("unknown")
-    return EXIT_UNKNOWN
+def _admissible(a):
+    report = is_admissible(a.xi(), a.rat(a.eps), _support(a.support), a.carrier)
+    print("admissible" if report.ok else "not admissible: %s" % report.reason)
+    return EXIT_OK if report.ok else EXIT_FALSE
 
 
-def cmd_config_admissible(args):
-    pam = _load_pam(args)
-    xi = _config(args, args.config, pam)
-    report = is_admissible(xi, _rat(args.eps), _support(args.support), pam)
-    if report.ok:
-        print("admissible")
-        return EXIT_OK
-    print("not admissible: %s" % report.reason)
-    return EXIT_FALSE
+def _alpha_eval(a):
+    xi = a.xi()
+    t = None if a.t is None else a.rat(a.t)
+    print(fmt_bm(alpha_eval(xi, a.rat(a.u), a.carrier, t=t)))
 
 
-def cmd_alpha_eval(args):
-    pam = _load_pam(args)
-    xi = _config(args, args.config, pam)
-    t = _rat(args.t) if args.t is not None else None
-    z = alpha_eval(xi, _rat(args.u), pam, t=t)
-    print(fmt_bm(z))
-    return EXIT_OK
-
-
-def cmd_alpha_trace(args):
-    pam = _load_pam(args)
-    xi = _config(args, args.config, pam)
-    loop = alpha_trace(xi, _rat(args.len), pam)
+def _alpha_trace(a):
+    loop = alpha_trace(a.xi(), a.rat(a.len), a.carrier)
     sys.stdout.write(fmt_loop(loop))
-    _write_svg(args, lambda: svg.loop_svg(loop))
-    return EXIT_OK
+    a.draw(loop_svg, loop)
 
 
-def cmd_bm_canon(args):
-    pam = _load_pam(args)
-    z = _bm(args.element, pam)
+def _bm_canon(a):
+    z = a.bm(a.element)
     print(fmt_bm(z))
-    _write_svg(args, lambda: svg.bm_svg(z))
-    return EXIT_OK
+    a.draw(bm_svg, z)
 
 
-def cmd_mirror(args):
-    pam = _load_pam(args)
-    out = labeled_normalize(mirror_config(_config(args, args.config, pam)), pam)
-    print(fmt_config(out))
-    _write_svg(args, lambda: svg.config_svg(out))
-    return EXIT_OK
-
-
-def cmd_double(args):
-    pam = _load_pam(args)
-    out = labeled_normalize(double(_config(args, args.config, pam)), pam)
-    print(fmt_config(out))
-    _write_svg(args, lambda: svg.config_svg(out))
-    return EXIT_OK
-
-
-def cmd_positive_part(args):
-    pam = _load_pam(args)
-    print(fmt_config(positive_part(_config(args, args.config, pam), pam)))
-    return EXIT_OK
-
-
-def cmd_homotopy(args):
-    pam = _load_pam(args)
-    t = _rat(args.t)
-    if args.kind == "contract":
-        out = fibers.contract(_config(args, args.config, pam), t, _rat(args.len), pam)
-        print(fmt_config(out))
-    elif args.kind == "push":
-        print(fmt_config(fibers.push_homotopy(_config(args, args.config, pam), t, pam)))
-    elif args.kind == "base":
-        print(fmt_bm(fibers.base_homotopy(_bm(args.config, pam), t, pam)))
-    else:
-        out, s2 = fibers.cover_homotopy(
-            _config(args, args.config, pam), t, _rat(args.len), pam
-        )
-        print(fmt_config(out))
-        print("length %s" % fmt_rational(s2))
-    return EXIT_OK
-
-
-def cmd_fiber_classify(args):
-    pam = _load_pam(args)
-    eta = _config(args, args.config, pam)
-    z = _bm(args.z, pam)
-    cls = fibers.classify_fiber(eta, z, pam)
+def _fiber_classify(a):
+    eta, z = a.xi(), a.bm(a.z)
+    cls = fibers.classify_fiber(eta, z, a.carrier)
     if not cls.matched:
         print("neither: %s" % cls.reason)
         return EXIT_FALSE
     parts = " ".join(
-        "%s:%s,%s" % (fmt_rational(u), a, b)
-        for (u, _), (a, b) in zip(z.points, cls.alpha)
+        "%s:%s,%s" % (fmt_rational(u), x, y) for (u, _), (x, y) in zip(z.points, cls.alpha)
     )
     print("%s%s" % (cls.verdict, " alpha " + parts if parts else ""))
-    return EXIT_OK
 
 
-def cmd_fiber_cap(args):
-    pam = _load_pam(args)
-    z, xi, s2 = fibers.cap_project(_config(args, args.config, pam), _rat(args.len), pam)
+def _fiber_cap(a):
+    z, xi, s2 = fibers.cap_project(a.xi(), a.rat(a.len), a.carrier)
     print("value %s" % fmt_bm(z))
-    print(fmt_config(xi))
-    print("length %s" % fmt_rational(s2))
-    return EXIT_OK
+    a.show(xi, s2)
 
 
-def cmd_fiber_lift(args):
-    pam = _load_pam(args)
-    z = _bm(args.z, pam)
-    xi = _config(args, args.config, pam)
-    out, s2 = fibers.standard_lift(z, xi, _rat(args.len), pam)
-    print(fmt_config(out))
-    print("length %s" % fmt_rational(s2))
-    _write_svg(args, lambda: svg.config_svg(out))
-    return EXIT_OK
-
-
-def cmd_fiber_retract(args):
-    pam = _load_pam(args)
-    out = fibers.retract_r(_config(args, args.config, pam), _bm(args.z, pam), pam)
-    print(fmt_config(out))
-    _write_svg(args, lambda: svg.config_svg(out))
-    return EXIT_OK
-
-
-def cmd_fiber_glue(args):
-    pam = _load_pam(args)
-    eta = _config(args, args.config, pam)
-    z = _bm(args.z, pam)
-    chosen = dict()
-    for u, ab in parse_alpha(args.alpha, pam):
-        chosen[u] = ab
+def _fiber_glue(a):
+    eta, z = a.xi(), a.bm(a.z)
+    chosen = dict(parse_alpha(a.alpha, a.carrier))
     alpha = []
     for u, _ in z.points:
         if u not in chosen:
@@ -279,137 +208,116 @@ def cmd_fiber_glue(args):
         raise ParseError(
             "alpha names a point %s absent from the base element" % fmt_rational(min(chosen))
         )
-    out = fibers.glue_g(eta, alpha, z, pam)
-    print(fmt_config(out))
-    _write_svg(args, lambda: svg.config_svg(out))
-    return EXIT_OK
+    a.show(fibers.glue_g(eta, alpha, z, a.carrier))
 
 
-def _add_pam_opt(p):
-    p.add_argument("--pam", metavar="FILE", help="carrier description file")
-    p.add_argument("--default-label", metavar="ID", help="label for unlabeled items")
+def _arg(name, **kwargs):
+    return name, kwargs
 
 
-def build_parser():
+CONFIG = _arg("config")
+CARRIER = (
+    _arg("--pam", metavar="FILE", help="carrier description file"),
+    _arg("--default-label", metavar="ID", help="label for unlabeled items"),
+)
+SVG = _arg("--svg", metavar="PATH")
+T = _arg("--t", required=True)
+LEN = _arg("--len", required=True)
+Z = _arg("--z", required=True, metavar="BM")
+
+# A verb that groups actions: its help line and the name argparse reports
+# when the action is missing.
+GROUPS = {
+    "pam": ("carrier operations", "action"),
+    "config": ("configuration operations", "action"),
+    "alpha": ("scanning map", "action"),
+    "bm": ("circle sum operations", "action"),
+    "homotopy": ("deformations", "kind"),
+    "fiber": ("fiber machinery", "action"),
+}
+
+# (verb, action, help, arguments, handler).  A handler returns the exit
+# code, or None for success.
+COMMANDS = (
+    ("pam", "check", "validate a carrier file",
+     (_arg("file"), _arg("--require-self-insummable", action="store_true")), _pam_check),
+    ("config", "normalize", "print the normal form", (CONFIG, *CARRIER, SVG),
+     lambda a: a.show(labeled_normalize(a.xi(), a.carrier))),
+    ("config", "eq", "decide equality in the labeled space",
+     (_arg("left"), _arg("right"), *CARRIER,
+      _arg("--method", choices=("nf", "search"), default="nf"),
+      _arg("--depth", type=_int, default=6)), _config_eq),
+    ("config", "admissible", "check thickened admissibility",
+     (CONFIG, *CARRIER, _arg("--eps", default="1"),
+      _arg("--support", required=True, metavar="a,b")), _admissible),
+    ("alpha", "eval", "value of the scan at a window position",
+     (CONFIG, *CARRIER, _arg("--u", required=True), _arg("--t", default=None)), _alpha_eval),
+    ("alpha", "trace", "exact piecewise-affine loop", (CONFIG, *CARRIER, LEN, SVG), _alpha_trace),
+    ("bm", "canon", "canonical form of a circle sum", (_arg("element"), *CARRIER, SVG), _bm_canon),
+    ("mirror", None, "mirror a configuration", (CONFIG, *CARRIER, SVG),
+     lambda a: a.show(labeled_normalize(mirror_config(a.xi()), a.carrier))),
+    ("double", None, "double a configuration", (CONFIG, *CARRIER, SVG),
+     lambda a: a.show(labeled_normalize(double(a.xi()), a.carrier))),
+    ("positive-part", None, "fold a symmetric configuration", (CONFIG, *CARRIER),
+     lambda a: a.show(positive_part(a.xi(), a.carrier))),
+    # keywords in the order read: a homotopy reads --t before its operand
+    ("homotopy", "contract", None, (CONFIG, *CARRIER, T, LEN),
+     lambda a: a.show(fibers.contract(t=a.rat(a.t), eta=a.xi(), s=a.rat(a.len), pam=a.carrier))),
+    ("homotopy", "push", None, (CONFIG, *CARRIER, T),
+     lambda a: a.show(fibers.push_homotopy(t=a.rat(a.t), xi=a.xi(), pam=a.carrier))),
+    ("homotopy", "base", None, (CONFIG, *CARRIER, T),
+     lambda a: print(fmt_bm(fibers.base_homotopy(
+         t=a.rat(a.t), z=a.bm(a.config), pam=a.carrier)))),
+    ("homotopy", "cover", None, (CONFIG, *CARRIER, T, LEN),
+     lambda a: a.show(*fibers.cover_homotopy(
+         t=a.rat(a.t), eta=a.xi(), s=a.rat(a.len), pam=a.carrier))),
+    ("fiber", "classify", "match against the fiber patterns", (CONFIG, *CARRIER, Z),
+     _fiber_classify),
+    ("fiber", "cap", "project to value and cap payload", (CONFIG, *CARRIER, LEN), _fiber_cap),
+    ("fiber", "lift", "standard lift of a base element",
+     (_arg("config", nargs="?", default="∅"), *CARRIER, Z, LEN, SVG),
+     lambda a: a.show(*fibers.standard_lift(a.bm(a.z), a.xi(), a.rat(a.len), a.carrier))),
+    ("fiber", "retract", "retract onto the standard pattern", (CONFIG, *CARRIER, Z, SVG),
+     lambda a: a.show(fibers.retract_r(a.xi(), a.bm(a.z), a.carrier))),
+    ("fiber", "glue", "glue fresh pattern content",
+     (CONFIG, *CARRIER, Z, _arg("--alpha", required=True, metavar="SPEC"), SVG), _fiber_glue),
+)
+
+
+def build_parser(argv):
+    """The parser for ``argv``: every verb, and below a verb only the
+    parsers and arguments that argv names (see the module docstring)."""
+    named = set(argv)
     ap = argparse.ArgumentParser(
-        prog="pamscan",
-        description="exact configuration spaces of labeled parity intervals",
+        prog="pamscan", description="exact configuration spaces of labeled parity intervals"
     )
-    sub = ap.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("pam", help="carrier operations")
-    psub = p.add_subparsers(dest="action", required=True)
-    q = psub.add_parser("check", help="validate a carrier file")
-    q.add_argument("file")
-    q.add_argument("--require-self-insummable", action="store_true")
-    q.set_defaults(fn=cmd_pam_check)
-
-    p = sub.add_parser("config", help="configuration operations")
-    psub = p.add_subparsers(dest="action", required=True)
-    q = psub.add_parser("normalize", help="print the normal form")
-    q.add_argument("config")
-    _add_pam_opt(q)
-    q.add_argument("--svg", metavar="PATH")
-    q.set_defaults(fn=cmd_config_normalize)
-    q = psub.add_parser("eq", help="decide equality in the labeled space")
-    q.add_argument("left")
-    q.add_argument("right")
-    _add_pam_opt(q)
-    q.add_argument("--method", choices=("nf", "search"), default="nf")
-    q.add_argument("--depth", type=_int, default=6)
-    q.set_defaults(fn=cmd_config_eq)
-    q = psub.add_parser("admissible", help="check thickened admissibility")
-    q.add_argument("config")
-    _add_pam_opt(q)
-    q.add_argument("--eps", default="1")
-    q.add_argument("--support", required=True, metavar="a,b")
-    q.set_defaults(fn=cmd_config_admissible)
-
-    p = sub.add_parser("alpha", help="scanning map")
-    psub = p.add_subparsers(dest="action", required=True)
-    q = psub.add_parser("eval", help="value of the scan at a window position")
-    q.add_argument("config")
-    _add_pam_opt(q)
-    q.add_argument("--u", required=True)
-    q.add_argument("--t", default=None)
-    q.set_defaults(fn=cmd_alpha_eval)
-    q = psub.add_parser("trace", help="exact piecewise-affine loop")
-    q.add_argument("config")
-    _add_pam_opt(q)
-    q.add_argument("--len", required=True)
-    q.add_argument("--svg", metavar="PATH")
-    q.set_defaults(fn=cmd_alpha_trace)
-
-    p = sub.add_parser("bm", help="circle sum operations")
-    psub = p.add_subparsers(dest="action", required=True)
-    q = psub.add_parser("canon", help="canonical form of a circle sum")
-    q.add_argument("element")
-    _add_pam_opt(q)
-    q.add_argument("--svg", metavar="PATH")
-    q.set_defaults(fn=cmd_bm_canon)
-
-    for name, fn in (("mirror", cmd_mirror), ("double", cmd_double)):
-        q = sub.add_parser(name, help="%s a configuration" % name)
-        q.add_argument("config")
-        _add_pam_opt(q)
-        q.add_argument("--svg", metavar="PATH")
-        q.set_defaults(fn=fn)
-    q = sub.add_parser("positive-part", help="fold a symmetric configuration")
-    q.add_argument("config")
-    _add_pam_opt(q)
-    q.set_defaults(fn=cmd_positive_part)
-
-    p = sub.add_parser("homotopy", help="deformations")
-    psub = p.add_subparsers(dest="kind", required=True)
-    for kind in ("contract", "push", "base", "cover"):
-        q = psub.add_parser(kind)
-        q.add_argument("config")
-        _add_pam_opt(q)
-        q.add_argument("--t", required=True)
-        if kind in ("contract", "cover"):
-            q.add_argument("--len", required=True)
-        q.set_defaults(fn=cmd_homotopy)
-
-    p = sub.add_parser("fiber", help="fiber machinery")
-    psub = p.add_subparsers(dest="action", required=True)
-    q = psub.add_parser("classify", help="match against the fiber patterns")
-    q.add_argument("config")
-    _add_pam_opt(q)
-    q.add_argument("--z", required=True, metavar="BM")
-    q.set_defaults(fn=cmd_fiber_classify)
-    q = psub.add_parser("cap", help="project to value and cap payload")
-    q.add_argument("config")
-    _add_pam_opt(q)
-    q.add_argument("--len", required=True)
-    q.set_defaults(fn=cmd_fiber_cap)
-    q = psub.add_parser("lift", help="standard lift of a base element")
-    q.add_argument("config", nargs="?", default="∅")
-    _add_pam_opt(q)
-    q.add_argument("--z", required=True, metavar="BM")
-    q.add_argument("--len", required=True)
-    q.add_argument("--svg", metavar="PATH")
-    q.set_defaults(fn=cmd_fiber_lift)
-    q = psub.add_parser("retract", help="retract onto the standard pattern")
-    q.add_argument("config")
-    _add_pam_opt(q)
-    q.add_argument("--z", required=True, metavar="BM")
-    q.add_argument("--svg", metavar="PATH")
-    q.set_defaults(fn=cmd_fiber_retract)
-    q = psub.add_parser("glue", help="glue fresh pattern content")
-    q.add_argument("config")
-    _add_pam_opt(q)
-    q.add_argument("--z", required=True, metavar="BM")
-    q.add_argument("--alpha", required=True, metavar="SPEC")
-    q.add_argument("--svg", metavar="PATH")
-    q.set_defaults(fn=cmd_fiber_glue)
-
+    verbs = ap.add_subparsers(dest="verb", required=True)
+    actions = {}
+    for verb, action, text, arguments, fn in COMMANDS:
+        if action is None:
+            p = verbs.add_parser(verb, help=text)
+        else:
+            if verb not in actions:
+                group_help, dest = GROUPS[verb]
+                p = verbs.add_parser(verb, help=group_help)
+                actions[verb] = p.add_subparsers(dest=dest, required=True) if verb in named else None
+            if actions[verb] is None:
+                continue
+            # a help line, even an empty one, would list the action under -h
+            p = actions[verb].add_parser(action, **({} if text is None else {"help": text}))
+        if (action or verb) in named:
+            for name, kwargs in arguments:
+                p.add_argument(name, **kwargs)
+            p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv, namespace=_Args())
     try:
-        return args.fn(args)
+        return args.fn(args) or EXIT_OK
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return EXIT_PARSE

@@ -311,7 +311,11 @@ def _tau(x):
     return 3 * x - 1
 
 
-def retract_r(eta, z, pam, max_rounds=8):
+# rounds of outward pushing before retract_r gives up on a member
+RETRACT_ROUNDS = 8
+
+
+def retract_r(eta, z, pam):
     """Retract a fiber member onto the standard pattern.
 
     Members already in the standard pattern are returned unchanged, which
@@ -321,7 +325,7 @@ def retract_r(eta, z, pam, max_rounds=8):
     """
     half = Fraction(1, 2)
     current = labeled_normalize(eta, pam)
-    for _ in range(max_rounds):
+    for _ in range(RETRACT_ROUNDS):
         cls = classify_fiber(current, z, pam)
         if cls.verdict == "in-H":
             return current

@@ -155,11 +155,9 @@ def clip_interval(j, a, b):
         return j if a < j.u < b else None
     nu = max(j.u, a)
     nv = min(j.v, b)
-    if nu > nv or (nu == nv and not (j.u < nu < j.v)):
-        # width-zero results sit at a clipped edge, outside the open window
+    if nu >= nv:
+        # a width-zero result sits at a clipped edge, outside the open window
         return None
     np = j.p if j.u > a else OPEN
     nq = j.q if j.v < b else OPEN
-    if nu == nv:
-        return None
     return Interval(nu, nv, np, nq)

@@ -199,11 +199,7 @@ def loop_eval(loop, u, pam):
     u = _frac(u)
     if not (0 <= u <= loop.s):
         raise DomainError("parameter %s outside [0, %s]" % (u, loop.s))
-    i = bisect_left(loop.breakpoints, u)
-    if i >= len(loop.breakpoints) or loop.breakpoints[i] != u:
-        seg = i - 1
-    else:
-        seg = i - 1 if i > 0 else 0
+    seg = max(bisect_left(loop.breakpoints, u) - 1, 0)
     return _segment_value(loop, seg, u, pam)
 
 

@@ -1,14 +1,22 @@
 """The CLI is total: every argv ends in an exit code 0-4, never a traceback.
 
-Each row is (expected exit code, argv, expected stdout or None).  Paths in
-braces are filled from carrier files written for the test; ``{out}`` is a
-writable directory and ``{missing}`` a directory that does not exist.
+Each row is (expected exit code, argv, expected stdout or None, expected
+stderr or None).  Stderr is pinned where pamscan writes it: exit 3, and
+exit 2 from its own parse errors; argparse's usage errors are left free.
+Paths in braces, in argv and in stderr, are filled from carrier files
+written for the test; ``{out}`` is a writable directory and ``{missing}``
+a directory that does not exist.
 Codes: 0 success, 1 false, 2 parse or usage error, 3 domain error,
 4 undecided.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import pamscan
 from pamscan.cli import main
 
 M3_TEXT = "pam M3\nelements 0 a b c\nsum a + b = c\n"
@@ -36,108 +44,192 @@ FAN_VERDICT = (
     "v=Fraction(1, 1), p=-1, q=-1):g1 is not elementary\n"
 )
 
+# the skew carrier's violations, one per failing triple, as pam check
+# prints them to stderr
+SKEW_VIOLATIONS = "".join(
+    "associativity fails at triple (%s): only %s is defined\n" % t
+    for t in (
+        ("a, a, b", "(a+a)+b"),
+        ("a, b, b", "a+(b+b)"),
+        ("b, a, a", "b+(a+a)"),
+        ("b, b, a", "(b+b)+a"),
+        ("b, b, c", "(b+b)+c"),
+        ("c, b, b", "c+(b+b)"),
+    )
+)
+UNDECODABLE = (
+    "parse error: cannot read carrier file: "
+    "'utf-8' codec can't decode byte 0xff in position 17: invalid start byte\n"
+)
+
 CASES = [
     # usage errors from argparse
-    (2, [], None),
-    (2, ["bogus"], None),
-    (2, ["config"], None),
-    (2, ["config", "eq", "--pam", "{m3}", "--method", "bogus", "[0,1):a", "[0,1):a"], None),
-    (2, ["config", "eq", "--pam", "{m3}", "--depth", "x", "[0,1):a", "[0,1):a"], None),
-    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "-3", "(0,2]:c", "(0,2]:a"], None),
+    (2, [], None, None),
+    (2, ["bogus"], None, None),
+    (2, ["config"], None, None),
+    (2, ["config", "eq", "--pam", "{m3}", "--method", "bogus", "[0,1):a", "[0,1):a"], None, None),
+    (2, ["config", "eq", "--pam", "{m3}", "--depth", "x", "[0,1):a", "[0,1):a"], None, None),
+    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "-3", "(0,2]:c", "(0,2]:a"], None,
+     "parse error: --depth must be at least 0, got -3\n"),
     # --depth takes ASCII digits only: Arabic-Indic and fullwidth digits,
     # a plus sign, spaces and underscores are usage errors
-    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "\u0663", "[0,1):a", "[0,1):a"], None),
-    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "\uff13", "[0,1):a", "[0,1):a"], None),
-    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "+3", "[0,1):a", "[0,1):a"], None),
-    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", " 3", "[0,1):a", "[0,1):a"], None),
-    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "1_0", "[0,1):a", "[0,1):a"], None),
-    (0, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "3", "[0,1):a", "[0,1):a"], "equal\n"),
-    (2, ["alpha", "eval", "--pam", "{m3}", "(1,3]:a"], None),
+    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "\u0663", "[0,1):a", "[0,1):a"], None, None),
+    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "\uff13", "[0,1):a", "[0,1):a"], None, None),
+    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "+3", "[0,1):a", "[0,1):a"], None, None),
+    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", " 3", "[0,1):a", "[0,1):a"], None, None),
+    (2, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "1_0", "[0,1):a", "[0,1):a"], None, None),
+    (0, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "3", "[0,1):a", "[0,1):a"], "equal\n", None),
+    (2, ["alpha", "eval", "--pam", "{m3}", "(1,3]:a"], None, None),
     # pam check
-    (0, ["pam", "check", "{m3}"], "ok: M3 (4 elements, 1 sums)\n"),
-    (1, ["pam", "check", "--require-self-insummable", "{z2}"], None),
-    (3, ["pam", "check", "{skew}"], "invalid\n"),
-    (2, ["pam", "check", "{notpam}"], None),
-    (2, ["pam", "check", "{binary}"], None),
-    (2, ["pam", "check", "{missing}/m3.pam"], None),
+    (0, ["pam", "check", "{m3}"], "ok: M3 (4 elements, 1 sums)\n", None),
+    (1, ["pam", "check", "--require-self-insummable", "{z2}"], None, None),
+    (3, ["pam", "check", "{skew}"], "invalid\n",
+     SKEW_VIOLATIONS),
+    (2, ["pam", "check", "{notpam}"], None,
+     "parse error: 1:1: unknown directive 'Exact'\n"),
+    (2, ["pam", "check", "{binary}"], None,
+     UNDECODABLE),
+    (2, ["pam", "check", "{missing}/m3.pam"], None,
+     "parse error: cannot read carrier file: "
+     "[Errno 2] No such file or directory: '{missing}/m3.pam'\n"),
     # config normalize | eq | admissible
-    (0, ["config", "normalize", "--pam", "{m3}", "[0,1):a [1,2]:a"], "[0,2]:a\n"),
-    (0, ["config", "normalize", "--pam", "{m3}", "--default-label", "a", "[0,1)"], "[0,1):a\n"),
-    (0, ["config", "normalize", "--pam", "{m3}", "--svg", "{out}/nf.svg", "[0,1):a"], None),
-    (2, ["config", "normalize", "--pam", "{m3}", "--svg", "{missing}/nf.svg", "[0,1):a"], None),
-    (2, ["config", "normalize", "--pam", "{m3}", "[0,1):zz"], None),
-    (2, ["config", "normalize", "--pam", "{m3}", "--default-label", "zz", "[0,1)"], None),
-    (2, ["config", "normalize", "--pam", "{m3}", "[1,0):a"], None),
+    (0, ["config", "normalize", "--pam", "{m3}", "[0,1):a [1,2]:a"], "[0,2]:a\n", None),
+    (0, ["config", "normalize", "--pam", "{m3}", "--default-label", "a", "[0,1)"], "[0,1):a\n", None),
+    (0, ["config", "normalize", "--pam", "{m3}", "--svg", "{out}/nf.svg", "[0,1):a"], None, None),
+    (2, ["config", "normalize", "--pam", "{m3}", "--svg", "{missing}/nf.svg", "[0,1):a"], None,
+     "parse error: cannot write svg file: [Errno 2] No such file or directory: '{missing}/nf.svg'\n"),
+    (2, ["config", "normalize", "--pam", "{m3}", "[0,1):zz"], None,
+     "parse error: 1:1: unknown label 'zz'\n"),
+    (2, ["config", "normalize", "--pam", "{m3}", "--default-label", "zz", "[0,1)"], None,
+     "parse error: 1:1: unknown label 'zz'\n"),
+    (2, ["config", "normalize", "--pam", "{m3}", "[1,0):a"], None,
+     "parse error: 1:1: interval endpoints out of order\n"),
     # the grammar's digits are ASCII: fullwidth and Arabic-Indic digits
     # are parse errors
-    (2, ["config", "normalize", "--pam", "{m3}", "(\uff11,2]:a [\u0663,4):b"], None),
-    (2, ["config", "normalize", "--pam", "{m3}", "(0,\uff11/\uff12]:a"], None),
-    (2, ["config", "admissible", "--pam", "{m3}", "--eps", "\u0662", "--support", "0,5", "(1,3]:a"], None),
-    (2, ["config", "normalize", "[0,1):a"], None),
-    (2, ["config", "normalize", "--pam", "{binary}", "[0,1):a"], None),
-    (3, ["config", "normalize", "--pam", "{m3}", "[0,1):a [0,1):a"], None),
-    (0, ["config", "eq", "--pam", "{m3}", "(0,2]:c", "(0,1):c [1,2]:c"], "equal\n"),
-    (1, ["config", "eq", "--pam", "{m3}", "(0,2]:c", "(0,2]:a"], "distinct\n"),
-    (0, ["config", "eq", "--pam", "{m3}", "--method", "search", "(0,2]:c", "(0,1):c [1,2]:c"], "equal\n"),
-    (4, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "0", "(0,2]:c", "(0,2]:a"], "unknown\n"),
-    (2, ["config", "eq", "--pam", "{m3}", "(0,2]:c", "(0,2]:zz"], None),
-    (0, ["config", "admissible", "--pam", "{m3}", "--support=-3,100", SEVENTEEN], "admissible\n"),
-    (0, ["config", "admissible", "--pam", "{m3}", "--eps", "1", "--support", "0,5", "(1,3]:a"], "admissible\n"),
-    (1, ["config", "admissible", "--pam", "{z5}", "--eps", "1/2", "--support=-2,3", FAN], FAN_VERDICT),
-    (1, ["config", "admissible", "--pam", "{m3}", "--support", "0,3", "[1,2]:a"], None),
-    (3, ["config", "admissible", "--pam", "{m3}", "--eps", "0", "--support=-3,5", "[0,1]:a"], None),
-    (3, ["config", "admissible", "--pam", "{m3}", "--eps", "-1", "--support", "0,3", "[0,2):a"], None),
-    (3, ["config", "admissible", "--pam", "{m3}", "--support", "0,1", "(1,3]:a"], None),
-    (2, ["config", "admissible", "--pam", "{m3}", "--support", "5,3", "(1,3]:a"], None),
-    (2, ["config", "admissible", "--pam", "{m3}", "--support", "0,x", "(1,3]:a"], None),
-    (2, ["config", "admissible", "--pam", "{m3}", "--eps", "1/0", "--support", "0,5", "(1,3]:a"], None),
-    (2, ["config", "admissible", "--pam", "{m3}", "--support", "0,5", "(1,3]:zz"], None),
+    (2, ["config", "normalize", "--pam", "{m3}", "(\uff11,2]:a [\u0663,4):b"], None,
+     "parse error: 1:1: expected a rational, got '\uff11'\n"),
+    (2, ["config", "normalize", "--pam", "{m3}", "(0,\uff11/\uff12]:a"], None,
+     "parse error: 1:1: expected a rational, got '\uff11/\uff12'\n"),
+    (2, ["config", "admissible", "--pam", "{m3}", "--eps", "\u0662", "--support", "0,5", "(1,3]:a"], None,
+     "parse error: expected a rational, got '\u0662'\n"),
+    (2, ["config", "normalize", "[0,1):a"], None,
+     "parse error: a carrier file is required (--pam FILE)\n"),
+    (2, ["config", "normalize", "--pam", "{binary}", "[0,1):a"], None,
+     UNDECODABLE),
+    (3, ["config", "normalize", "--pam", "{m3}", "[0,1):a [0,1):a"], None,
+     "error: not in the tensor region: coincident interval "
+     "Interval(u=Fraction(0, 1), v=Fraction(1, 1), p=1, q=-1) carries unsummable labels (a, a)\n"),
+    (0, ["config", "eq", "--pam", "{m3}", "(0,2]:c", "(0,1):c [1,2]:c"], "equal\n", None),
+    (1, ["config", "eq", "--pam", "{m3}", "(0,2]:c", "(0,2]:a"], "distinct\n", None),
+    (0, ["config", "eq", "--pam", "{m3}", "--method", "search", "(0,2]:c", "(0,1):c [1,2]:c"], "equal\n", None),
+    (4, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "0", "(0,2]:c", "(0,2]:a"], "unknown\n", None),
+    (2, ["config", "eq", "--pam", "{m3}", "(0,2]:c", "(0,2]:zz"], None,
+     "parse error: 1:1: unknown label 'zz'\n"),
+    # the depth check comes before the carrier is read
+    (2, ["config", "eq", "--pam", "{missing}/m3.pam", "--depth", "-3", "[0,1):a", "[0,1):a"], None,
+     "parse error: --depth must be at least 0, got -3\n"),
+    (0, ["config", "admissible", "--pam", "{m3}", "--support=-3,100", SEVENTEEN], "admissible\n", None),
+    (0, ["config", "admissible", "--pam", "{m3}", "--eps", "1", "--support", "0,5", "(1,3]:a"], "admissible\n", None),
+    (1, ["config", "admissible", "--pam", "{z5}", "--eps", "1/2", "--support=-2,3", FAN], FAN_VERDICT, None),
+    (1, ["config", "admissible", "--pam", "{m3}", "--support", "0,3", "[1,2]:a"], None, None),
+    (3, ["config", "admissible", "--pam", "{m3}", "--eps", "0", "--support=-3,5", "[0,1]:a"], None,
+     "error: eps must be positive\n"),
+    (3, ["config", "admissible", "--pam", "{m3}", "--eps", "-1", "--support", "0,3", "[0,2):a"], None,
+     "error: eps must be positive\n"),
+    (3, ["config", "admissible", "--pam", "{m3}", "--support", "0,1", "(1,3]:a"], None,
+     "error: support window must be wider than eps\n"),
+    (2, ["config", "admissible", "--pam", "{m3}", "--support", "5,3", "(1,3]:a"], None,
+     "parse error: empty support window '5,3'\n"),
+    (2, ["config", "admissible", "--pam", "{m3}", "--support", "0,x", "(1,3]:a"], None,
+     "parse error: expected a rational, got 'x'\n"),
+    (2, ["config", "admissible", "--pam", "{m3}", "--eps", "1/0", "--support", "0,5", "(1,3]:a"], None,
+     "parse error: zero denominator in '1/0'\n"),
+    (2, ["config", "admissible", "--pam", "{m3}", "--support", "0,5", "(1,3]:zz"], None,
+     "parse error: 1:1: unknown label 'zz'\n"),
     # alpha eval | trace
-    (0, ["alpha", "eval", "--pam", "{m3}", "--u", "2", "(1,3]:a"], "0:a\n"),
-    (3, ["alpha", "eval", "--pam", "{m3}", "--u", "2", "--t", "5", "(1,3]:a"], None),
-    (2, ["alpha", "eval", "--pam", "{m3}", "--u", "1/0", "(1,3]:a"], None),
-    (0, ["alpha", "trace", "--pam", "{m3}", "--len", "4", "--svg", "{out}/loop.svg", "(1,3]:a"], None),
-    (3, ["alpha", "trace", "--pam", "{m3}", "--len", "0", "(1,3]:a"], None),
-    (3, ["alpha", "trace", "--pam", "{m3}", "--len", "-4", "(1,3]:a"], None),
-    (3, ["alpha", "trace", "--pam", "{m3}", "--len", "4", "[1,2]:a"], None),
+    (0, ["alpha", "eval", "--pam", "{m3}", "--u", "2", "(1,3]:a"], "0:a\n", None),
+    (3, ["alpha", "eval", "--pam", "{m3}", "--u", "2", "--t", "5", "(1,3]:a"], None,
+     "error: parameter 2 outside the half-window around 5\n"),
+    (2, ["alpha", "eval", "--pam", "{m3}", "--u", "1/0", "(1,3]:a"], None,
+     "parse error: zero denominator in '1/0'\n"),
+    # the configuration is parsed before --t and --u
+    (2, ["alpha", "eval", "--pam", "{m3}", "--u", "1/0", "--t", "x", "[0,1):zz"], None,
+     "parse error: 1:1: unknown label 'zz'\n"),
+    (0, ["alpha", "trace", "--pam", "{m3}", "--len", "4", "--svg", "{out}/loop.svg", "(1,3]:a"], None, None),
+    (3, ["alpha", "trace", "--pam", "{m3}", "--len", "0", "(1,3]:a"], None,
+     "error: loop length must be positive\n"),
+    (3, ["alpha", "trace", "--pam", "{m3}", "--len", "-4", "(1,3]:a"], None,
+     "error: loop length must be positive\n"),
+    (3, ["alpha", "trace", "--pam", "{m3}", "--len", "4", "[1,2]:a"], None,
+     "error: window (1/6, 13/6): piece "
+     "Interval(u=Fraction(1, 1), v=Fraction(2, 1), p=1, q=1):a is not elementary\n"),
     # bm canon
-    (0, ["bm", "canon", "--pam", "{m3}", "1/2:a 1/2:b"], "1/2:c\n"),
-    (0, ["bm", "canon", "--pam", "{m3}", "--svg", "{out}/bm.svg", "∅"], "∅\n"),
-    (3, ["bm", "canon", "--pam", "{m3}", "1/4:a 1/2:a"], None),
-    (2, ["bm", "canon", "--pam", "{m3}", "*:zz"], None),
-    (2, ["bm", "canon", "--pam", "{m3}", "2:a"], None),
-    (2, ["bm", "canon", "--pam", "{m3}", "1/2:a -1:b"], None),
-    (0, ["bm", "canon", "--pam", "{m3}", "1:a *:b"], "∅\n"),
+    (0, ["bm", "canon", "--pam", "{m3}", "1/2:a 1/2:b"], "1/2:c\n", None),
+    (0, ["bm", "canon", "--pam", "{m3}", "--svg", "{out}/bm.svg", "∅"], "∅\n", None),
+    (3, ["bm", "canon", "--pam", "{m3}", "1/4:a 1/2:a"], None,
+     "error: not in the tensor region: labels ['a', 'a'] are not jointly summable\n"),
+    (2, ["bm", "canon", "--pam", "{m3}", "*:zz"], None,
+     "parse error: 1:1: unknown label 'zz'\n"),
+    (2, ["bm", "canon", "--pam", "{m3}", "2:a"], None,
+     "parse error: 1:1: circle coordinate 2 outside (-1,1]\n"),
+    (2, ["bm", "canon", "--pam", "{m3}", "1/2:a -1:b"], None,
+     "parse error: 1:7: circle coordinate -1 outside (-1,1]\n"),
+    (0, ["bm", "canon", "--pam", "{m3}", "1:a *:b"], "∅\n", None),
     # mirror | double | positive-part
-    (0, ["mirror", "--pam", "{m3}", "[0,1):a"], "[-1,0):a\n"),
-    (0, ["double", "--pam", "{m3}", "[1,2):a"], "[-2,-1):a [1,2):a\n"),
-    (3, ["double", "--pam", "{m3}", "[0,1):a [0,1):a"], None),
-    (0, ["positive-part", "--pam", "{m3}", "(-1,1]:a"], "[0,1]:a\n"),
-    (3, ["positive-part", "--pam", "{m3}", "[0,1):a"], None),
+    (0, ["mirror", "--pam", "{m3}", "[0,1):a"], "[-1,0):a\n", None),
+    (0, ["double", "--pam", "{m3}", "[1,2):a"], "[-2,-1):a [1,2):a\n", None),
+    (3, ["double", "--pam", "{m3}", "[0,1):a [0,1):a"], None,
+     "error: not in the tensor region: coincident interval "
+     "Interval(u=Fraction(-1, 1), v=Fraction(0, 1), p=1, q=-1) carries unsummable labels (a, a)\n"),
+    (0, ["positive-part", "--pam", "{m3}", "(-1,1]:a"], "[0,1]:a\n", None),
+    (3, ["positive-part", "--pam", "{m3}", "[0,1):a"], None,
+     "error: configuration is not mirror-invariant\n"),
     # homotopy contract | push | base | cover
-    (0, ["homotopy", "contract", "--pam", "{m3}", "--t", "1/2", "--len", "7/2", WIDE], "(-7/4,7/4]:b\n"),
-    (3, ["homotopy", "contract", "--pam", "{m3}", "--t", "1/2", "--len", "-1", "(1,3]:a"], None),
-    (3, ["homotopy", "contract", "--pam", "{m3}", "--t", "1/2", "--len", "0", "(1,3]:a"], None),
-    (3, ["homotopy", "contract", "--pam", "{m3}", "--t", "2", "--len", "7/2", WIDE], None),
-    (0, ["homotopy", "push", "--pam", "{m3}", "--t", "1/2", "(1,3]:a"], None),
-    (0, ["homotopy", "base", "--pam", "{m3}", "--t", "1/2", "1/2:a"], "2/3:a\n"),
-    (3, ["homotopy", "base", "--pam", "{m3}", "--t", "3", "1/2:a"], None),
-    (3, ["homotopy", "cover", "--pam", "{m3}", "--t", "1/2", "--len", "3", "(1,3]:a"], None),
-    (3, ["homotopy", "cover", "--pam", "{m3}", "--t", "1/2", "--len", "-3", "(1,3]:a"], None),
+    (0, ["homotopy", "contract", "--pam", "{m3}", "--t", "1/2", "--len", "7/2", WIDE], "(-7/4,7/4]:b\n", None),
+    (3, ["homotopy", "contract", "--pam", "{m3}", "--t", "1/2", "--len", "-1", "(1,3]:a"], None,
+     "error: length must be positive\n"),
+    (3, ["homotopy", "contract", "--pam", "{m3}", "--t", "1/2", "--len", "0", "(1,3]:a"], None,
+     "error: length must be positive\n"),
+    (3, ["homotopy", "contract", "--pam", "{m3}", "--t", "2", "--len", "7/2", WIDE], None,
+     "error: homotopy time 2 outside [0, 1]\n"),
+    (0, ["homotopy", "push", "--pam", "{m3}", "--t", "1/2", "(1,3]:a"], None, None),
+    # the carrier is read before --t, and --t before the configuration
+    (2, ["homotopy", "push", "--t", "x", "(1,3]:a"], None,
+     "parse error: a carrier file is required (--pam FILE)\n"),
+    (2, ["homotopy", "push", "--pam", "{m3}", "--t", "x", "[0,1):zz"], None,
+     "parse error: expected a rational, got 'x'\n"),
+    (0, ["homotopy", "base", "--pam", "{m3}", "--t", "1/2", "1/2:a"], "2/3:a\n", None),
+    (3, ["homotopy", "base", "--pam", "{m3}", "--t", "3", "1/2:a"], None,
+     "error: homotopy time 3 outside [0, 1]\n"),
+    (3, ["homotopy", "cover", "--pam", "{m3}", "--t", "1/2", "--len", "3", "(1,3]:a"], None,
+     "error: covering homotopy needs a point beyond 1/2\n"),
+    (3, ["homotopy", "cover", "--pam", "{m3}", "--t", "1/2", "--len", "-3", "(1,3]:a"], None,
+     "error: length must be positive\n"),
     # fiber classify | cap | lift | retract | glue
-    (0, ["fiber", "classify", "--pam", "{m3}", "--z", "1/2:c", H], "in-F alpha 1/2:a,b\n"),
-    (1, ["fiber", "classify", "--pam", "{m3}", "--z", "1/2:c", "(1,3]:a"], None),
-    (0, ["fiber", "cap", "--pam", "{m3}", "--len", "7/2", WIDE], None),
-    (3, ["fiber", "cap", "--pam", "{m3}", "--len", "0", WIDE], None),
-    (0, ["fiber", "lift", "--pam", "{m3}", "--z", "1/2:a", "--len", "2"], None),
-    (3, ["fiber", "lift", "--pam", "{m3}", "--z", "1/2:a", "--len", "-2"], None),
-    (3, ["fiber", "lift", "--pam", "{m3}", "--z", "0:a", "--len", "2"], None),
-    (2, ["fiber", "lift", "--pam", "{m3}", "--z", "3/2:a", "--len", "2"], None),
-    (0, ["fiber", "retract", "--pam", "{m3}", "--z", "1/2:c", H], None),
-    (3, ["fiber", "retract", "--pam", "{m3}", "--z", "1/2:c", "(1,3]:a"], None),
-    (3, ["fiber", "glue", "--pam", "{m3}", "--z", "1/2:c", "--alpha", "1/2:a,b", H], None),
-    (3, ["fiber", "glue", "--pam", "{m3}", "--z", "1/2:c", "--alpha", "1/2:a,a", H], None),
-    (2, ["fiber", "glue", "--pam", "{m3}", "--z", "1/2:c", "--alpha", "1/4:a,b", "∅"], None),
+    (0, ["fiber", "classify", "--pam", "{m3}", "--z", "1/2:c", H], "in-F alpha 1/2:a,b\n", None),
+    (1, ["fiber", "classify", "--pam", "{m3}", "--z", "1/2:c", "(1,3]:a"], None, None),
+    # the configuration is parsed before --z
+    (2, ["fiber", "classify", "--pam", "{m3}", "--z", "5:a", "[0,1):zz"], None,
+     "parse error: 1:1: unknown label 'zz'\n"),
+    (0, ["fiber", "cap", "--pam", "{m3}", "--len", "7/2", WIDE], None, None),
+    (3, ["fiber", "cap", "--pam", "{m3}", "--len", "0", WIDE], None,
+     "error: length must be positive\n"),
+    (0, ["fiber", "lift", "--pam", "{m3}", "--z", "1/2:a", "--len", "2"], None, None),
+    (3, ["fiber", "lift", "--pam", "{m3}", "--z", "1/2:a", "--len", "-2"], None,
+     "error: length must be positive\n"),
+    (3, ["fiber", "lift", "--pam", "{m3}", "--z", "0:a", "--len", "2"], None,
+     "error: standard lift requires no label at coordinate 0\n"),
+    (2, ["fiber", "lift", "--pam", "{m3}", "--z", "3/2:a", "--len", "2"], None,
+     "parse error: 1:1: circle coordinate 3/2 outside (-1,1]\n"),
+    (0, ["fiber", "retract", "--pam", "{m3}", "--z", "1/2:c", H], None, None),
+    (3, ["fiber", "retract", "--pam", "{m3}", "--z", "1/2:c", "(1,3]:a"], None,
+     "error: not a fiber member: point 1/2 carries (0, 0), not a partition of c\n"),
+    (3, ["fiber", "glue", "--pam", "{m3}", "--z", "1/2:c", "--alpha", "1/2:a,b", H], None,
+     "error: gluing needs the standard pattern: in-F\n"),
+    (3, ["fiber", "glue", "--pam", "{m3}", "--z", "1/2:c", "--alpha", "1/2:a,a", H], None,
+     "error: (a, a) is not a partition of the label c at 1/2\n"),
+    (2, ["fiber", "glue", "--pam", "{m3}", "--z", "1/2:c", "--alpha", "1/4:a,b", "∅"], None,
+     "parse error: alpha gives no partition for the point 1/2\n"),
 ]
 
 
@@ -154,9 +246,9 @@ def paths(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "code,argv,stdout", CASES, ids=[" ".join(argv)[:70] for _, argv, _ in CASES]
+    "code,argv,stdout,stderr", CASES, ids=[" ".join(argv)[:70] for _, argv, _, _ in CASES]
 )
-def test_every_argv_exits_0_to_4(paths, capsys, code, argv, stdout):
+def test_every_argv_exits_0_to_4(paths, capsys, code, argv, stdout, stderr):
     try:
         rc = main([a.format(**paths) for a in argv])
     except SystemExit as e:
@@ -166,3 +258,25 @@ def test_every_argv_exits_0_to_4(paths, capsys, code, argv, stdout):
     assert rc == code, (out, err)
     if stdout is not None:
         assert out == stdout
+    if stderr is not None:
+        assert err == stderr.format(**paths)
+
+
+def test_module_entry_reads_sys_argv(paths, capsys, monkeypatch):
+    """``python -m pamscan.cli``, like the ``pamscan`` script, calls
+    ``main()`` with no argv, so main reads argv from ``sys.argv``."""
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pamscan.__file__)))
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    usage = capsys.readouterr().out
+    assert usage.startswith("usage: pamscan ")
+    for argv, code, stdout in (
+        (["-h"], 0, usage),
+        (["config", "normalize", "--pam", paths["m3"], "[0,1):a [1,2]:a"], 0, "[0,2]:a\n"),
+    ):
+        run = subprocess.run(
+            [sys.executable, "-m", "pamscan.cli", *argv], capture_output=True, text=True, timeout=60
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (code, stdout, "")

@@ -126,6 +126,8 @@ def test_clip_semantics():
     assert clip_interval(I(0, 1, CLOSED, OPEN), F(1), F(2)) is None
     assert clip_interval(I(0, 1, OPEN, CLOSED), F(1), F(2)) is None
     assert clip_interval(I(3, 4, CLOSED, OPEN), F(1), F(2)) is None
+    # and so does anything clipped to an empty window a == b
+    assert clip_interval(I(0, 3, OPEN, CLOSED), F(1), F(1)) is None
     # degenerates survive only strictly inside the window
     assert clip_interval(I("3/2", "3/2", CLOSED, OPEN), F(1), F(2)) == I(
         "3/2", "3/2", CLOSED, OPEN
