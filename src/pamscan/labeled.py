@@ -718,15 +718,14 @@ def window_sweep_points(xi, eps):
     return [Fraction(t, k) for t in centres]
 
 
-def _sweep(xi, eps, pam):
+def _sweep(windows, eps, pam):
     """Decompose every window of the sweep on integers.
 
     Yields (t, K, items), first fit's keyed items with the centre t over
-    the scale K of ``_sweep_centres``.  Windows are read through one
-    WindowIndex, so each read costs a bisection plus the pieces near the
-    window.
+    the scale K of ``_sweep_centres``.  Windows are read through the
+    WindowIndex ``windows``, so each read costs a bisection plus the
+    pieces near the window.
     """
-    windows = WindowIndex(xi)
     k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, eps)
     for t in centres:
         lo, hi = t - e, t + e
@@ -736,7 +735,7 @@ def _sweep(xi, eps, pam):
 def admissibility_sweep(xi, eps, pam):
     """Decompose every combinatorially distinct window; yields (t, result)."""
     eps = _positive(eps, "eps")
-    for t, k, items in _sweep(xi, eps, pam):
+    for t, k, items in _sweep(WindowIndex(xi), eps, pam):
         yield Fraction(t, k), _decomp_result(items, k, pam)
 
 
@@ -753,15 +752,20 @@ def is_admissible(xi, eps, support, pam):
     """Admissibility: tensor membership, decomposable windows, support.
 
     Returns an AdmissibilityReport; failures carry a reason instead of
-    raising.  The windows are swept on integers; the support check clips
-    each piece once.
+    raising.  One WindowIndex serves all three checks: its pieces are the
+    ``lc_sorted`` order the tensor check reads, the windows are swept on
+    its keys, and the support check clips on them too.  ``restrict`` to
+    the inner window keeps the configuration exactly when every piece
+    clips to itself, and ``WindowIndex.clip`` clips as ``clip_interval``
+    does, so the support holds exactly when the clipped keys are the
+    index's keys scaled to the window's scale.
     """
     eps = _positive(eps, "eps")
     a, b = _frac(support[0]), _frac(support[1])
     if b - a <= eps:
         raise DomainError("support window must be wider than eps")
-    xi = lc_sorted(xi)
-    ok, wit = in_T_labeled(xi, pam, witness=True)
+    windows = WindowIndex(xi)
+    ok, wit = in_T_labeled(windows.pieces, pam, witness=True)
     if not ok:
         return AdmissibilityReport(False, "not in the tensor region: %r" % (wit,))
     try:
@@ -769,16 +773,16 @@ def is_admissible(xi, eps, support, pam):
         # sum and counts nothing.  Over a self-insummable pam a summable
         # tuple holds each nonzero label at most once, which forces the
         # matching, so the count ``admissibility_sweep`` reports is 1 there.
-        for _ in _sweep(xi, eps, pam):
+        for _ in _sweep(windows, eps, pam):
             pass
     except DomainError as e:
         return AdmissibilityReport(False, str(e))
-    inner = restrict(xi, a + eps / 2, b - eps / 2)
-    if inner != xi:
-        return AdmissibilityReport(
-            False,
-            "support leaks outside (%s, %s)" % (a + eps / 2, b - eps / 2),
-        )
+    lo, hi = a + eps / 2, b - eps / 2
+    k = lcm(windows.scale, lo.denominator, hi.denominator)
+    f = k // windows.scale
+    kept = windows.clip(k, _num(lo, k), _num(hi, k))
+    if kept != [((u * f, v * f, p, q), m, None) for (u, v, p, q), m in windows._keys]:
+        return AdmissibilityReport(False, "support leaks outside (%s, %s)" % (lo, hi))
     return AdmissibilityReport(True)
 
 

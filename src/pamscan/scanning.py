@@ -10,10 +10,10 @@ decomposed and evaluated on endpoint keys over one common scale (see
 ``scan_core``), and each value becomes a Fraction only when it is emitted.
 A trace runs on one integer scale too (see ``alpha_trace``): its
 breakpoints, the affine tracks of each segment, their crossings and the
-continuity check are integers, with one keyed read per segment, and
-Fractions are built only for the finished MooreLoop.  ``omega`` and
-``merged_strand_value`` key their arguments the same way and wrap the
-integer evaluators.
+continuity check are integers, with one keyed read per window content
+that every segment of that content shares, and Fractions are built only
+for the finished MooreLoop.  ``omega`` and ``merged_strand_value`` key
+their arguments the same way and wrap the integer evaluators.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
+from operator import itemgetter
 
 from .pam import UNIT, DomainError
 from .intervals import CLOSED, OPEN, _frac, _positive
@@ -223,25 +225,39 @@ def alpha_trace(xi, s, pam):
     midpoint m of a segment is an even integer with m - 1 and m + 1 inside
     it.
 
-    Inside a segment nothing combinatorial moves.  No endpoint crosses a
-    window end, as every endpoint +-1 is a breakpoint, so the window
-    content, its normal form and its decomposition stay the same except
-    for the clipped ends, which sit on the window ends and move with the
-    centre; no endpoint lies on a window end either.  No endpoint +-1/2 is
+    The window content is read once per stretch between two consecutive
+    points among 0, s and every endpoint +-1.  Inside a stretch no
+    endpoint crosses or meets a window end, so the pieces the window cuts,
+    which ends it cuts and the order of every uncut end against the
+    window ends stay the same; only the clipped ends move, and they sit on
+    the window ends m - T and m + T.  No piece of the content starts at
+    the right window end or ends at the left one, so a clipped end takes
+    part in no paste, and clipped ends move together, so two keys are
+    equal at one centre exactly when they are at another.  The kinds of
+    ``_classify`` test uncut ends against the window ends, and first fit
+    compares the uncut ends of its pairs.  So the normal form, the kinds,
+    first fit and the order of its items are the same at every centre of
+    the stretch, up to the clipped ends.  First fit's labels are then the
+    same tuple, and its one sum is the one the read at the stretch's first
+    midpoint m0 checked.  So that read serves every segment of the
+    stretch, each clipped end moved by m - m0, and the segments split at
+    an endpoint +-1/2 reuse it.
+
+    Inside a segment nothing else moves either.  No endpoint +-1/2 is
     crossed, and a clipped end stays a whole unit from the centre, so each
     unit stays on one branch of ``_omega`` or ``_merged_strand``: the
     basepoint, a constant, or a ramp of slope -1, 0 or 1 whose values lie
     strictly inside (-T, T).  (A clipped piece whose other end passes the
     centre changes its length test there, and both branches give the same
-    ramp.)  So each unit is an affine track on the whole segment: one keyed
-    decomposition at m gives its value there, and its value at m + 1 with
-    the clipped ends moved by one gives the slope c1, and c0 is the value
-    at m less c1 * m.  Every key and T / 2 is even, so the value at an even
-    parameter and c0 are even.  For the same reasons the four checks of
-    the three-point derivation that the tests keep as an oracle cannot
-    fail: two reads inside one segment have the same labels, no track
-    meets the basepoint inside unless it stays there, every slope is -1, 0
-    or 1, and the tracks are affine at m.
+    ramp.)  So each unit is an affine track on the whole segment: its
+    value at m, and its value at m + 1 with the clipped ends moved by one
+    more, give the slope c1, and c0 is the value at m less c1 * m.  Every
+    key and T / 2 is even, so the value at an even parameter and c0 are
+    even.  For the same reasons the four checks of the three-point
+    derivation that the tests keep as an oracle cannot fail: two reads
+    inside one segment have the same labels, no track meets the basepoint
+    inside unless it stays there, every slope is -1, 0 or 1, and the
+    tracks are affine at m.
 
     Two tracks with slopes differing by 1 or 2 and even intercepts cross
     at an integer.  The parts of a split segment keep their parent's
@@ -255,30 +271,39 @@ def alpha_trace(xi, s, pam):
     values off the basepoint the same way, sums each group and drops unit
     totals, and a BMElement is exactly that set of (value, total) points.
     Division by T is one to one, so two maps are equal exactly when the
-    two ``bm_canon`` values are.
+    two ``bm_canon`` values are.  Each map is summed from its side's
+    sorted (value, label) list (``_side``), so at an inner breakpoint the
+    two lists are compared first: equal lists give equal maps, and only
+    differing lists are summed.  Each side's
+    labels there need no check of their own: they are labels of its
+    segment's units, a part of first fit's tuple, whose sum the read
+    checked, and a part of a summable tuple sums.
 
     Fractions are built for the MooreLoop, and to word an error: a window
     that fails to decompose is read again by ``scan_core`` a third of the
-    way along its segment, and the error names that window; an unsummable
-    side, a discontinuity or a non-empty end is worded through
-    ``bm_canon``.
+    way along the segment that first meets it, and the error names that
+    window; unsummable labels at an end, a discontinuity or a non-empty
+    end is worded through ``bm_canon``.
     """
     s = _positive(s, "loop length")
     windows = WindowIndex(xi)
     k = 4 * lcm(2 * windows.scale, s.denominator)
     f, half, end = k // windows.scale, k // 2, _num(s, k)
-    grid = {0, end}
+    stretches, grid = {0, end}, set()
     for (u, v, _, _), _ in windows._keys:
         for x in (u * f, v * f):
-            for t in (x - k, x - half, x + half, x + k):
-                if 0 < t < end:
-                    grid.add(t)
-    grid = sorted(grid)
+            stretches.update(t for t in (x - k, x + k) if 0 < t < end)
+            grid.update(t for t in (x - half, x + half) if 0 < t < end)
+    grid = sorted(grid | stretches)
 
     points, tracks, loop_tracks = [], [], []
     for lo, hi in zip(grid, grid[1:]):
+        m = (lo + hi) // 2
         try:
-            seg = _segment_tracks(windows, pam, k, (lo + hi) // 2)
+            if lo in stretches:
+                m0 = m
+                units = list(_units(_decompose_keys(windows.clip(k, m - k, m + k), k, m - k, m + k, pam)))
+            seg = _segment_tracks(units, m0, m, k)
         except DomainError:
             u = Fraction(2 * lo + hi, 3 * k)
             scan_core(windows, pam, u, u)
@@ -295,14 +320,16 @@ def alpha_trace(xi, s, pam):
         breakpoints=tuple(Fraction(x, k) for x in points),
         segments=tuple(loop_tracks),
     )
-    if _circle_sums(loop, 0, tracks, 0, k, pam):
+    if _circle_sums(loop, 0, _side(tracks[0], 0, k), 0, k, pam):
         raise TraceError("loop value at 0 is not the empty element")
-    if _circle_sums(loop, -1, tracks, end, k, pam):
+    if _circle_sums(loop, -1, _side(tracks[-1], end, k), end, k, pam):
         raise TraceError("loop value at %s is not the empty element" % s)
     for i in range(1, len(points) - 1):
-        left = _circle_sums(loop, i - 1, tracks, points[i], k, pam)
-        right = left if tracks[i] is tracks[i - 1] else _circle_sums(loop, i, tracks, points[i], k, pam)
-        if left != right:
+        if tracks[i] is tracks[i - 1]:
+            continue
+        x = points[i]
+        left, right = _side(tracks[i - 1], x, k), _side(tracks[i], x, k)
+        if left != right and _circle_sums(loop, i - 1, left, x, k, pam) != _circle_sums(loop, i, right, x, k, pam):
             x = loop.breakpoints[i]
             raise TraceError(
                 "loop discontinuity at breakpoint %s: %r vs %r"
@@ -311,23 +338,27 @@ def alpha_trace(xi, s, pam):
     return loop
 
 
-def _segment_tracks(windows, pam, k, m):
+def _segment_tracks(units, m0, m, k):
     """The (c1, c0, label) tracks, c0 over k, of the segment with midpoint m.
 
-    The window (m - k, m + k) is decomposed once on keys; a unit at the
+    ``units`` come from the read of the window (m0 - k, m0 + k) of the
+    same stretch; each clipped end moves with the centre.  A unit at the
     basepoint at m is there on the whole segment and leaves no track.
     """
-    a, b = m - k, m + k
-    items = _decompose_keys(windows.clip(k, a, b), k, a, b, pam)
+    a, b = m0 - k, m0 + k
     out = []
-    for keys, label in _units(items):
-        val = _unit_value(keys, m, k)
+    for keys, label in units:
+        val = _unit_value(_moved(keys, a, b, m - m0), m, k)
         if val == k:
             continue
-        moved = tuple((u + 1 if u == a else u, v + 1 if v == b else v, p, q) for u, v, p, q in keys)
-        c1 = _unit_value(moved, m + 1, k) - val
+        c1 = _unit_value(_moved(keys, a, b, m + 1 - m0), m + 1, k) - val
         out.append((c1, val - c1 * m, label))
     return out
+
+
+def _moved(keys, a, b, d):
+    """``keys`` with each end on the window end a or b moved by d."""
+    return tuple((u + d if u == a else u, v + d if v == b else v, p, q) for u, v, p, q in keys)
 
 
 def _crossings(tracks, lo, hi):
@@ -342,24 +373,32 @@ def _crossings(tracks, lo, hi):
     return sorted(out)
 
 
-def _circle_sums(loop, i, tracks, x, k, pam):
-    """The value -> label total map of segment i's tracks at x, over k.
+def _side(tracks, x, k):
+    """The sorted (value, label) points of ``tracks`` at x, over k.
 
-    Values at the basepoint k and unit totals are dropped.  When the labels
-    are not jointly summable, ``bm_canon`` of the loop's tracks raises the
-    error, worded as it words it.
+    Values at the basepoint k and unit labels are left out.
     """
-    labels, totals = [], {}
-    for c1, c0, m in tracks[i]:
+    out = []
+    for c1, c0, m in tracks:
         val = _norm(c1 * x + c0, k)
         if val != k and m != UNIT:
-            labels.append(m)
-            totals.setdefault(val, []).append(m)
-    if pam.sum_tuple(labels) is None:
+            out.append((val, m))
+    out.sort()
+    return out
+
+
+def _circle_sums(loop, i, side, x, k, pam):
+    """The value -> label total map of ``side``, segment i's ``_side`` at x.
+
+    Unit totals are dropped.  When the labels are not jointly summable,
+    ``bm_canon`` of the loop's tracks raises the error, worded as it words
+    it.
+    """
+    if pam.sum_tuple([m for _, m in side]) is None:
         _segment_value(loop, i, Fraction(x, k), pam)
     out = {}
-    for val, ms in totals.items():
-        total = pam.sum_tuple(ms)
+    for val, group in groupby(side, key=itemgetter(0)):
+        total = pam.sum_tuple([m for _, m in group])
         if total != UNIT:
             out[val] = total
     return out

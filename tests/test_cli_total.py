@@ -28,6 +28,9 @@ FILES = {
         for i in range(1, 5)
         for k in range(i, 5)
     ),
+    "t6": "pam T6\nelements 0 1 2 3 4 5 6\n" + "".join(
+        "sum %d + %d = %d\n" % (i, k, i + k) for i in range(1, 7) for k in range(i, 7) if i + k <= 6
+    ),
     "skew": "pam NA\nelements 0 a b c\nsum a + a = b\nsum b + b = 0\nsum a + b = c\n",
     "notpam": "Exact tools for configuration spaces\n",
 }
@@ -163,6 +166,16 @@ CASES = [
     (3, ["alpha", "trace", "--pam", "{m3}", "--len", "4", "[1,2]:a"], None,
      "error: window (1/6, 13/6): piece "
      "Interval(u=Fraction(1, 1), v=Fraction(2, 1), p=1, q=1):a is not elementary\n"),
+    # a window with two decompositions: past the breakpoint first fit pairs
+    # two strands into a cut pair, and two values become one
+    (3, ["alpha", "trace", "--pam", "{t6}", "--len", "31/6", "(1/2,5/4]:3 (5/3,25/6):3"], None,
+     "error: loop discontinuity at breakpoint 3/2: "
+     "BMElement(m0=None, points=((Fraction(2, 3), '3'), (Fraction(3, 4), '3'))) vs "
+     "BMElement(m0=None, points=((Fraction(5, 12), '3'),))\n"),
+    (3, ["alpha", "trace", "--pam", "{z5}", "--len", "79/12", "(1,2]:g3 (13/6,65/12]:g3 [11/4,73/12):g2"], None,
+     "error: loop discontinuity at breakpoint 2: "
+     "BMElement(m0=None, points=((Fraction(1, 2), 'g3'), (Fraction(2, 3), 'g3'))) vs "
+     "BMElement(m0=None, points=((Fraction(1, 6), 'g3'),))\n"),
     # bm canon
     (0, ["bm", "canon", "--pam", "{m3}", "1/2:a 1/2:b"], "1/2:c\n", None),
     (0, ["bm", "canon", "--pam", "{m3}", "--svg", "{out}/bm.svg", "∅"], "∅\n", None),

@@ -231,6 +231,23 @@ def test_is_admissible(m3):
     short = ((I(-1, "-1/8", *HO), "a"), (I("1/8", 1, *HO), "a"))
     bad2 = is_admissible(short, F(1), (F(-2), F(2)), m3)
     assert not bad2.ok
+    # an end on the inner window (a + eps/2, b - eps/2): open there it
+    # stays inside, closed there, or a point there, it leaks, with the
+    # verdict and reason of restrict to the inner window
+    for eps, lo, hi in ((F(1), F(1, 2), F(7, 2)), (F(2, 3), F(1, 3), F(11, 3))):
+        for xi, leaks in (
+            (((I(lo, lo + 1, OPEN, CLOSED), "a"),), False),
+            (((I(lo, lo + 1, CLOSED, OPEN), "a"),), True),
+            (((I(lo, lo, CLOSED, OPEN), "a"),), True),
+            (((I(hi - 1, hi, CLOSED, OPEN), "b"),), False),
+            (((I(hi - 1, hi, OPEN, CLOSED), "b"),), True),
+            (((I(hi, hi, OPEN, CLOSED), "b"),), True),
+            (((I(lo, lo + 1, OPEN, CLOSED), "a"), (I(2, 2, CLOSED, OPEN), "c"), (I(hi - 1, hi, CLOSED, OPEN), "b")), False),
+        ):
+            assert (restrict(xi, lo, hi) != xi) == leaks
+            reason = "support leaks outside (%s, %s)" % (lo, hi) if leaks else None
+            report = is_admissible(xi, eps, (0, 4), m3)
+            assert (report.ok, report.reason) == (not leaks, reason), xi
 
 
 def test_admissible_empty(m3):
