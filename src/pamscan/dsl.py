@@ -163,7 +163,7 @@ def parse_pam_text(text):
         raise ParseError("missing 'pam <name>' header", 1, 1)
     if elements is None:
         raise ParseError("missing elements line", 1, 1)
-    return FinitePam(name, elements, {(a, b): c for a, b, c in sums})
+    return FinitePam(name, elements, [((a, b), c) for a, b, c in sums])
 
 
 def fmt_pam(pam):

@@ -1,14 +1,13 @@
 """Finite partial abelian monoids.
 
 A partial abelian monoid is a based set with a partially defined, symmetric,
-associative sum for which the base element "0" is a unit.  Sums are stored
-sparsely: a pair that is absent from the table is insummable.  Unit sums
-(0 + a = a) are implicit and never stored.
+associative sum for which the base element "0" is a unit.  A carrier lists
+its nonunit sums, one per unordered pair; unit sums (0 + a = a) are
+implicit.  FinitePam keeps every summable ordered pair, both orders and the
+unit sums included, so a pair absent from it is insummable.
 """
 
 from __future__ import annotations
-
-import itertools
 
 UNIT = "0"
 
@@ -28,18 +27,19 @@ class DomainError(Exception):
 class FinitePam:
     """A finite partial abelian monoid given by an explicit sum table.
 
-    ``sums`` maps unordered pairs of element ids to their sum.  The
+    ``sums`` maps unordered pairs of element ids to their sum, or lists
+    ((a, b), c) items in order, so that a pair may be given twice.  The
     constructor validates the whole structure and raises PamError carrying
     every violation found, each with a witnessing triple or pair.
     """
 
-    __slots__ = ("name", "elements", "_index", "_sums")
+    __slots__ = ("name", "elements", "_index", "_pairs")
 
     def __init__(self, name, elements, sums):
         self.name = name
         self.elements = tuple(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self._sums = {}
+        self._pairs = {}
         problems = self._build(sums)
         problems += self._violations()
         if problems:
@@ -49,13 +49,18 @@ class FinitePam:
             )
 
     def _build(self, sums):
+        """Fill ``_pairs``, the sum of every summable ordered pair, unit sums
+        included, and return the problems found in the table itself."""
         out = []
         if len(set(self.elements)) != len(self.elements):
             out.append("duplicate element ids")
         if UNIT not in self._index:
             out.append("missing unit element %r" % UNIT)
             return out
-        for (a, b), c in dict(sums).items():
+        pairs = self._pairs
+        for x in self.elements:
+            pairs[UNIT, x] = pairs[x, UNIT] = x
+        for (a, b), c in sums.items() if hasattr(sums, "items") else sums:
             for x in (a, b, c):
                 if x not in self._index:
                     out.append("sum %s + %s = %s uses unknown element %s" % (a, b, c, x))
@@ -67,48 +72,75 @@ class FinitePam:
                     if c != other:
                         out.append("unit violation: %s + %s = %s" % (a, b, c))
                     continue
-                key = self._key(a, b)
-                if key in self._sums and self._sums[key] != c:
-                    out.append(
-                        "conflicting sums for (%s, %s): %s and %s"
-                        % (a, b, self._sums[key], c)
-                    )
+                old = pairs.get((a, b))
+                if old is not None and old != c:
+                    out.append("conflicting sums for (%s, %s): %s and %s" % (a, b, old, c))
                 else:
-                    self._sums[key] = c
+                    pairs[a, b] = pairs[b, a] = c
         return out
 
-    def _key(self, a, b):
-        if self._index[a] <= self._index[b]:
-            return (a, b)
-        return (b, a)
+    def _table(self):
+        """``tab[i][j]``: the index of element i + element j, or None."""
+        index = self._index
+        n = len(self.elements)
+        tab = [[None] * n for _ in range(n)]
+        for (a, b), c in self._pairs.items():
+            tab[index[a]][index[b]] = index[c]
+        return tab
+
+    def _triples(self, tab):
+        """The triples that can fail, as (a, b, cs) for each non-unit pair
+        (a, b) in element order: cs lists the c to check, in element order.
+
+        When a+b is defined every non-unit c is checked; otherwise only the
+        c with b+c defined.  Positions map through ``_index``, so a
+        repeated id is visited once per position, as in a product.
+        """
+        index = self._index
+        order = [index[e] for e in self.elements if e != UNIT]
+        rows = [[c for c in order if row[c] is not None] for row in tab]
+        for a in order:
+            row = tab[a]
+            for b in order:
+                yield a, b, order if row[b] is not None else rows[b]
 
     def _violations(self):
-        """Exhaustive associativity scan over ordered triples.
+        """Associativity scan, exhaustive over the triples that can fail.
 
         The axiom: (a,b) and (a+b,c) are summable iff (b,c) and (a,b+c) are,
-        and then the totals agree.  Each failure reports its witnessing
-        triple.
+        and then the totals agree.  A triple that contains the unit holds
+        by the unit law: both sides reduce to the sum of the other two.  A
+        side can be defined only if its inner pair is, so when neither
+        (a,b) nor (b,c) is defined both sides are undefined and the triple
+        holds.  ``_triples`` skips exactly these, so the work is O(n^2) for
+        the table plus O(D*n) for D defined pairs.  The product order is
+        lexicographic on positions; the scan runs a, b and c over positions
+        in that order and only leaves triples out, so the failures come out
+        in ``itertools.product`` order, each with its witnessing triple.
         """
         if UNIT not in self._index:
             return []
+        elements = self.elements
+        tab = self._table()
+        undefined = [None] * len(elements)
         out = []
-        add = self._add
-        for a, b, c in itertools.product(self.elements, repeat=3):
-            ab = add(a, b)
-            left = add(ab, c) if ab is not None else None
-            bc = add(b, c)
-            right = add(a, bc) if bc is not None else None
-            if (left is None) != (right is None):
-                side = "(%s+%s)+%s" % (a, b, c) if left is not None else "%s+(%s+%s)" % (a, b, c)
-                out.append(
-                    "associativity fails at triple (%s, %s, %s): only %s is defined"
-                    % (a, b, c, side)
-                )
-            elif left is not None and left != right:
-                out.append(
-                    "associativity fails at triple (%s, %s, %s): %s != %s"
-                    % (a, b, c, left, right)
-                )
+        for a, b, cs in self._triples(tab):
+            row_a, row_b = tab[a], tab[b]
+            ab = row_a[b]
+            row_ab = undefined if ab is None else tab[ab]
+            for c in cs:
+                left = row_ab[c]
+                bc = row_b[c]
+                right = None if bc is None else row_a[bc]
+                if left == right:
+                    continue
+                x, y, z = elements[a], elements[b], elements[c]
+                if left is None or right is None:
+                    side = "(%s+%s)+%s" if right is None else "%s+(%s+%s)"
+                    detail = "only %s is defined" % (side % (x, y, z))
+                else:
+                    detail = "%s != %s" % (elements[left], elements[right])
+                out.append("associativity fails at triple (%s, %s, %s): %s" % (x, y, z, detail))
         return out
 
     def check_element(self, x):
@@ -129,12 +161,8 @@ class FinitePam:
         return self._add(a, b)
 
     def _add(self, a, b):
-        """``pair_sum`` of two elements already checked: a table lookup."""
-        if a == UNIT:
-            return b
-        if b == UNIT:
-            return a
-        return self._sums.get(self._key(a, b))
+        """``pair_sum`` of two elements already checked: one dict lookup."""
+        return self._pairs.get((a, b))
 
     def defined(self, a, b):
         return self.pair_sum(a, b) is not None
@@ -181,16 +209,21 @@ class FinitePam:
         return [(x, y) for x, y in self.partitions(m) if x != UNIT and y != UNIT]
 
     def sum_rows(self):
-        """Stored nonunit sums as (a, b, c) rows in element-index order."""
-        rows = [(a, b, c) for (a, b), c in self._sums.items()]
-        rows.sort(key=lambda r: (self._index[r[0]], self._index[r[1]]))
+        """Nonunit sums as (a, b, c) rows, a before b, in element-index order."""
+        index = self._index
+        rows = [
+            (a, b, c)
+            for (a, b), c in self._pairs.items()
+            if a != UNIT and b != UNIT and index[a] <= index[b]
+        ]
+        rows.sort(key=lambda r: (index[r[0]], index[r[1]]))
         return rows
 
     def __repr__(self):
         return "FinitePam(%r, %d elements, %d sums)" % (
             self.name,
             len(self.elements),
-            len(self._sums),
+            len(self.sum_rows()),
         )
 
 

@@ -32,6 +32,9 @@ FILES = {
         "sum %d + %d = %d\n" % (i, k, i + k) for i in range(1, 7) for k in range(i, 7) if i + k <= 6
     ),
     "skew": "pam NA\nelements 0 a b c\nsum a + a = b\nsum b + b = 0\nsum a + b = c\n",
+    # the same ordered pair twice with two values: the later line must not
+    # silently replace the earlier one
+    "dupsum": "pam D\nelements 0 a\nsum a + a = a\nsum a + a = 0\n",
     "notpam": "Exact tools for configuration spaces\n",
 }
 
@@ -88,6 +91,8 @@ CASES = [
     (1, ["pam", "check", "--require-self-insummable", "{z2}"], None, None),
     (3, ["pam", "check", "{skew}"], "invalid\n",
      SKEW_VIOLATIONS),
+    (3, ["pam", "check", "{dupsum}"], "invalid\n",
+     "conflicting sums for (a, a): a and 0\n"),
     (2, ["pam", "check", "{notpam}"], None,
      "parse error: 1:1: unknown directive 'Exact'\n"),
     (2, ["pam", "check", "{binary}"], None,
