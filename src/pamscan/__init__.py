@@ -23,7 +23,6 @@ from .tensor import (
     EqVerdict,
     TrivialCarrier,
     bm_canon,
-    bm_filtration_level,
     in_T,
     norm_circle,
     tensor_eq,
@@ -49,7 +48,6 @@ from .labeled import (
     lc_sorted,
     mirror_config,
     positive_part,
-    rescale_config,
     restrict,
     split_sides,
     translate_config,
@@ -85,13 +83,13 @@ __all__ = [
     "CLOSED", "OPEN", "IncompatibleConfig", "Interval", "clip_interval",
     "interval_leq", "is_chain", "is_compatible", "merge_summable", "normalize_config",
     "BASEPOINT", "BMElement", "CircleCarrier", "ConfigCarrier", "EqVerdict",
-    "TrivialCarrier", "bm_canon", "bm_filtration_level", "in_T",
+    "TrivialCarrier", "bm_canon", "in_T",
     "norm_circle", "tensor_eq",
     "AdmissibilityReport", "DecompResult", "DecomposeError", "Elem1",
     "Elem2", "SymmetricConfig", "ThickenedConfig", "WindowIndex", "config_eq",
     "admissibility_sweep", "decompose_window", "double", "in_T_labeled", "is_admissible",
     "is_mirror_invariant", "labeled_normalize", "labeled_rewrite_neighbors", "lc_sorted",
-    "mirror_config", "positive_part", "rescale_config", "restrict",
+    "mirror_config", "positive_part", "restrict",
     "split_sides", "translate_config", "window_sweep_points",
     "MooreLoop", "TraceError", "alpha_eval", "alpha_trace", "loop_eval",
     "omega", "path_eval_at_zero",

@@ -276,12 +276,49 @@ def labeled_rewrite_neighbors(xi, pam, extra_cuts=()):
     Pastes and unpastes (cut points drawn from endpoints, piece midpoints and
     ``extra_cuts``), merges and splits of labels over coincident intervals,
     and drops of zero labels or degenerate pieces.
+
+    Every move maps the tensor region T into T, so an input in T admits
+    each candidate unchecked, and only an input outside T has its
+    candidates checked one by one.  Two pieces conflict when neither
+    interval precedes the other; a degenerate piece reduces to () and
+    conflicts with nothing.  A configuration is in T when the labels of
+    each clique of conflicting pieces sum, and two pieces with insummable
+    labels never conflict.  Move by move:
+
+    - a drop: T is hereditary, as every clique of a sub-multiset is a
+      clique of the whole;
+    - an unpaste of j into j1, j2: the two parts are in order, a piece
+      that conflicts with a part conflicts with j, and a piece in order
+      with j is in order with both parts.  So a clique through one part
+      is a clique through j with the same labels, and a piece whose
+      label is insummable with m stays in order with the parts;
+    - a split of m into a + b over j: a clique through both (j, a) and
+      (j, b) sums as the clique through (j, m) does, by associativity,
+      and one through one part sums because a part of a summable tuple
+      sums.  A label x insummable with a is insummable with a + b = m,
+      so the label side carries over from (j, m);
+    - a merge of (j, m1), (j, m2) into (j, m1 + m2): a clique through the
+      merged piece is a clique through both parents with the same sum.
+      If a piece k whose label is insummable with m1 + m2 conflicted
+      with j, then {k, (j, m1), (j, m2)} would be a clique in the parent
+      whose labels do not sum;
+    - a paste of j1, j2 into j: a nondegenerate piece that conflicts with j
+      conflicts with j1 or with j2.  If k1 conflicted only with j1 and
+      k2 only with j2, then k1 ends where j1 ends at the latest and k2
+      starts where j2 starts at the earliest, and j1.q != j2.p puts k1
+      before k2.  So a clique through j is a clique through j1 or through
+      j2.  A piece in order with both j1 and j2 is in order with j, or is
+      a degenerate point at the cut.  A degenerate j1 or j2 makes the
+      paste the drop of that piece.
     """
     items = list(xi)
     out = set()
+    # Membership reads the labels in order, so checking items[0] last
+    # raises on the unknown label that the first candidate check would.
+    inside = in_T_labeled(items[1:] + items[:1], pam)
 
     def admit(cand):
-        if in_T_labeled(cand, pam):
+        if inside or in_T_labeled(cand, pam):
             out.add(lc_sorted(cand))
 
     for i, (j, m) in enumerate(items):
@@ -402,14 +439,6 @@ def mirror_config(xi):
 
 def translate_config(xi, d):
     return lc_sorted((j.translate(d), m) for j, m in xi)
-
-
-def rescale_config(xi, k):
-    """Scale all endpoints by a positive rational."""
-    k = _frac(k)
-    if k <= 0:
-        raise DomainError("rescale factor must be positive")
-    return lc_sorted((Interval(j.u * k, j.v * k, j.p, j.q), m) for j, m in xi)
 
 
 def double(xi):

@@ -327,12 +327,6 @@ def _pivot(masks, p, x):
     return pivot
 
 
-def is_pairwise_insummable(carrier, xs):
-    masks = _insummable_masks(carrier, list(xs))
-    full = (1 << len(masks)) - 1
-    return all(m | 1 << i == full for i, m in enumerate(masks))
-
-
 def _canon_pairs(c1, c2, pairs):
     return tuple(sorted(pairs, key=lambda p: (c1.sort_key(p[0]), c2.sort_key(p[1]))))
 
@@ -344,7 +338,9 @@ def rewrite_neighbors(c1, c2, pairs):
     other carrier's elements when finite, and reuse coordinates already
     present otherwise); split a coordinate along the carrier's partitions;
     merge two pairs that agree in the other coordinate and whose remaining
-    coordinates are summable.
+    coordinates are summable.  Every candidate is checked: unlike
+    ``labeled.labeled_rewrite_neighbors``, no claim is made here that the
+    moves keep the tensor region.
     """
     pairs = list(pairs)
     out = set()
@@ -575,7 +571,3 @@ def _minimal_unsummable(sums, items):
         if sums(rest) is None:
             witness = rest
     return witness
-
-
-def bm_filtration_level(z: BMElement):
-    return z.level

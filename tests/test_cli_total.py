@@ -131,6 +131,15 @@ CASES = [
     (1, ["config", "eq", "--pam", "{m3}", "(0,2]:c", "(0,2]:a"], "distinct\n", None),
     (0, ["config", "eq", "--pam", "{m3}", "--method", "search", "(0,2]:c", "(0,1):c [1,2]:c"], "equal\n", None),
     (4, ["config", "eq", "--pam", "{m3}", "--method", "search", "--depth", "0", "(0,2]:c", "(0,2]:a"], "unknown\n", None),
+    # search verdicts where the normal forms differ: the M3 overlap pair and
+    # the first Z2 pair are one element each; the Z2 hull pair is two
+    # elements, which a bounded search cannot show
+    (0, ["config", "eq", "--pam", "{m3}", "--method", "search", "[0,2):a [1,3):b", "[0,1):a [1,2):c [2,3):b"],
+     "equal\n", None),
+    (0, ["config", "eq", "--pam", "{z2}", "--method", "search", "[3/2,4):g [2,4):g [7/2,6):g", "[3/2,2):g [7/2,6):g"],
+     "equal\n", None),
+    (4, ["config", "eq", "--pam", "{z2}", "--method", "search", "[0,1]:g [0,1):g", "(1,2]:g [1,2]:g"],
+     "unknown\n", None),
     (2, ["config", "eq", "--pam", "{m3}", "(0,2]:c", "(0,2]:zz"], None,
      "parse error: 1:1: unknown label 'zz'\n"),
     # the depth check comes before the carrier is read

@@ -10,7 +10,6 @@ from pamscan import (
     BMElement,
     DomainError,
     bm_canon,
-    bm_filtration_level,
     config_eq,
     norm_circle,
 )
@@ -21,7 +20,6 @@ from pamscan.tensor import (
     PamCarrier,
     TrivialCarrier,
     in_T,
-    is_pairwise_insummable,
     rewrite_neighbors,
     tensor_eq,
     EqVerdict,
@@ -57,7 +55,7 @@ def test_bm_element_validation():
 def test_bm_canon_merges(m3):
     z = bm_canon(m3, [(F(1, 2), "a"), (F(1, 2), "b")])
     assert z == BMElement(None, ((F(1, 2), "c"),))
-    assert bm_filtration_level(z) == 1
+    assert z.level == 1
 
 
 def test_bm_canon_drops_trivia(m3):
@@ -71,7 +69,7 @@ def test_bm_canon_zero_label(m3):
     z = bm_canon(m3, [(F(0), "c")])
     assert z.m0 == "c"
     assert z.points == ()
-    assert bm_filtration_level(z) == 1
+    assert z.level == 1
 
 
 def test_bm_canon_unsummable_witness(m3):
@@ -125,6 +123,12 @@ def test_config_carrier():
     assert cc.pair_sum(a, b) == (Interval(F(0), F(2), CLOSED, OPEN),)
     assert cc.pair_sum(a, a) is None
     assert cc.is_zero(())
+
+
+def is_pairwise_insummable(carrier, xs):
+    masks = tensor._insummable_masks(carrier, list(xs))
+    full = (1 << len(masks)) - 1
+    return all(m | 1 << i == full for i, m in enumerate(masks))
 
 
 def test_is_pairwise_insummable(m3):
