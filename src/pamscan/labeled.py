@@ -7,12 +7,12 @@ sums together: wherever intervals refuse to merge, their labels must sum.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate, count, groupby
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from .pam import UNIT, DomainError
@@ -250,6 +250,19 @@ def config_eq(x1, x2, pam, method="nf", depth=6):
     not exact over every carrier, where the moves need not converge (see
     ``labeled_normalize``).  ``search`` runs a bounded bidirectional walk
     over one-step rewrites and answers UNKNOWN once it is out of bounds.
+
+    The search runs on integer keys.  S is the lcm of the endpoint
+    denominators of x1 and x2, whose endpoints are the extra cuts.  A node
+    is (e, items): the pieces as sorted ((u, v, p, q), label) keys over
+    S * 2**e, with e the fewest halvings its endpoints need.  An odd
+    midpoint cut doubles a node, and a paste or drop that removes its last
+    odd endpoint halves it back, so equal configurations give equal nodes
+    and the search sees the nodes the ``lc_sorted`` presentation would.
+
+    Exhausting both sides proves DISTINCT only when both starts are in the
+    tensor region T.  The moves out of a start outside T are filtered to
+    those that land in T, so from such a start the search answers UNKNOWN
+    instead; an EQUAL is a chain of moves and stands.
     """
     if method == "nf":
         return (
@@ -259,23 +272,35 @@ def config_eq(x1, x2, pam, method="nf", depth=6):
         )
     if method != "search":
         raise ValueError("unknown method %r" % method)
-    cuts = sorted(
-        {j.u for j, _ in list(x1) + list(x2)} | {j.v for j, _ in list(x1) + list(x2)}
-    )
-    return _bidirectional_search(
-        lc_sorted(x1),
-        lc_sorted(x2),
-        lambda node: labeled_rewrite_neighbors(node, pam, extra_cuts=cuts),
-        depth,
-    )
+    x1, x2 = tuple(x1), tuple(x2)
+    scale, keyed = _endpoint_keys(x1 + x2)
+    cuts = sorted({x for key, _, _ in keyed for x in key[:2]})
+    n = len(x1)
+    starts = [(0, tuple(sorted((key, m) for key, m, _ in part))) for part in (keyed[:n], keyed[n:])]
+    outside = []
+
+    def neighbors(node):
+        inside, out = _rewrite_keys(node, pam, cuts, scale)
+        if not inside:
+            outside.append(node)
+        return out
+
+    verdict = _bidirectional_search(*starts, neighbors, depth)
+    # every move of a node in T stays in T, and a node outside T admits
+    # only candidates in T, so only a start can be outside
+    if verdict is EqVerdict.DISTINCT and outside:
+        return EqVerdict.UNKNOWN
+    return verdict
 
 
 def labeled_rewrite_neighbors(xi, pam, extra_cuts=()):
-    """One-step rewrites of a labeled configuration.
+    """One-step rewrites of a labeled configuration, as ``lc_sorted`` tuples.
 
     Pastes and unpastes (cut points drawn from endpoints, piece midpoints and
     ``extra_cuts``), merges and splits of labels over coincident intervals,
-    and drops of zero labels or degenerate pieces.
+    and drops of zero labels or degenerate pieces.  The moves are made on
+    integer keys by ``_rewrite_keys``, the generator ``config_eq`` searches
+    with, over the lcm of every endpoint and cut denominator.
 
     Every move maps the tensor region T into T, so an input in T admits
     each candidate unchecked, and only an input outside T has its
@@ -312,44 +337,106 @@ def labeled_rewrite_neighbors(xi, pam, extra_cuts=()):
       paste the drop of that piece.
     """
     items = list(xi)
+    # The keyed check reads the labels in key order; reading them here in
+    # input order, items[0] last, raises on the unknown label that the
+    # first per-candidate check would.
+    for _, m in items[1:] + items[:1]:
+        pam.check_element(m)
+    cuts = [_frac(w) for w in extra_cuts]
+    scale = lcm(*{x.denominator for j, _ in items for x in (j.u, j.v)}, *{w.denominator for w in cuts})
+    node = (0, tuple(sorted((key, m) for key, m, _ in _keys_over(items, scale))))
+    _, out = _rewrite_keys(node, pam, sorted({_num(w, scale) for w in cuts}), scale)
+    return {tuple((_interval(key, scale << e), m) for key, m in cand) for e, cand in out}
+
+
+def _rewrite_keys(node, pam, cuts, scale):
+    """(inside, neighbors) of the search node ``node`` over ``scale``.
+
+    ``node`` is (e, items), sorted ((u, v, p, q), label) keys over
+    scale * 2**e with e canonical (see ``config_eq``), and ``cuts`` are
+    sorted integers over ``scale``.  ``inside`` tells whether the node is
+    in T, checked once on Intervals built from its keys; a node outside T
+    checks each candidate too (see ``labeled_rewrite_neighbors``).  Each
+    candidate is the node's sorted rest with at most two keys inserted,
+    doubled for an odd midpoint and halved by ``_halved`` when a paste or
+    drop removes an odd endpoint.
+    """
+    e, items = node
+    pieces = [(_interval(key, scale << e), m) for key, m in items]
+    # Membership reads the labels in order; reading items[0] last names,
+    # of two unknown labels, the one a per-candidate check meets first.
+    inside = in_T_labeled(pieces[1:] + pieces[:1], pam)
     out = set()
-    # Membership reads the labels in order, so checking items[0] last
-    # raises on the unknown label that the first candidate check would.
-    inside = in_T_labeled(items[1:] + items[:1], pam)
 
-    def admit(cand):
-        if inside or in_T_labeled(cand, pam):
-            out.add(lc_sorted(cand))
+    def admit(e, cand):
+        if inside or in_T_labeled([(_interval(key, scale << e), m) for key, m in cand], pam):
+            out.add((e, cand))
 
-    for i, (j, m) in enumerate(items):
+    doubled = None
+    for i, (key, m) in enumerate(items):
+        u, v, p, q = key
         rest = items[:i] + items[i + 1 :]
-        if m == UNIT or j.is_degenerate:
-            admit(rest)
-        cuts = {j.u, j.v} | set(extra_cuts) | {(j.u + j.v) / 2}
-        for w in cuts:
-            w = _frac(w)
-            if j.u < w < j.v:
+        if m == UNIT or u == v:
+            admit(*_halved(e, rest, u, v))
+        if u < v:
+            ws = {c << e for c in cuts[bisect_right(cuts, u >> e) : bisect_left(cuts, -(-v >> e))]}
+            if (u + v) & 1:
+                if doubled is None:
+                    doubled = tuple(((2 * a, 2 * b, c, d), n) for (a, b, c, d), n in items)
+                drest = doubled[:i] + doubled[i + 1 :]
+                w = u + v
                 for r in (CLOSED, OPEN):
-                    admit(rest + [(Interval(j.u, w, j.p, r), m), (Interval(w, j.v, -r, j.q), m)])
+                    admit(e + 1, _with(drest, ((2 * u, w, p, r), m), ((w, 2 * v, -r, q), m)))
+            else:
+                ws.add((u + v) >> 1)
+            for w in ws:
+                for r in (CLOSED, OPEN):
+                    admit(e, _with(rest, ((u, w, p, r), m), ((w, v, -r, q), m)))
         if m != UNIT:
             for a, b in pam.nonzero_partitions(m):
-                admit(rest + [(j, a), (j, b)])
+                admit(e, _with(rest, (key, a), (key, b)))
 
-    for i in range(len(items)):
-        j1, m1 = items[i]
+    for i, (k1, m1) in enumerate(items):
         for k in range(i + 1, len(items)):
-            j2, m2 = items[k]
-            rest = [p for idx, p in enumerate(items) if idx not in (i, k)]
-            if j1 == j2:
+            k2, m2 = items[k]
+            if k1 != k2 and m1 != m2:
+                continue
+            rest = items[:i] + items[i + 1 : k] + items[k + 1 :]
+            if k1 == k2:
                 s = pam.pair_sum(m1, m2)
                 if s is not None:
-                    admit(rest + [(j1, s)])
+                    admit(e, _with(rest, (k1, s)))
             if m1 == m2:
-                if j1.v == j2.u and j1.q != j2.p:
-                    admit(rest + [(Interval(j1.u, j2.v, j1.p, j2.q), m1)])
-                if j2.v == j1.u and j2.q != j1.p:
-                    admit(rest + [(Interval(j2.u, j1.v, j2.p, j1.q), m1)])
-    return out
+                for (u1, v1, p1, q1), (u2, v2, p2, q2) in ((k1, k2), (k2, k1)):
+                    if v1 == u2 and q1 != p2:
+                        admit(*_halved(e, _with(rest, ((u1, v2, p1, q2), m1)), v1))
+    return inside, out
+
+
+def _with(rest, *new):
+    """The sorted keyed pieces ``rest`` with the pieces ``new`` inserted."""
+    out = list(rest)
+    for x in new:
+        insort(out, x)
+    return tuple(out)
+
+
+def _halved(e, items, *gone):
+    """The node (e, items) made canonical after a move took the endpoints ``gone``.
+
+    A canonical node with e > 0 has an odd endpoint, so only a move that
+    takes one away can leave every endpoint even; the node is then halved
+    as often as its endpoints allow, down to e = 0.
+    """
+    if not (e and any(x & 1 for x in gone)):
+        return e, items
+    g = 0
+    for (u, v, _, _), _ in items:
+        g = gcd(g, u, v)
+    h = e if g == 0 else min(e, (g & -g).bit_length() - 1)
+    if not h:
+        return e, items
+    return e - h, tuple(((u >> h, v >> h, p, q), m) for (u, v, p, q), m in items)
 
 
 def restrict(xi, a, b):

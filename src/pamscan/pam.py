@@ -33,7 +33,7 @@ class FinitePam:
     every violation found, each with a witnessing triple or pair.
     """
 
-    __slots__ = ("name", "elements", "_index", "_pairs")
+    __slots__ = ("name", "elements", "_index", "_pairs", "_parts")
 
     def __init__(self, name, elements, sums):
         self.name = name
@@ -50,7 +50,8 @@ class FinitePam:
 
     def _build(self, sums):
         """Fill ``_pairs``, the sum of every summable ordered pair, unit sums
-        included, and return the problems found in the table itself."""
+        included, and ``_parts``, the pairs of each sum in element-index
+        order; return the problems found in the table itself."""
         out = []
         if len(set(self.elements)) != len(self.elements):
             out.append("duplicate element ids")
@@ -77,6 +78,10 @@ class FinitePam:
                     out.append("conflicting sums for (%s, %s): %s and %s" % (a, b, old, c))
                 else:
                     pairs[a, b] = pairs[b, a] = c
+        index = self._index
+        parts = self._parts = {}
+        for xy in sorted(pairs, key=lambda xy: (index[xy[0]], index[xy[1]])):
+            parts.setdefault(pairs[xy], []).append(xy)
         return out
 
     def _table(self):
@@ -195,15 +200,7 @@ class FinitePam:
 
     def partitions(self, m):
         """Ordered pairs (x, y) with x + y = m, sorted by element index."""
-        self.check_element(m)
-        out = [
-            (x, y)
-            for x in self.elements
-            for y in self.elements
-            if self._add(x, y) == m
-        ]
-        out.sort(key=lambda xy: (self._index[xy[0]], self._index[xy[1]]))
-        return out
+        return list(self._parts.get(self.check_element(m), ()))
 
     def nonzero_partitions(self, m):
         return [(x, y) for x, y in self.partitions(m) if x != UNIT and y != UNIT]

@@ -140,6 +140,10 @@ CASES = [
      "equal\n", None),
     (4, ["config", "eq", "--pam", "{z2}", "--method", "search", "[0,1]:g [0,1):g", "(1,2]:g [1,2]:g"],
      "unknown\n", None),
+    # both starts lie outside the tensor region (a + a is undefined), so
+    # their filtered moves run out without proving them apart; nf says equal
+    (4, ["config", "eq", "--pam", "{m3}", "--method", "search", "[0,2):a [1,3):a", "[0,1):a [1,3):a [1,2):a"],
+     "unknown\n", None),
     (2, ["config", "eq", "--pam", "{m3}", "(0,2]:c", "(0,2]:zz"], None,
      "parse error: 1:1: unknown label 'zz'\n"),
     # the depth check comes before the carrier is read

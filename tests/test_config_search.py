@@ -1,25 +1,33 @@
-"""Configuration search against the per-candidate filter it replaced.
+"""Configuration search against the Fraction search it replaced.
 
-The oracle lists the one-step moves of a labeled configuration in the
-library's order and keeps each candidate that passes ``in_T_labeled`` on
-its own.  The library checks membership once, on the input, and admits
-every candidate of an input in the tensor region unchecked: each move maps
-the region into itself.  The exhaustive test checks that lemma on every
-small configuration; the seeded tests compare neighbor sets and error
-messages, and search verdicts, with the oracle; the work guard counts
-membership checks, so a search that checks every candidate again cannot
-return without a failing test.
+The library searches on integer keys (see ``config_eq``).  Two oracles
+stand beside it.  ``oracle_rewrite_neighbors`` lists the one-step moves of
+a labeled configuration in the library's order and keeps each candidate
+that passes ``in_T_labeled`` on its own.  ``oracle_search`` is the search
+on ``lc_sorted`` Fraction nodes, checking membership once per node.  The
+exhaustive test checks on every small configuration that each move of the
+library maps the tensor region into itself.  The seeded tests compare
+neighbor sets, search verdicts and error messages with the oracles.  The
+work guards count membership checks and node exponents, so a search that
+checks every candidate again, or whose keys grow with the depth bound
+rather than with the cuts it makes, cannot return without a failing test.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import pamscan.labeled as labeled
+import pamscan.tensor as tensor
 from pamscan import (
     CLOSED,
     OPEN,
     DomainError,
+    EqVerdict,
     FinitePam,
     Interval,
     config_eq,
@@ -29,6 +37,7 @@ from pamscan import (
 )
 from pamscan.dsl import parse_config
 from pamscan.pam import UNIT
+from pamscan.tensor import _bidirectional_search
 
 from genutil import cyclic_pam, truncated_pam
 
@@ -76,6 +85,30 @@ def oracle_rewrite_neighbors(xi, pam, extra_cuts=()):
     return {lc_sorted(c) for c in oracle_moves(xi, pam, extra_cuts) if in_T_labeled(c, pam)}
 
 
+def fraction_rewrite_neighbors(xi, pam, extra_cuts=()):
+    """The moves of ``xi`` as ``lc_sorted`` tuples, membership checked once.
+
+    Membership reads the labels in order, so checking items[0] last raises
+    on the unknown label that the first candidate check would.
+    """
+    items = list(xi)
+    inside = in_T_labeled(items[1:] + items[:1], pam)
+    return {lc_sorted(c) for c in oracle_moves(items, pam, extra_cuts) if inside or in_T_labeled(c, pam)}
+
+
+def oracle_search(x1, x2, pam, depth):
+    """The search on ``lc_sorted`` Fraction nodes, every endpoint a cut.
+
+    Returns its verdict as it was, DISTINCT from a start outside T
+    included; the comparison applies the outside-T rule itself.
+    """
+    x1, x2 = list(x1), list(x2)
+    cuts = sorted({x for j, _ in x1 + x2 for x in (j.u, j.v)})
+    return _bidirectional_search(
+        lc_sorted(x1), lc_sorted(x2), lambda node: fraction_rewrite_neighbors(node, pam, cuts), depth
+    )
+
+
 def _outcome(f, *args, **kwargs):
     try:
         return "ok", f(*args, **kwargs)
@@ -85,6 +118,7 @@ def _outcome(f, *args, **kwargs):
 
 M3 = FinitePam("M3", ["0", "a", "b", "c"], {("a", "b"): "c"})
 CARRIERS = (M3, cyclic_pam(2), cyclic_pam(5), truncated_pam(2), truncated_pam(6))
+SEARCH_CARRIERS = (M3, cyclic_pam(2), cyclic_pam(5), cyclic_pam(7), truncated_pam(6))
 
 
 def _grid_intervals():
@@ -101,7 +135,7 @@ def _grid_intervals():
 
 
 def test_moves_keep_the_tensor_region():
-    """Every move of every small configuration in T stays in T.
+    """Every move the library makes from a small configuration in T stays in T.
 
     Up to three pieces with ends in {0, 1/2, 1}, every parity pair and the
     degenerate points, with the nonzero labels of M3 and of {0..2}; a zero
@@ -134,11 +168,10 @@ def test_moves_keep_the_tensor_region():
                 if not in_T_labeled(xi, pam):
                     continue
                 inside += 1
-                for cand in oracle_moves(xi, pam):
-                    key = lc_sorted(cand)
-                    if key not in checked:
+                for cand in labeled_rewrite_neighbors(xi, pam):
+                    if cand not in checked:
                         assert in_T_labeled(cand, pam), (xi, cand)
-                        checked.add(key)
+                        checked.add(cand)
         assert inside > 1000
 
 
@@ -194,26 +227,59 @@ def _walk(rng, xi, pam, steps):
     return xi
 
 
-def test_search_matches_oracle(monkeypatch):
-    rng = random.Random("config-search")
-    pairs = []
-    for pam in CARRIERS:
-        for _ in range(110):
-            x1 = [(j, m) for j, m in _rand_config(rng, pam) if m in pam.elements][:3]
-            if x1 and rng.random() < 0.3:
-                # a coincident copy leaves T wherever m + m is undefined
-                x1.append(x1[0])
-            x2 = _walk(rng, x1, pam, rng.randint(1, 3)) if rng.random() < 0.7 else _rand_config(rng, pam)[:2]
-            x2 = [(j, m) for j, m in x2 if m in pam.elements]
-            pairs.append((x1, x2, pam, rng.randint(1, 3)))
-    fast = [_outcome(config_eq, x1, x2, pam, method="search", depth=d) for x1, x2, pam, d in pairs]
-    with monkeypatch.context() as m:
-        m.setattr(labeled, "labeled_rewrite_neighbors", oracle_rewrite_neighbors)
-        slow = [_outcome(config_eq, x1, x2, pam, method="search", depth=d) for x1, x2, pam, d in pairs]
-    assert fast == slow
-    outside = sum(not in_T_labeled(x1, pam) for x1, _, pam, _ in pairs)
-    verdicts = {out[1] for out in fast}
-    assert outside >= 50 and len(verdicts) == 3, (outside, verdicts)
+def _search_pairs(rng, pam, n):
+    """``n`` seeded search inputs (x1, x2, depth) over ``pam``.
+
+    x2 is a random walk from x1 or a fresh draw.  Starts hold degenerate
+    pieces, zero labels, coincident copies that leave T, and now and then
+    an unknown label; a third of the pairs are moved by one increasing
+    affine map with denominators 3 and 5, which keeps every verdict.
+    """
+    out = []
+    for _ in range(n):
+        x1 = _rand_config(rng, pam)
+        if rng.random() < 0.8:
+            x1 = [(j, m) for j, m in x1 if m in pam.elements]
+        if x1 and rng.random() < 0.3:
+            # a coincident copy leaves T wherever m + m is undefined
+            x1.append(x1[0])
+        if rng.random() < 0.7:
+            x2 = _walk(rng, [(j, m) for j, m in x1 if m in pam.elements], pam, rng.randint(1, 3))
+        else:
+            x2 = _rand_config(rng, pam)[:2]
+        if rng.random() < 0.3:
+            x1, x2 = ([(j.map_endpoints(lambda x: x * F(2, 3) - F(1, 5)), m) for j, m in c] for c in (x1, x2))
+        out.append((x1, x2, rng.randint(0, 4)))
+    return out
+
+
+def test_search_matches_fraction_search():
+    """The keyed search gives the Fraction search's verdict or error.
+
+    The one exception is the outside-T rule: a DISTINCT from a start
+    outside T becomes UNKNOWN, and such pairs are counted.
+    """
+    rng = random.Random("keyed-search")
+    tally = Counter()
+    for pam in SEARCH_CARRIERS:
+        for x1, x2, depth in _search_pairs(rng, pam, 420):
+            fast = _outcome(config_eq, x1, x2, pam, method="search", depth=depth)
+            slow = _outcome(oracle_search, x1, x2, pam, depth)
+            tally[slow[1]] += 1
+            tally["depth %d" % depth] += 1
+            if slow == ("ok", EqVerdict.DISTINCT):
+                assert not (in_T_labeled(x1, pam) and in_T_labeled(x2, pam)), (x1, x2)
+                slow = ("ok", EqVerdict.UNKNOWN)
+                tally["outside-T rule"] += 1
+            assert fast == slow, (x1, x2, pam, depth)
+            xs = x1 + x2
+            tally["degenerate"] += any(j.is_degenerate for j, _ in xs)
+            tally["zero label"] += any(m == UNIT for _, m in xs)
+            if all(m in pam.elements for _, m in xs):
+                tally["outside T"] += not (in_T_labeled(x1, pam) and in_T_labeled(x2, pam))
+    assert sum(tally["depth %d" % d] for d in range(5)) >= 2000
+    assert min(tally[k] for k in (*EqVerdict, DomainError, "outside-T rule")) >= 20, tally
+    assert min(tally["degenerate"], tally["zero label"], tally["outside T"]) >= 100, tally
 
 
 def _count_calls(monkeypatch, name):
@@ -241,7 +307,82 @@ def test_membership_is_checked_once_per_node(monkeypatch):
     assert len(checks) == 1 + len(list(oracle_moves(outside, M3)))
     # the search expands nodes in T only, one membership check each
     checks.clear()
-    nodes = _count_calls(monkeypatch, "labeled_rewrite_neighbors")
+    nodes = _count_calls(monkeypatch, "_rewrite_keys")
     other = parse_config("[0,1):a [1,2):c [2,3):b", M3)
     assert config_eq(xi, other, M3, method="search").value == "equal"
     assert nodes and len(checks) == len(nodes)
+
+
+def test_node_exponent_follows_the_rounds(monkeypatch):
+    """A node's exponent never exceeds the rounds the search has run.
+
+    Each node is charged the length of the chain of expansions that made
+    it, which is at most the round it appeared in.  A move doubles a node
+    at most once, so its exponent stays within that length, and under a
+    depth bound of 100,000 the keys grow only with the midpoints the
+    search took before its node bound stopped it.
+    """
+    real = labeled._rewrite_keys
+    levels = {}
+
+    def tracked(node, *args):
+        inside, out = real(node, *args)
+        level = levels.setdefault(node, 0)
+        assert node[0] <= level, node
+        for n in out:
+            assert n[0] <= level + 1, (node, n)
+            levels.setdefault(n, level + 1)
+        return inside, out
+
+    monkeypatch.setattr(labeled, "_rewrite_keys", tracked)
+    monkeypatch.setattr(tensor, "SEARCH_NODE_CAP", 3000)
+    xi = parse_config("[0,2):a [1,3):b", M3)
+    alt = parse_config("[0,1):a [1,2):c [2,4):b", M3)
+    assert config_eq(xi, alt, M3, method="search", depth=100000) == EqVerdict.UNKNOWN
+    top = max(e for e, _ in levels)
+    assert 1 <= top <= max(levels.values()) <= 8, (top, max(levels.values()))
+
+
+Z5 = cyclic_pam(5)
+
+
+def _canonical(e, items):
+    """The node (e, items) halved while e > 0 and every endpoint is even."""
+    while e and all(x % 2 == 0 for (u, v, _, _), _ in items for x in (u, v)):
+        e, items = e - 1, [((u // 2, v // 2, p, q), m) for (u, v, p, q), m in items]
+    return e, tuple(sorted(items))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-8, 8),
+            st.integers(1, 8),
+            st.sampled_from((CLOSED, OPEN)),
+            st.sampled_from((CLOSED, OPEN)),
+            st.sampled_from(Z5.elements[1:]),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(0, 3),
+)
+def test_odd_midpoint_cut_pastes_back(raw, e):
+    """Cutting a node at an odd midpoint and pasting back gives the node itself.
+
+    Ends are integers over 2**e, halved while all are even, so the node is
+    canonical; over Z/5 every configuration is in T.  The cut doubles the
+    node, and the paste that takes the cut's odd endpoint away halves it
+    back to the start's own node, exponent included.
+    """
+    node = _canonical(e, [((u, u + w, p, q), m) for u, w, p, q, m in raw])
+    e, items = node
+    for i, ((u, v, p, q), m) in enumerate(items):
+        if not (u + v) & 1:
+            continue
+        rest = [((2 * a, 2 * b, c, d), n) for (a, b, c, d), n in items[:i] + items[i + 1 :]]
+        for r in (CLOSED, OPEN):
+            cut = (e + 1, tuple(sorted(rest + [((2 * u, u + v, p, r), m), ((u + v, 2 * v, -r, q), m)])))
+            assert cut in labeled._rewrite_keys(node, Z5, [], 1)[1]
+            assert node in labeled._rewrite_keys(cut, Z5, [], 1)[1]

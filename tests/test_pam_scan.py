@@ -9,6 +9,7 @@ cover a sum line given twice.
 """
 
 import itertools
+import os
 import random
 
 import pytest
@@ -90,6 +91,41 @@ def random_sums(rng, elements):
             if a != b and rng.random() < 0.1:
                 sums[b, a] = rng.choice((sums[a, b], rng.choice(elements)))
     return sums
+
+
+def oracle_partitions(pam, m):
+    """Ordered pairs (x, y) with x + y = m, by a scan of every pair."""
+    out = [(x, y) for x in pam.elements for y in pam.elements if pam._add(x, y) == m]
+    out.sort(key=lambda xy: (pam._index[xy[0]], pam._index[xy[1]]))
+    return out
+
+
+def assert_partitions_match(pam):
+    for m in pam.elements:
+        assert pam.partitions(m) == oracle_partitions(pam, m), m
+        assert pam.nonzero_partitions(m) == [xy for xy in oracle_partitions(pam, m) if UNIT not in xy]
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "fixtures")
+
+
+def test_partition_table_matches_scan():
+    for name in ("m3", "t24", "z5", "z7"):
+        with open(os.path.join(FIXTURES, name + ".pam"), encoding="utf-8") as fh:
+            assert_partitions_match(parse_pam_text(fh.read()))
+    rng = random.Random(15)
+    for _ in range(400):
+        elements = [UNIT] + ["e%d" % i for i in range(1, rng.randint(5, 9))]
+        assert_partitions_match(built(elements, random_sums(rng, elements))[0])
+    rng = random.Random(16)
+    for pam in (cyclic_pam(5), cyclic_pam(7), truncated_pam(6), truncated_pam(8)):
+        assert_partitions_match(pam)
+        rows = {(a, b): c for a, b, c in pam.sum_rows()}
+        for _ in range(40):
+            sums = dict(rows)
+            key = rng.choice(sorted(rows))
+            sums[key] = rng.choice(pam.elements)
+            assert_partitions_match(built(pam.elements, sums)[0])
 
 
 def test_scan_matches_oracle_on_seeded_tables():
