@@ -277,18 +277,9 @@ def config_eq(x1, x2, pam, method="nf", depth=6):
     cuts = sorted({x for key, _, _ in keyed for x in key[:2]})
     n = len(x1)
     starts = [(0, tuple(sorted((key, m) for key, m, _ in part))) for part in (keyed[:n], keyed[n:])]
-    outside = []
-
-    def neighbors(node):
-        inside, out = _rewrite_keys(node, pam, cuts, scale)
-        if not inside:
-            outside.append(node)
-        return out
-
-    verdict = _bidirectional_search(*starts, neighbors, depth)
-    # every move of a node in T stays in T, and a node outside T admits
-    # only candidates in T, so only a start can be outside
-    if verdict is EqVerdict.DISTINCT and outside:
+    verdict = _bidirectional_search(*starts, lambda node: _rewrite_keys(node, pam, cuts, scale), depth)
+    # both starts were expanded, so their labels are known
+    if verdict is EqVerdict.DISTINCT and not (in_T_labeled(x1, pam) and in_T_labeled(x2, pam)):
         return EqVerdict.UNKNOWN
     return verdict
 
@@ -345,18 +336,18 @@ def labeled_rewrite_neighbors(xi, pam, extra_cuts=()):
     cuts = [_frac(w) for w in extra_cuts]
     scale = lcm(*{x.denominator for j, _ in items for x in (j.u, j.v)}, *{w.denominator for w in cuts})
     node = (0, tuple(sorted((key, m) for key, m, _ in _keys_over(items, scale))))
-    _, out = _rewrite_keys(node, pam, sorted({_num(w, scale) for w in cuts}), scale)
+    out = _rewrite_keys(node, pam, sorted({_num(w, scale) for w in cuts}), scale)
     return {tuple((_interval(key, scale << e), m) for key, m in cand) for e, cand in out}
 
 
 def _rewrite_keys(node, pam, cuts, scale):
-    """(inside, neighbors) of the search node ``node`` over ``scale``.
+    """The neighbors of the search node ``node`` over ``scale``, as a set of nodes.
 
     ``node`` is (e, items), sorted ((u, v, p, q), label) keys over
     scale * 2**e with e canonical (see ``config_eq``), and ``cuts`` are
-    sorted integers over ``scale``.  ``inside`` tells whether the node is
-    in T, checked once on Intervals built from its keys; a node outside T
-    checks each candidate too (see ``labeled_rewrite_neighbors``).  Each
+    sorted integers over ``scale``.  Membership in T is checked once, on
+    Intervals built from the node's keys; a node outside T checks each
+    candidate too (see ``labeled_rewrite_neighbors``).  Each
     candidate is the node's sorted rest with at most two keys inserted,
     doubled for an odd midpoint and halved by ``_halved`` when a paste or
     drop removes an odd endpoint.
@@ -410,7 +401,7 @@ def _rewrite_keys(node, pam, cuts, scale):
                 for (u1, v1, p1, q1), (u2, v2, p2, q2) in ((k1, k2), (k2, k1)):
                     if v1 == u2 and q1 != p2:
                         admit(*_halved(e, _with(rest, ((u1, v2, p1, q2), m1)), v1))
-    return inside, out
+    return out
 
 
 def _with(rest, *new):
