@@ -23,7 +23,14 @@ _CONFIGS = ConfigCarrier()
 
 
 class DecomposeError(DomainError):
-    """A window's content admits no elementary decomposition."""
+    """A window's content admits no elementary decomposition.
+
+    ``window`` is the failing window (lo, hi) as Fractions, when known.
+    """
+
+    def __init__(self, message, window=None):
+        super().__init__(message)
+        self.window = window
 
 
 def lc_sorted(pairs):
@@ -732,7 +739,8 @@ def _read_error(w, scale, lo, hi, pam, reason):
     if not ok:
         js, ms = zip(*(pieces[i] for i in wit[1]))
         reason = "pieces %r collide but their labels %r are not jointly summable" % (list(js), list(ms))
-    return DecomposeError("window (%s, %s): %s" % (Fraction(lo, scale), Fraction(hi, scale), reason))
+    window = Fraction(lo, scale), Fraction(hi, scale)
+    return DecomposeError("window (%s, %s): %s" % (*window, reason), window)
 
 
 def _count_matchings(pam, items):
@@ -825,22 +833,86 @@ def window_sweep_points(xi, eps):
     return [Fraction(t, k) for t in centres]
 
 
+def _moved(keys, a, b, d):
+    """``keys`` with each end on the window end a or b moved by d."""
+    return tuple((u + d if u == a else u, v + d if v == b else v, p, q) for u, v, p, q in keys)
+
+
+def _moved_items(items, a, b, d):
+    """Keyed elementary ``items`` with each end on a or b moved by d."""
+    out = []
+    for e in items:
+        n = 2 + e[0]  # a cut pair holds two keys
+        out.append(e[:1] + _moved(e[1:n], a, b, d) + e[n:])
+    return out
+
+
 def _sweep(windows, eps, pam):
-    """Decompose every window of the sweep on integers.
+    """Decompose every window of the sweep on integers, each content once.
 
     Yields (t, K, items), first fit's keyed items with the centre t over
     the scale K of ``_sweep_centres``.  Windows are read through the
     WindowIndex ``windows``, so each read costs a bisection plus the
     pieces near the window.
+
+    Centres alternate: an outer centre, then critical points x +- eps and
+    the midpoints between them, then the other outer centre.  Only the
+    midpoints, the outer centres and the critical centres with endpoints
+    on both window ends are read.  Take a critical centre t whose
+    endpoints sit on its left window end lo only, and let d be the
+    distance to the next centre.  A piece ending at lo clips to nothing
+    and a piece starting at lo is cut open, at t as at t + d; no endpoint
+    lies in (lo, lo + d] or in [hi, hi + d], since it would put a critical
+    point in (t, t + d].  So, as for a stretch of ``alpha_trace``, the
+    normal form, the kinds, first fit, the order of its items and its one
+    sum are those of t + d, up to the clipped ends, which sit on the
+    window ends: t yields the next read's items with those ends moved back
+    by d.  A centre with endpoints on its right window end only yields
+    the previous read's items moved forward, by symmetry.  The counts of
+    ``_count_matchings`` compare only uncut ends and labels, so they agree
+    too.  A left-only centre can fail first, where a piece starting at lo
+    and one crossing it clip to one interval there and merge.  So when the
+    read after a waiting left-only centre fails, that centre, which has
+    the same content, is read again for its own error, the first failing
+    window's.
     """
     k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, eps)
+    f = k // windows.scale
+    ends = {x * f for key, _ in windows._keys for x in key[:2]}
+
+    def read(t):
+        return _decompose_keys(windows.clip(k, t - e, t + e), k, t - e, t + e, pam)
+
+    last = waiting = None
     for t in centres:
         lo, hi = t - e, t + e
-        yield t, k, _decompose_keys(windows.clip(k, lo, hi), k, lo, hi, pam)
+        if lo in ends and hi not in ends:
+            waiting = t
+            continue
+        if hi in ends and lo not in ends:
+            c, items = last
+            yield t, k, _moved_items(items, c - e, c + e, t - c)
+            continue
+        try:
+            items = read(t)
+        except DomainError:
+            if waiting is not None:
+                yield waiting, k, read(waiting)
+            raise
+        if waiting is not None:
+            yield waiting, k, _moved_items(items, lo, hi, waiting - t)
+            waiting = None
+        last = t, items
+        yield t, k, items
 
 
 def admissibility_sweep(xi, eps, pam):
-    """Decompose every combinatorially distinct window; yields (t, result)."""
+    """Decompose every combinatorially distinct window; yields (t, result).
+
+    One result per centre of ``window_sweep_points``, each counted; a
+    window content shared by neighbouring centres is read once (see
+    ``_sweep``), and the first failing window raises its DecomposeError.
+    """
     eps = _positive(eps, "eps")
     for t, k, items in _sweep(WindowIndex(xi), eps, pam):
         yield Fraction(t, k), _decomp_result(items, k, pam)
@@ -848,33 +920,47 @@ def admissibility_sweep(xi, eps, pam):
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
+    """A verdict; a failing window is named in ``window`` as (lo, hi)."""
+
     ok: bool
     reason: str = None
+    window: tuple = None
 
     def __bool__(self):
         return self.ok
+
+
+def _is_chain(keys):
+    """True when sorted (key, label) pairs chain as ``is_compatible`` asks."""
+    return all(x[1] < y[0] or (x[1] == y[0] and x[3] != y[2]) for (x, _), (y, _) in zip(keys, keys[1:]))
 
 
 def is_admissible(xi, eps, support, pam):
     """Admissibility: tensor membership, decomposable windows, support.
 
     Returns an AdmissibilityReport; failures carry a reason instead of
-    raising.  One WindowIndex serves all three checks: its pieces are the
-    ``lc_sorted`` order the tensor check reads, the windows are swept on
-    its keys, and the support check clips on them too.  ``restrict`` to
-    the inner window keeps the configuration exactly when every piece
-    clips to itself, and ``WindowIndex.clip`` clips as ``clip_interval``
-    does, so the support holds exactly when the clipped keys are the
-    index's keys scaled to the window's scale.
+    raising.  One WindowIndex serves all three checks.  The labels are
+    checked once; the index's keys are in ``lc_sorted`` order, so they
+    chain exactly when the intervals are compatible, and only an input
+    whose keys do not chain goes to ``in_T_labeled`` for its verdict and
+    witness.  The windows are swept on the keys, one read per window
+    content (see ``_sweep``), and the support check clips on them too.
+    ``restrict`` to the inner window keeps the configuration exactly when
+    every piece clips to itself, and ``WindowIndex.clip`` clips as
+    ``clip_interval`` does, so the support holds exactly when the clipped
+    keys are the index's keys scaled to the window's scale.
     """
     eps = _positive(eps, "eps")
     a, b = _frac(support[0]), _frac(support[1])
     if b - a <= eps:
         raise DomainError("support window must be wider than eps")
     windows = WindowIndex(xi)
-    ok, wit = in_T_labeled(windows.pieces, pam, witness=True)
-    if not ok:
-        return AdmissibilityReport(False, "not in the tensor region: %r" % (wit,))
+    for _, m in windows._keys:
+        pam.check_element(m)
+    if not _is_chain(windows._keys):
+        ok, wit = in_T_labeled(windows.pieces, pam, witness=True)
+        if not ok:
+            return AdmissibilityReport(False, "not in the tensor region: %r" % (wit,))
     try:
         # Every window must decompose: a read checks first fit with one
         # sum and counts nothing.  Over a self-insummable pam a summable
@@ -882,6 +968,8 @@ def is_admissible(xi, eps, support, pam):
         # matching, so the count ``admissibility_sweep`` reports is 1 there.
         for _ in _sweep(windows, eps, pam):
             pass
+    except DecomposeError as e:
+        return AdmissibilityReport(False, str(e), e.window)
     except DomainError as e:
         return AdmissibilityReport(False, str(e))
     lo, hi = a + eps / 2, b - eps / 2

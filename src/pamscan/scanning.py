@@ -33,6 +33,7 @@ from .labeled import (
     WindowIndex,
     _decompose_keys,
     _interval,
+    _moved,
     _num,
 )
 from .tensor import bm_canon, norm_circle
@@ -354,11 +355,6 @@ def _segment_tracks(units, m0, m, k):
         c1 = _unit_value(_moved(keys, a, b, m + 1 - m0), m + 1, k) - val
         out.append((c1, val - c1 * m, label))
     return out
-
-
-def _moved(keys, a, b, d):
-    """``keys`` with each end on the window end a or b moved by d."""
-    return tuple((u + d if u == a else u, v + d if v == b else v, p, q) for u, v, p, q in keys)
 
 
 def _crossings(tracks, lo, hi):

@@ -11,6 +11,11 @@ The keyed oracle is the read that checked tensor membership and counted
 the matchings on every window before it took first fit; the library's read
 takes first fit and sums its labels once, and only a result is counted.
 Both must give the same items and counts, or raise the same error.
+
+The keyed sweep oracle reads the window of every centre; the library's
+sweep reads each window content once and moves a neighbour's clipped ends
+for the rest.  Both must yield the same centres, items and counts, and
+stop at the same first error.
 """
 
 import random
@@ -374,15 +379,21 @@ def oracle_keyed_window(xi_t, a, b, pam):
 
 
 def oracle_keyed_sweep(xi, eps, pam):
-    """``admissibility_sweep`` through the keyed oracle, as a list."""
+    """``admissibility_sweep`` through the keyed oracle: every centre's window is read."""
     windows = WindowIndex(xi)
     k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, F(eps))
-    out = []
     for t in centres:
         lo, hi = t - e, t + e
         items, n = oracle_decompose_keys(windows.clip(k, lo, hi), k, lo, hi, pam)
-        out.append((F(t, k), oracle_result(items, n, k)))
-    return out
+        yield F(t, k), oracle_result(items, n, k)
+
+
+def centre_sides(xi, eps):
+    """Each sweep centre as a Fraction, with which of its window ends hold an endpoint."""
+    windows = WindowIndex(xi)
+    k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, F(eps))
+    ends = {_num(x, k) for j, _ in xi for x in (j.u, j.v)}
+    return [(F(t, k), (t - e in ends, t + e in ends)) for t in centres]
 
 
 def rand_pieces(rng, labels):
@@ -396,14 +407,107 @@ def rand_pieces(rng, labels):
     return xi
 
 
+def rand_facing(rng, labels, eps):
+    """``rand_pieces`` plus a piece with an end exactly 2 eps from an end of another.
+
+    The centre between those two ends has endpoints on both window ends.
+    """
+    xi = rand_pieces(rng, labels)
+    j, _ = rng.choice(xi)
+    y = rng.choice((j.u, j.v)) + rng.choice((-2, 2)) * eps
+    n = F(rng.randint(0, 6), 4)
+    u, v = (y, y + n) if rng.random() < 0.5 else (y - n, y)
+    p = rng.choice(PARITIES)
+    xi.append((Interval(u, v, p, -p if u == v else rng.choice(PARITIES)), rng.choice(labels)))
+    return xi
+
+
+def _quarters(rng, lo, hi):
+    return F(rng.randint(lo, hi), 4)
+
+
+def rand_shared_end(rng, pam, eps):
+    """A cut pair that a merge at the left window end takes apart.
+
+    A long piece with label a crosses x, a piece [x, v) or (x, v] with
+    label b shares its right end and parity, and a long piece with label a
+    starts after v, within 2 eps of x, with the complementary parity.  At
+    the centre before x + eps the long pieces make a cut pair and b is an
+    interior piece; at x + eps, a centre with an endpoint on its left
+    window end only, the first two pieces clip to one interval and merge
+    into a + b, and the pair comes apart.  Where the carrier has labels
+    with a + b defined and (a + b) + a not, that centre is the first
+    failing window.
+    """
+    labels = [m for m in pam.elements if m != "0"]
+    pairs = [
+        (a, b)
+        for a in labels
+        for b in labels
+        if pam.pair_sum(a, b) is not None and pam.pair_sum(pam.pair_sum(a, b), a) is None
+    ]
+    a, b = rng.choice(pairs) if pairs else (rng.choice(labels), rng.choice(labels))
+    x = _quarters(rng, 0, 8)
+    v = x + _quarters(rng, 1, int(4 * eps))
+    r = v + _quarters(rng, 1, max(1, int(4 * (x + 2 * eps - v)) - 1))
+    q = rng.choice(PARITIES)
+    return [
+        (Interval(x - 2 * eps - _quarters(rng, 1, 8), v, rng.choice(PARITIES), q), a),
+        (Interval(x, v, -q, q), b),
+        (Interval(r, r + 2 * eps + _quarters(rng, 1, 8), -q, rng.choice(PARITIES)), a),
+    ]
+
+
+EPSILONS = (F(1, 2), F(1), F(3, 2), F(2))
+
+
+def rand_sweep_input(rng, n, pam, labels):
+    """The n-th sweep draw: eps cycles through ``EPSILONS``, and the draw is a
+    relabeled admissible chain, free pieces, free pieces with two ends
+    2 eps apart, or ``rand_shared_end``; one in 25 carries a label the
+    carrier does not know."""
+    eps = EPSILONS[n % 4]
+    draw = n // 4 % 4
+    if draw == 0:
+        xi, _ = rand_admissible(rng, 2)
+        rel = {m: rng.choice(labels) for m in "abc"}
+        xi = [(j, rel[m] if pam.name != "M3" else m) for j, m in xi]
+    elif draw == 1:
+        xi = rand_pieces(rng, labels)
+    elif draw == 2:
+        xi = rand_facing(rng, labels, eps)
+    else:
+        xi = rand_shared_end(rng, pam, eps)
+    if n % 25 == 0:
+        i = rng.randrange(len(xi))
+        xi[i] = (xi[i][0], rng.choice(("zz", "yy")))
+    return xi, eps
+
+
+def _sweep_outcome(sweep, xi, eps, pam):
+    """The sweep as a list, or its error and the number of centres it yielded first."""
+    out = []
+    try:
+        for pair in sweep(xi, eps, pam):
+            out.append(pair)
+    except DomainError as e:
+        return (type(e).__name__, str(e)), len(out)
+    return out, None
+
+
 def test_first_fit_read_matches_the_counting_oracle(m3, z2):
     # 3,000 windows per carrier, half of them anchored content with many
     # matchings and half the clip of free pieces to the window, plus the
-    # sweeps over admissible chains and free pieces, whose windows make up
-    # the rest of the 20,000.  Reads that fail on tensor membership with a piece that is
+    # sweeps of ``rand_sweep_input``, whose windows make up the rest of the
+    # 20,000.  Reads that fail on tensor membership with a piece that is
     # not elementary, and reads in the tensor region with no summable
-    # matching, both come up
+    # matching, both come up.  The sweep reads each window content once and
+    # the oracle reads every centre: the items, counts and first error,
+    # unknown labels included, agree, and both the centres with endpoints
+    # on both window ends and the inputs whose first failing centre has
+    # them on one end only (so the sweep reads it again) come up
     seen = dict.fromkeys(("counted", "collide, not elementary", "no matching"), 0)
+    sides = dict.fromkeys(("two-sided centres", "one-sided first failures", "unknown labels"), 0)
     windows = 0
     for pam in (m3, z2, Z5, truncated_pam(6)):
         rng = random.Random("first-fit-" + pam.name)
@@ -420,14 +524,17 @@ def test_first_fit_read_matches_the_counting_oracle(m3, z2):
                 seen["collide, not elementary"] += any(oracle_classify(j, 0, 2) is None for j, _ in nf)
             elif "no matching" in want[1]:
                 seen["no matching"] += 1
-        for n in range(200):
-            if n % 2:
-                xi = rand_pieces(rng, labels)
-            else:
-                xi, _ = rand_admissible(rng, 2)
-                rel = {m: rng.choice(labels) for m in "abc"}
-                xi = [(j, m if pam is m3 else rel[m]) for j, m in xi]
-            want = _outcome(oracle_keyed_sweep, xi, 1, pam)
-            assert _outcome(lambda: list(admissibility_sweep(xi, 1, pam))) == want, (xi, pam.name)
-            windows += len(want) if isinstance(want, list) else 1
+        for n in range(400):
+            xi, eps = rand_sweep_input(rng, n, pam, labels)
+            want = _sweep_outcome(oracle_keyed_sweep, xi, eps, pam)
+            assert _sweep_outcome(admissibility_sweep, xi, eps, pam) == want, (xi, eps, pam.name)
+            out, failed_at = want
+            centres = centre_sides(xi, eps)[: len(out) + 1 if failed_at is None else failed_at + 1]
+            windows += len(centres)
+            sides["two-sided centres"] += sum(left and right for _, (left, right) in centres)
+            if failed_at is not None:
+                sides["one-sided first failures"] += sum(centres[-1][1]) == 1
+                sides["unknown labels"] += "unknown element" in out[1]
     assert windows >= 20000 and min(seen.values()) >= 100, (windows, seen)
+    assert sides["two-sided centres"] >= 100 and sides["one-sided first failures"] >= 100, sides
+    assert sides["unknown labels"] >= 20, sides

@@ -33,6 +33,7 @@ from pamscan import (
     BASEPOINT,
     CLOSED,
     OPEN,
+    DecomposeError,
     DomainError,
     Elem2,
     Interval,
@@ -52,11 +53,11 @@ from pamscan import (
     restrict,
 )
 from pamscan.dsl import fmt_loop, parse_config
-from pamscan.labeled import E1_LEFT, E1_RIGHT
+from pamscan.labeled import E1_LEFT, E1_RIGHT, _sweep_centres
 from pamscan.scanning import merged_strand_value
 
 from genutil import cyclic_pam, odd_primes, rand_admissible, rand_frac, truncated_pam
-from test_count_matchings import oracle_decompose
+from test_count_matchings import centre_sides, oracle_decompose, rand_sweep_input
 
 
 class FullScan:
@@ -304,21 +305,24 @@ def oracle_sweep_points(xi, eps):
 
 
 def oracle_is_admissible(xi, eps, support, pam):
-    """is_admissible as (ok, reason), every window read and decomposed on Fractions."""
+    """is_admissible as (ok, reason, window), every window read and decomposed on
+    Fractions until the first that fails."""
     eps, a, b = F(eps), F(support[0]), F(support[1])
     xi = lc_sorted(xi)
     ok, wit = in_T_labeled(xi, pam, witness=True)
     if not ok:
-        return False, "not in the tensor region: %r" % (wit,)
+        return False, "not in the tensor region: %r" % (wit,), None
     windows = FullScan(xi)
-    try:
-        for t in oracle_sweep_points(xi, eps):
+    for t in oracle_sweep_points(xi, eps):
+        try:
             oracle_decompose(windows.restrict(t - eps, t + eps), t - eps, t + eps, pam)
-    except DomainError as e:
-        return False, str(e)
+        except DecomposeError as e:
+            return False, str(e), (t - eps, t + eps)
+        except DomainError as e:
+            return False, str(e), None
     if restrict(xi, a + eps / 2, b - eps / 2) != xi:
-        return False, "support leaks outside (%s, %s)" % (a + eps / 2, b - eps / 2)
-    return True, None
+        return False, "support leaks outside (%s, %s)" % (a + eps / 2, b - eps / 2), None
+    return True, None, None
 
 
 def _trace_text(trace, xi, s, pam):
@@ -330,7 +334,7 @@ def _trace_text(trace, xi, s, pam):
 
 def _assert_matches_oracle(xi, s, pam):
     report = is_admissible(xi, 1, (0, s), pam)
-    fast = (_trace_text(alpha_trace, xi, s, pam), repr((report.ok, report.reason)))
+    fast = (_trace_text(alpha_trace, xi, s, pam), repr((report.ok, report.reason, report.window)))
     slow = (_trace_text(oracle_trace, xi, s, pam), repr(oracle_is_admissible(xi, 1, (0, s), pam)))
     assert fast == slow, (xi, s)
 
@@ -367,6 +371,112 @@ def _rand_piece(rng):
         return Interval(u, u, p, -p)
     v = u + rand_frac(rng, F(1, 8), 6 if rng.random() < 0.2 else 1)
     return Interval(u, v, rng.choice((OPEN, CLOSED)), rng.choice((OPEN, CLOSED)))
+
+
+def oracle_every_centre(xi, eps, support, pam, read):
+    """is_admissible as (ok, reason, window), reading every centre of the sweep
+    on keys with ``read`` until the first that fails."""
+    eps, a, b = F(eps), F(support[0]), F(support[1])
+    windows = WindowIndex(xi)
+    ok, wit = in_T_labeled(windows.pieces, pam, witness=True)
+    if not ok:
+        return False, "not in the tensor region: %r" % (wit,), None
+    k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, eps)
+    for t in centres:
+        try:
+            read(windows.clip(k, t - e, t + e), k, t - e, t + e, pam)
+        except DecomposeError as err:
+            return False, str(err), (F(t - e, k), F(t + e, k))
+        except DomainError as err:
+            return False, str(err), None
+    if restrict(windows.pieces, a + eps / 2, b - eps / 2) != windows.pieces:
+        return False, "support leaks outside (%s, %s)" % (a + eps / 2, b - eps / 2), None
+    return True, None, None
+
+
+def _admissibility(xi, eps, support, pam):
+    try:
+        report = is_admissible(xi, eps, support, pam)
+    except DomainError as e:
+        return type(e).__name__, str(e)
+    return report.ok, report.reason, report.window
+
+
+def rand_support(rng, xi, eps):
+    """A support around the draw's hull, a margin of 0 to 2 on either side."""
+    ends = [x for j, _ in xi for x in (j.u, j.v)]
+    a = min(ends) - F(rng.randint(0, 8), 4)
+    b = max(max(ends) + F(rng.randint(0, 8), 4), a + eps + F(1, 4))
+    return a, b
+
+
+def test_admissible_reasons_match_the_every_centre_oracle(m3, z2, monkeypatch):
+    # 2,000 draws over four carriers and four radii (``rand_sweep_input``):
+    # the verdict, the reason and the failing window are the oracle's,
+    # which reads every centre and stops at the first that fails.  The
+    # sweep reads each window content once: the midpoints, the outer
+    # centres and the centres with endpoints on both window ends, up to
+    # the first failure, and then at most one more read, of the one-sided
+    # centre that words it
+    reads = []
+    decompose = labeled._decompose_keys
+
+    def counting_decompose(keyed, k, lo, hi, pam):
+        reads.append(F(lo + hi, 2 * k))
+        return decompose(keyed, k, lo, hi, pam)
+
+    monkeypatch.setattr(labeled, "_decompose_keys", counting_decompose)
+    seen = dict.fromkeys(("admissible", "window", "re-read", "other"), 0)
+    for pam in (m3, z2, cyclic_pam(5), truncated_pam(6)):
+        rng = random.Random("reasons-" + pam.name)
+        labels = [m for m in pam.elements if m != "0"]
+        for n in range(500):
+            xi, eps = rand_sweep_input(rng, n, pam, labels)
+            support = rand_support(rng, xi, eps)
+            del reads[:]
+            got = _admissibility(xi, eps, support, pam)
+            try:
+                want = oracle_every_centre(xi, eps, support, pam, decompose)
+            except DomainError as e:
+                want = type(e).__name__, str(e)
+            assert got == want, (xi, eps, support, pam.name)
+            read = [t for t, (left, right) in centre_sides(xi, eps) if left == right]
+            extra = [t for t in reads if t not in read]
+            assert len(extra) <= 1 and reads[: len(reads) - len(extra)] == read[: len(reads) - len(extra)]
+            if extra:
+                assert reads[-1] == extra[0] == sum(got[2]) / 2, (xi, eps)
+                seen["re-read"] += 1
+            if got[0] is True:
+                seen["admissible"] += 1
+                assert reads == read
+            elif len(got) == 3 and got[2]:
+                seen["window"] += 1
+            else:
+                seen["other"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_is_admissible_reads_each_window_content_once(m3, monkeypatch):
+    # on admissible chains of 8 and 64 clusters, one keyed read per
+    # midpoint, per outer centre and per centre with endpoints on both
+    # window ends; every other centre has an endpoint on one window end
+    # only and takes a neighbour's read, which is about half of them
+    reads = []
+    decompose = labeled._decompose_keys
+
+    def counting_decompose(keyed, k, lo, hi, pam):
+        reads.append(F(lo + hi, 2 * k))
+        return decompose(keyed, k, lo, hi, pam)
+
+    monkeypatch.setattr(labeled, "_decompose_keys", counting_decompose)
+    rng = random.Random("chain-reads")
+    for clusters in (8, 64):
+        xi, s = rand_admissible(rng, clusters=clusters)
+        del reads[:]
+        assert is_admissible(xi, 1, (0, s), m3)
+        sides = centre_sides(xi, 1)
+        assert reads == [t for t, (left, right) in sides if left == right]
+        assert 2 * len(reads) < 1.2 * len(sides), (len(reads), len(sides))
 
 
 def test_window_index_matches_restrict():
