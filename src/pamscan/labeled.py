@@ -11,7 +11,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import accumulate, count, groupby
+from itertools import accumulate, count
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -130,14 +130,28 @@ def _normal_keys(keyed, pam, scale):
     carries no interval.  Labels must be checked already.  The interval is
     read only to pass it on, and an error rebuilds the one it names from
     its key, so callers on the scan path pass None for it.
+
+    One pass over the sorted triples drops degenerate keys and zero
+    labels; only where keys coincide does it collect the run's labels and
+    merge them, keeping the first triple's interval.
     """
     items = []
-    for key, run in groupby(keyed, key=itemgetter(0)):
-        if key[0] != key[1]:
-            run = list(run)
-            m = _merge_labels(key, scale, [m for _, m, _ in run if m != UNIT], pam)
-            if m is not None:
-                items.append((key, m, run[0][2]))
+    i, n = 0, len(keyed)
+    while i < n:
+        key, m, j = keyed[i]
+        i += 1
+        if i < n and keyed[i][0] == key:
+            run = i - 1
+            while i < n and keyed[i][0] == key:
+                i += 1
+            if key[0] == key[1]:
+                continue
+            m = _merge_labels(key, scale, [x for _, x, _ in keyed[run:i] if x != UNIT], pam)
+            if m is None:
+                continue
+        elif key[0] == key[1] or m == UNIT:
+            continue
+        items.append((key, m, j))
     if len(items) < 2 or not _some_paste(items):
         return items
     return _paste(items, pam, scale)
@@ -721,8 +735,9 @@ def _decompose_keys(keyed, scale, lo, hi, pam):
         else:
             rights.remove((kr, ml))
             items.append((1, kl, kr, ml))
-    items.extend((0, kr, mr, E1_RIGHT) for kr, mr in rights)
-    if pam.sum_tuple([e[3] if e[0] else e[2] for e in items]) is None:
+    items.extend([(0, kr, mr, E1_RIGHT) for kr, mr in rights])
+    # one checked label sums to itself, so only two or more are summed
+    if len(items) > 1 and pam.sum_tuple([e[3] if e[0] else e[2] for e in items]) is None:
         raise _read_error(
             w, scale, lo, hi, pam,
             "no matching makes the label multiset summable (content %r)"
@@ -835,7 +850,7 @@ def window_sweep_points(xi, eps):
 
 def _moved(keys, a, b, d):
     """``keys`` with each end on the window end a or b moved by d."""
-    return tuple((u + d if u == a else u, v + d if v == b else v, p, q) for u, v, p, q in keys)
+    return tuple([(u + d if u == a else u, v + d if v == b else v, p, q) for u, v, p, q in keys])
 
 
 def _moved_items(items, a, b, d):

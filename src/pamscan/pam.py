@@ -30,7 +30,9 @@ class FinitePam:
     ``sums`` maps unordered pairs of element ids to their sum, or lists
     ((a, b), c) items in order, so that a pair may be given twice.  The
     constructor validates the whole structure and raises PamError carrying
-    every violation found, each with a witnessing triple or pair.
+    every violation found, each with a witnessing triple or pair.  A table
+    whose element ids repeat is refused with the repeated ids named, and
+    without the associativity scan, whose triples are ill-defined there.
     """
 
     __slots__ = ("name", "elements", "_index", "_pairs", "_parts")
@@ -41,7 +43,8 @@ class FinitePam:
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._pairs = {}
         problems = self._build(sums)
-        problems += self._violations()
+        if len(self._index) == len(self.elements):
+            problems += self._violations()
         if problems:
             raise PamError(
                 "invalid partial abelian monoid %r: %s" % (name, "; ".join(problems)),
@@ -53,8 +56,11 @@ class FinitePam:
         included, and ``_parts``, the pairs of each sum in element-index
         order; return the problems found in the table itself."""
         out = []
-        if len(set(self.elements)) != len(self.elements):
-            out.append("duplicate element ids")
+        index = self._index
+        # _index keeps an id's last position, so every earlier one repeats it
+        repeated = dict.fromkeys(e for i, e in enumerate(self.elements) if index[e] != i)
+        if repeated:
+            out.append("duplicate element ids: %s" % ", ".join(repeated))
         if UNIT not in self._index:
             out.append("missing unit element %r" % UNIT)
             return out
@@ -78,7 +84,6 @@ class FinitePam:
                     out.append("conflicting sums for (%s, %s): %s and %s" % (a, b, old, c))
                 else:
                     pairs[a, b] = pairs[b, a] = c
-        index = self._index
         parts = self._parts = {}
         for xy in sorted(pairs, key=lambda xy: (index[xy[0]], index[xy[1]])):
             parts.setdefault(pairs[xy], []).append(xy)
@@ -98,8 +103,7 @@ class FinitePam:
         (a, b) in element order: cs lists the c to check, in element order.
 
         When a+b is defined every non-unit c is checked; otherwise only the
-        c with b+c defined.  Positions map through ``_index``, so a
-        repeated id is visited once per position, as in a product.
+        c with b+c defined.
         """
         index = self._index
         order = [index[e] for e in self.elements if e != UNIT]

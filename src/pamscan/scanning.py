@@ -12,8 +12,10 @@ A trace runs on one integer scale too (see ``alpha_trace``): its
 breakpoints, the affine tracks of each segment, their crossings and the
 continuity check are integers, with one keyed read per window content
 that every segment of that content shares, and Fractions are built only
-for the finished MooreLoop.  ``omega`` and ``merged_strand_value`` key
-their arguments the same way and wrap the integer evaluators.
+for the finished MooreLoop: one per breakpoint, and one per distinct
+intercept, which equal segments share.  ``omega`` and
+``merged_strand_value`` key their arguments the same way and wrap the
+integer evaluators.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, lt
 
 from .pam import UNIT, DomainError
 from .intervals import CLOSED, OPEN, _frac, _positive
@@ -40,7 +42,15 @@ from .tensor import bm_canon, norm_circle
 
 
 class TraceError(Exception):
-    """A constructed loop violated one of its invariants."""
+    """A constructed loop violated one of its invariants.
+
+    ``breakpoint`` is the failing breakpoint as a Fraction: 0 or the loop
+    length for a non-empty end, else the breakpoint of the discontinuity.
+    """
+
+    def __init__(self, message, breakpoint=None):
+        super().__init__(message)
+        self.breakpoint = breakpoint
 
 
 def omega(j, s):
@@ -194,7 +204,7 @@ class MooreLoop:
             raise ValueError("segment count must be breakpoint count - 1")
         if self.breakpoints[0] != 0 or self.breakpoints[-1] != self.s:
             raise ValueError("breakpoints must run from 0 to %s" % self.s)
-        if any(x >= y for x, y in zip(self.breakpoints, self.breakpoints[1:])):
+        if not all(map(lt, self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
 
 
@@ -263,7 +273,15 @@ def alpha_trace(xi, s, pam):
     Two tracks with slopes differing by 1 or 2 and even intercepts cross
     at an integer.  The parts of a split segment keep their parent's
     tracks, and two affine tracks cross at most once, so no part has a
-    crossing inside and one crossing pass is enough.
+    crossing inside and one crossing pass is enough; a segment with fewer
+    than two tracks has nothing to cross.
+
+    A segment whose integer tracks equal those of the segment before it
+    (a piece that meets a window end while its unit sits at the
+    basepoint leaves them unchanged) shares that segment's track list and
+    its exact tuple, like the parts of a split segment.  Each intercept
+    becomes a Fraction once per trace, through a map from the integer
+    intercept, so equal intercepts of the loop are one object.
 
     The end and continuity checks compare, at each breakpoint x, the map
     that takes each track value other than the basepoint T to the sum of
@@ -275,7 +293,10 @@ def alpha_trace(xi, s, pam):
     two ``bm_canon`` values are.  Each map is summed from its side's
     sorted (value, label) list (``_side``), so at an inner breakpoint the
     two lists are compared first: equal lists give equal maps, and only
-    differing lists are summed.  Each side's
+    differing lists are summed.  Two segments that share their tracks
+    have equal lists at every point, so only a breakpoint between two
+    different track lists is compared, two ``_side`` calls each, beside
+    the two end checks.  Each side's
     labels there need no check of their own: they are labels of its
     segment's units, a part of first fit's tuple, whose sum the read
     checked, and a part of a summable tuple sums.
@@ -298,33 +319,41 @@ def alpha_trace(xi, s, pam):
     grid = sorted(grid | stretches)
 
     points, tracks, loop_tracks = [], [], []
+    seg = exact = None
+    intercepts = _Intercepts(k)
     for lo, hi in zip(grid, grid[1:]):
         m = (lo + hi) // 2
         try:
             if lo in stretches:
                 m0 = m
                 units = list(_units(_decompose_keys(windows.clip(k, m - k, m + k), k, m - k, m + k, pam)))
-            seg = _segment_tracks(units, m0, m, k)
+            new = _segment_tracks(units, m0, m, k)
         except DomainError:
             u = Fraction(2 * lo + hi, 3 * k)
             scan_core(windows, pam, u, u)
             raise
-        exact = tuple((c1, Fraction(c0, k), m) for c1, c0, m in seg)
-        for x in [lo] + _crossings(seg, lo, hi):
-            points.append(x)
-            tracks.append(seg)
-            loop_tracks.append(exact)
+        if new != seg:
+            seg = new
+            exact = tuple([(c1, intercepts[c0], label) for c1, c0, label in seg])
+        points.append(lo)
+        tracks.append(seg)
+        loop_tracks.append(exact)
+        if len(seg) > 1:
+            for x in _crossings(seg, lo, hi):
+                points.append(x)
+                tracks.append(seg)
+                loop_tracks.append(exact)
     points.append(end)
 
     loop = MooreLoop(
         s=s,
-        breakpoints=tuple(Fraction(x, k) for x in points),
+        breakpoints=tuple([Fraction(x, k) for x in points]),
         segments=tuple(loop_tracks),
     )
     if _circle_sums(loop, 0, _side(tracks[0], 0, k), 0, k, pam):
-        raise TraceError("loop value at 0 is not the empty element")
+        raise TraceError("loop value at 0 is not the empty element", loop.breakpoints[0])
     if _circle_sums(loop, -1, _side(tracks[-1], end, k), end, k, pam):
-        raise TraceError("loop value at %s is not the empty element" % s)
+        raise TraceError("loop value at %s is not the empty element" % s, s)
     for i in range(1, len(points) - 1):
         if tracks[i] is tracks[i - 1]:
             continue
@@ -334,25 +363,40 @@ def alpha_trace(xi, s, pam):
             x = loop.breakpoints[i]
             raise TraceError(
                 "loop discontinuity at breakpoint %s: %r vs %r"
-                % (x, _segment_value(loop, i - 1, x, pam), _segment_value(loop, i, x, pam))
+                % (x, _segment_value(loop, i - 1, x, pam), _segment_value(loop, i, x, pam)),
+                x,
             )
     return loop
+
+
+class _Intercepts(dict):
+    """Integer intercepts over k to their Fractions, each built on first use."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, k):
+        self.k = k
+
+    def __missing__(self, c0):
+        frac = self[c0] = Fraction(c0, self.k)
+        return frac
 
 
 def _segment_tracks(units, m0, m, k):
     """The (c1, c0, label) tracks, c0 over k, of the segment with midpoint m.
 
     ``units`` come from the read of the window (m0 - k, m0 + k) of the
-    same stretch; each clipped end moves with the centre.  A unit at the
-    basepoint at m is there on the whole segment and leaves no track.
+    same stretch; each clipped end moves with the centre, so the keys at
+    m are the read's own when m is m0.  A unit at the basepoint at m is
+    there on the whole segment and leaves no track.
     """
-    a, b = m0 - k, m0 + k
+    a, b, d = m0 - k, m0 + k, m - m0
     out = []
     for keys, label in units:
-        val = _unit_value(_moved(keys, a, b, m - m0), m, k)
+        val = _unit_value(_moved(keys, a, b, d) if d else keys, m, k)
         if val == k:
             continue
-        c1 = _unit_value(_moved(keys, a, b, m + 1 - m0), m + 1, k) - val
+        c1 = _unit_value(_moved(keys, a, b, d + 1), m + 1, k) - val
         out.append((c1, val - c1 * m, label))
     return out
 

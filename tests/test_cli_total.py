@@ -13,11 +13,14 @@ Codes: 0 success, 1 false, 2 parse or usage error, 3 domain error,
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import pamscan
+from pamscan import TraceError, alpha_trace
 from pamscan.cli import main
+from pamscan.dsl import parse_config, parse_pam_text
 
 M3_TEXT = "pam M3\nelements 0 a b c\nsum a + b = c\n"
 FILES = {
@@ -291,6 +294,21 @@ def test_every_argv_exits_0_to_4(paths, capsys, code, argv, stdout, stderr):
         assert out == stdout
     if stderr is not None:
         assert err == stderr.format(**paths)
+
+
+def test_trace_errors_name_their_breakpoint():
+    # the library reads the two discontinuity rows above: the TraceError
+    # carries the breakpoint its message names, and the message is stderr
+    rows = [row for row in CASES if row[1][:2] == ["alpha", "trace"] and "discontinuity" in (row[3] or "")]
+    found = []
+    for _, argv, _, stderr in rows:
+        pam = parse_pam_text(FILES[argv[3].strip("{}")])
+        with pytest.raises(TraceError) as info:
+            alpha_trace(parse_config(argv[6], pam), Fraction(argv[5]), pam)
+        assert "error: %s\n" % info.value == stderr
+        found.append(info.value.breakpoint)
+    assert found == [Fraction(3, 2), Fraction(2)]
+    assert all(type(x) is Fraction for x in found)
 
 
 def test_module_entry_reads_sys_argv(paths, capsys, monkeypatch):

@@ -3,13 +3,16 @@
 The oracles re-sort and rescan from the first piece after every move.  The
 library replays the same moves in the same order, so tuples and DomainError
 messages must agree exactly, over carriers beyond M3 and Z2 too, and on
-endpoints over mixed and very large denominators.  The work guard counts
-integer endpoint keys, so a quadratic normal form cannot return without a
-failing test.
+endpoints over mixed and very large denominators.  The keyed normal form
+that every window read runs is compared with the groupby pass it replaced.
+The work guard counts integer endpoint keys, so a quadratic normal form
+cannot return without a failing test.
 """
 
 import random
 from fractions import Fraction as F
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
@@ -374,3 +377,52 @@ def test_normalize_config_matches_oracle():
         assert fast == _outcome(oracle_normalize_config, intervals), intervals
         raised += fast[0] == "raised"
     assert 0 < raised < 600
+
+
+def oracle_normal_keys(keyed, pam, scale):
+    """The keyed normal form by ``groupby``: one list per run of equal keys."""
+    items = []
+    for key, run in groupby(keyed, key=itemgetter(0)):
+        if key[0] != key[1]:
+            run = list(run)
+            m = labeled._merge_labels(key, scale, [m for _, m, _ in run if m != UNIT], pam)
+            if m is not None:
+                items.append((key, m, run[0][2]))
+    if len(items) < 2 or not labeled._some_paste(items):
+        return items
+    return labeled._paste(items, pam, scale)
+
+
+def _rand_keyed(rng, pam):
+    """Sorted (key, label, tag) triples over the scale 4 on a coarse grid.
+
+    Coincident runs, zero labels and degenerate keys are frequent; the tag
+    stands for the interval and tells which triple of a run is kept.
+    """
+    out = []
+    for _ in range(rng.choice((1, 1, 2, 3, rng.randint(4, 10)))):
+        u = rng.randint(0, 12)
+        v = u if rng.random() < 0.15 else u + rng.randint(1, 6)
+        key = (u, v, rng.choice((OPEN, CLOSED)), rng.choice((OPEN, CLOSED)))
+        for _ in range(rng.choice((1, 1, 2, rng.randint(3, 5)))):
+            m = UNIT if rng.random() < 0.15 else rng.choice(pam.elements[1:])
+            out.append((key, m, len(out)))
+    out.sort()
+    return out
+
+
+def test_normal_keys_match_the_groupby_pass(m3, z2):
+    seen = dict.fromkeys(("runs", "zero labels", "degenerate", "raised", "pasted"), 0)
+    for pam in (m3, z2, Z5, TRUNC6):
+        rng = random.Random("normal-keys-" + pam.name)
+        for _ in range(1500):
+            keyed = _rand_keyed(rng, pam)
+            fast = _outcome(labeled._normal_keys, keyed, pam, 4)
+            assert fast == _outcome(oracle_normal_keys, keyed, pam, 4), (pam.name, keyed)
+            keys = [key for key, _, _ in keyed]
+            seen["runs"] += len(set(keys)) < len(keys)
+            seen["zero labels"] += any(m == UNIT for _, m, _ in keyed)
+            seen["degenerate"] += any(u == v for u, v, _, _ in keys)
+            seen["raised"] += fast[0] == "raised"
+            seen["pasted"] += fast[0] == "ok" and any(j is None for _, _, j in fast[1])
+    assert min(seen.values()) >= 100, seen

@@ -634,6 +634,49 @@ def test_trace_reads_each_window_content_once(m3, monkeypatch):
     assert len(built) <= len(loop.breakpoints) + sum(derived.values()), (len(built), len(windows))
 
 
+def test_trace_builds_each_segment_and_intercept_once(m3, monkeypatch):
+    # a 64-cluster chain: a segment with the integer tracks of the one
+    # before shares its tuple, equal intercepts share one Fraction, and
+    # only a breakpoint between two different segments is compared, a
+    # sorted side each, beside the two end checks
+    xi, s = rand_admissible(random.Random("work-64"), clusters=64)
+    sides, built = [], []
+    side = scanning._side
+
+    def counting_side(*args):
+        sides.append(args)
+        return side(*args)
+
+    new = vars(F)["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls)
+        return new.__func__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(scanning, "_side", counting_side)
+    F.__new__ = staticmethod(counting_new)
+    try:
+        loop = alpha_trace(xi, s, m3)
+    finally:
+        F.__new__ = new
+    shared = differ = 0
+    for a, b in zip(loop.segments, loop.segments[1:]):
+        if a == b:
+            assert a is b
+            shared += 1
+        else:
+            differ += 1
+    intercepts, tracks = {}, 0
+    for seg in loop.segments:
+        for _, c0, _ in seg:
+            assert intercepts.setdefault(c0, c0) is c0
+            tracks += 1
+    assert shared > 0 and differ > 0 and len(intercepts) < tracks, (shared, differ, len(intercepts), tracks)
+    assert len(sides) == 2 + 2 * differ
+    # the only Fractions built are the breakpoints and one per intercept
+    assert len(built) == len(loop.breakpoints) + len(intercepts), (len(built), len(intercepts))
+
+
 def test_window_content_reads_match_segment_reads(m3, z2, monkeypatch):
     # 2,400 traces: every segment's tracks, moved from its window content's
     # read, are the read at its own midpoint, and at every inner breakpoint

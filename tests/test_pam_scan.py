@@ -4,8 +4,9 @@
 is the exhaustive scan over every ordered triple of positions, on the
 string-keyed pair sum.  Tables are built through ``_build`` alone, so that
 invalid ones reach the scan, and both violation lists must agree, order
-included.  A work guard counts the triples the scan inspects, and the rest
-cover a sum line given twice.
+included, except that a table whose ids repeat is refused before the
+scan.  A work guard counts the triples the scan inspects, and the rest
+cover a sum line given twice and repeated ids.
 """
 
 import itertools
@@ -62,7 +63,9 @@ def assert_scan_matches(elements, sums):
     pam, problems = built(elements, sums)
     want = oracle_violations(pam)
     assert pam._violations() == want, sums
-    assert validate_pam("T", elements, sums)[1] == problems + want, sums
+    # the constructor runs the scan only when every id is distinct
+    scanned = want if len(set(elements)) == len(elements) else []
+    assert validate_pam("T", elements, sums)[1] == problems + scanned, sums
     return want
 
 
@@ -165,7 +168,8 @@ def test_scan_matches_oracle_near_valid_carriers():
         # unknown ids: the entry is dropped and the rest is scanned
         (["0", "a", "b"], {("a", "x"): "a", ("x", "x"): "y", ("a", "a"): "b", ("b", "b"): "a"}),
         (["0", "a", "b"], {("a", "b"): "q", ("a", "a"): "b"}),
-        # repeated ids: each position is a triple of the product
+        # repeated ids: the constructor stops before the scan, which still
+        # matches the oracle position by position
         (["0", "a", "a"], {}),
         (["0", "a", "a"], {("a", "a"): "0"}),
         (["0", "a", "a"], {("a", "a"): "a"}),
@@ -177,13 +181,20 @@ def test_scan_matches_oracle_on_odd_tables(elements, sums):
     assert_scan_matches(elements, sums)
 
 
-def test_repeated_ids_repeat_their_violations():
-    # a sits at positions 1 and 3, so each failing triple shows 2 x 2 times
+def test_repeated_ids_are_named_and_not_scanned(scanned):
+    # a sits at positions 1 and 3: the carrier is refused naming a once,
+    # and no triple is scanned, since a triple of ids has no one position
     sums = {("a", "a"): "b", ("b", "b"): "0", ("a", "b"): "a"}
-    want = assert_scan_matches(["0", "a", "b", "a"], sums)
-    aab = "associativity fails at triple (a, a, b): 0 != b"
-    baa = "associativity fails at triple (b, a, a): b != 0"
-    assert want == [aab, aab, baa, baa, baa, baa, aab, aab]
+    with pytest.raises(PamError) as info:
+        scanned(lambda: FinitePam("T", ["0", "a", "b", "a"], sums))
+    assert info.value.violations == ["duplicate element ids: a"]
+    assert str(info.value) == "invalid partial abelian monoid 'T': duplicate element ids: a"
+    assert validate_pam("T", ["0", "b", "0", "a", "b", "b"], {("a", "a"): "x"})[1] == [
+        "duplicate element ids: 0, b",
+        "sum a + a = x uses unknown element x",
+    ]
+    _, seen = scanned(lambda: validate_pam("T", ["0", "a", "b", "a", "0"], sums))
+    assert seen == 0
 
 
 @pytest.fixture

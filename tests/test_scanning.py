@@ -133,9 +133,15 @@ def test_trace_breakpoint_continuity(m3):
 def test_trace_needs_support(m3):
     from pamscan import TraceError
 
+    # the failing end is named as a breakpoint: the loop length, or 0
     xi = ((I(1, 5, *HO), "a"),)
-    with pytest.raises(TraceError):
+    with pytest.raises(TraceError) as info:
         alpha_trace(xi, F(3), m3)
+    assert info.value.breakpoint == F(3) and str(info.value) == "loop value at 3 is not the empty element"
+    xi = ((I("1/4", 3, CLOSED, OPEN), "a"),)
+    with pytest.raises(TraceError) as info:
+        alpha_trace(xi, F(6), m3)
+    assert info.value.breakpoint == F(0) and str(info.value) == "loop value at 0 is not the empty element"
 
 
 def test_moore_loop_rejects_unsorted_breakpoints():
