@@ -107,11 +107,15 @@ def labeled_normalize(xi, pam):
     the cost is O(n log n) for n pieces rather than a re-sort and rescan
     per move; pieces are sorted, grouped and matched on the integer keys of
     ``_endpoint_keys``, and only a piece that a paste made is built as an
-    Interval, once, at the end.  The result is canonical only where the
-    moves converge to one answer: a configuration with two irreducible
-    presentations (such as [0,1):g1 [1/2,1):g1 [1,2):g1 over Z/5, where
-    either g1 piece ending at 1 may take the paste) gets the one this order
-    reaches.
+    Interval, once, at the end.  A run of touching pieces pastes in one
+    walk: a paste's result that sorts below every queued piece would be
+    the next one popped, and its left end, the popped piece's, has nothing
+    waiting under it, so it is pasted again at once instead of being
+    queued (``_paste`` gives the proof).  The result is canonical only
+    where the moves converge to one answer: a configuration with two
+    irreducible presentations (such as [0,1):g1 [1/2,1):g1 [1,2):g1 over
+    Z/5, where either g1 piece ending at 1 may take the paste) gets the
+    one this order reaches.
     """
     xi = tuple(xi)
     for _, m in xi:
@@ -217,7 +221,22 @@ def _paste(items, pam, scale):
     is queued again when a piece with that left end is added.  Only a merge
     adds a new left end, by putting a new label on it, and that is the one
     move that reaches behind the cursor.  Dead pieces are skipped when they
-    surface.
+    surface.  Sorted ``items`` are already a heap, both as ``todo`` and
+    under each left end, so they are loaded by appending.
+
+    A popped piece that pastes is walked: the paste's result is pasted
+    again at once, with no ``_Piece`` and no round trip through ``todo``,
+    for as long as it has a live partner, coincides with no live piece
+    and sorts below the top live entry of ``todo``.  The walk makes the
+    moves the queue would, in the same order.  Queued, the result would
+    be the next piece popped, as it sorts below every live entry; it
+    needs no ``lefts`` or ``live`` entry meanwhile, as nothing else moves
+    until the walk stops.  And queuing it would release no waiting piece,
+    as its left end is the popped piece's, which stayed live from its own
+    queuing to its pop, so nothing began to wait under that end since.
+    The walk stops at a coincident merge, at a result with no live
+    partner, and at a result that a queued piece sorts below; the result,
+    or the merged piece, is then queued through ``add``.
     """
     order = count()
     live = {}  # key -> piece
@@ -235,32 +254,42 @@ def _paste(items, pam, scale):
         heappush(todo, (key, next(order), piece))
 
     for key, m, j in items:
-        add(j, m, key)
+        piece = live[key] = _Piece(j, m, key)
+        n = next(order)
+        lefts.setdefault((key[0], key[2], m), []).append((key[1], key[3], n, piece))
+        todo.append((key, n, piece))
     while todo:
         a = heappop(todo)[-1]
         if not a.live:
             continue
-        u, v, p, q = a.key
-        right = (v, -q, a.m)
+        (u, v, p, q), m = a.key, a.m
+        right = (v, -q, m)
         partners = _prune(lefts.get(right, []))
         if not partners:
             waiting.setdefault(right, []).append(a)
             continue
-        b = heappop(partners)[-1]
-        if not partners:
-            del lefts[right]
-        a.live = b.live = False
-        del live[a.key], live[b.key]
-        key = (u, b.key[1], p, b.key[3])
-        j, m = None, a.m
-        x = live.pop(key, None)
-        if x is not None:
-            x.live = False
-            j = x.j
-            m = _coincident_sum(key, scale, *sorted((m, x.m), key=pam.index), pam)
-            if m == UNIT:
-                continue
-        add(j, m, key)
+        a.live = False
+        del live[a.key]
+        while True:
+            b = heappop(partners)[-1]
+            if not partners:
+                del lefts[right]
+            b.live = False
+            del live[b.key]
+            _, v, _, q = b.key
+            key = (u, v, p, q)
+            x = live.pop(key, None)
+            if x is not None:
+                x.live = False
+                s = _coincident_sum(key, scale, *sorted((m, x.m), key=pam.index), pam)
+                if s != UNIT:
+                    add(x.j, s, key)
+                break
+            right = (v, -q, m)
+            partners = _prune(lefts.get(right, []))
+            if not partners or _prune(todo) and todo[0][0] < key:
+                add(None, m, key)
+                break
     return [(key, live[key].m, live[key].j) for key in sorted(live)]
 
 
@@ -472,14 +501,19 @@ class WindowIndex:
     that can meet it; every piece outside that slice has v <= lo or
     u >= hi and clips to nothing.  ``clip`` cuts the slice to the window
     without building a Fraction or an Interval, so a scan or admissibility
-    read stays on integers from the index to its value.
+    read stays on integers from the index to its value.  Every label is
+    checked against ``pam`` once, in key order, here: a read does not
+    check the labels of its window again, and a label that no window
+    meets is still checked.
     """
 
     __slots__ = ("pieces", "scale", "_keys", "_lefts", "_reach")
 
-    def __init__(self, xi):
+    def __init__(self, xi, pam):
         self.scale, keyed = _endpoint_keys(tuple(xi))
         keyed.sort()
+        for _, m, _ in keyed:
+            pam.check_element(m)
         self.pieces = tuple((j, m) for _, m, j in keyed)
         self._keys = [(key, m) for key, m, _ in keyed]
         self._lefts = [key[0] for key, _, _ in keyed]
@@ -679,6 +713,8 @@ def decompose_window(xi_t, a, b, pam):
     scale = lcm(a.denominator, b.denominator, *(x.denominator for j, _ in xi_t for x in (j.u, j.v)))
     keyed = _keys_over(xi_t, scale)
     keyed.sort()
+    for _, m, _ in keyed:
+        pam.check_element(m)
     items = _decompose_keys(keyed, scale, _num(a, scale), _num(b, scale), pam)
     return _decomp_result(items, scale, pam)
 
@@ -698,7 +734,8 @@ def _decompose_keys(keyed, scale, lo, hi, pam):
     """First fit of ``decompose_window`` on integers, over ``scale``.
 
     ``keyed`` holds the window content as sorted (key, label, interval)
-    triples and (lo, hi) is the window, all integers over ``scale``.
+    triples, its labels checked, and (lo, hi) is the window, all integers
+    over ``scale``.
     Returns the elementary items of first fit.  An item is (0, key, label,
     kind) for a single piece and (1, left key, right key, label) for a cut
     pair; items sort as the ``sort_key`` of Elem1 and Elem2 sorts them.
@@ -712,8 +749,6 @@ def _decompose_keys(keyed, scale, lo, hi, pam):
     label side then holds too (see ``in_T_labeled``).  So only a failing
     read builds Intervals and runs ``in_T_labeled``, whose error wins.
     """
-    for _, m, _ in keyed:
-        pam.check_element(m)
     w = _normal_keys(keyed, pam, scale)
     items, lefts, rights = [], [], []
     for key, m, _ in w:
@@ -929,7 +964,7 @@ def admissibility_sweep(xi, eps, pam):
     ``_sweep``), and the first failing window raises its DecomposeError.
     """
     eps = _positive(eps, "eps")
-    for t, k, items in _sweep(WindowIndex(xi), eps, pam):
+    for t, k, items in _sweep(WindowIndex(xi, pam), eps, pam):
         yield Fraction(t, k), _decomp_result(items, k, pam)
 
 
@@ -955,7 +990,7 @@ def is_admissible(xi, eps, support, pam):
 
     Returns an AdmissibilityReport; failures carry a reason instead of
     raising.  One WindowIndex serves all three checks.  The labels are
-    checked once; the index's keys are in ``lc_sorted`` order, so they
+    checked once, by the index; its keys are in ``lc_sorted`` order, so they
     chain exactly when the intervals are compatible, and only an input
     whose keys do not chain goes to ``in_T_labeled`` for its verdict and
     witness.  The windows are swept on the keys, one read per window
@@ -969,9 +1004,7 @@ def is_admissible(xi, eps, support, pam):
     a, b = _frac(support[0]), _frac(support[1])
     if b - a <= eps:
         raise DomainError("support window must be wider than eps")
-    windows = WindowIndex(xi)
-    for _, m in windows._keys:
-        pam.check_element(m)
+    windows = WindowIndex(xi, pam)
     if not _is_chain(windows._keys):
         ok, wit = in_T_labeled(windows.pieces, pam, witness=True)
         if not ok:

@@ -181,7 +181,7 @@ def alpha_eval(xi, u, pam, t=None):
     t = u if t is None else _frac(t)
     if abs(u - t) >= Fraction(1, 2):
         raise DomainError("parameter %s outside the half-window around %s" % (u, t))
-    return bm_canon(pam, scan_core(WindowIndex(xi), pam, u, t))
+    return bm_canon(pam, scan_core(WindowIndex(xi, pam), pam, u, t))
 
 
 def path_eval_at_zero(eta, pam):
@@ -308,7 +308,7 @@ def alpha_trace(xi, s, pam):
     end is worded through ``bm_canon``.
     """
     s = _positive(s, "loop length")
-    windows = WindowIndex(xi)
+    windows = WindowIndex(xi, pam)
     k = 4 * lcm(2 * windows.scale, s.denominator)
     f, half, end = k // windows.scale, k // 2, _num(s, k)
     stretches, grid = {0, end}, set()

@@ -179,6 +179,9 @@ CASES = [
     # the configuration is parsed before --t and --u
     (2, ["alpha", "eval", "--pam", "{m3}", "--u", "1/0", "--t", "x", "[0,1):zz"], None,
      "parse error: 1:1: unknown label 'zz'\n"),
+    # an unknown label far from every window is refused before any read
+    (2, ["alpha", "eval", "--pam", "{m3}", "--u", "1/2", "[0,1):a [5,6):zz"], None,
+     "parse error: 1:9: unknown label 'zz'\n"),
     (0, ["alpha", "trace", "--pam", "{m3}", "--len", "4", "--svg", "{out}/loop.svg", "(1,3]:a"], None, None),
     (3, ["alpha", "trace", "--pam", "{m3}", "--len", "0", "(1,3]:a"], None,
      "error: loop length must be positive\n"),

@@ -48,6 +48,7 @@ from pamscan.labeled import (
     E1_RIGHT,
     E1_WHOLE,
     _classify,
+    _endpoint_keys,
     _interval,
     _keys_over,
     _normal_keys,
@@ -380,7 +381,7 @@ def oracle_keyed_window(xi_t, a, b, pam):
 
 def oracle_keyed_sweep(xi, eps, pam):
     """``admissibility_sweep`` through the keyed oracle: every centre's window is read."""
-    windows = WindowIndex(xi)
+    windows = WindowIndex(xi, pam)
     k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, F(eps))
     for t in centres:
         lo, hi = t - e, t + e
@@ -390,8 +391,8 @@ def oracle_keyed_sweep(xi, eps, pam):
 
 def centre_sides(xi, eps):
     """Each sweep centre as a Fraction, with which of its window ends hold an endpoint."""
-    windows = WindowIndex(xi)
-    k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, F(eps))
+    scale, keyed = _endpoint_keys(tuple(xi))
+    k, e, centres = _sweep_centres([key for key, _, _ in keyed], scale, F(eps))
     ends = {_num(x, k) for j, _ in xi for x in (j.u, j.v)}
     return [(F(t, k), (t - e in ends, t + e in ends)) for t in centres]
 

@@ -305,9 +305,10 @@ def _cut_chain(k, parts=4):
 def test_work_grows_linearly(m3, monkeypatch):
     # integer endpoint keys count the sorting and grouping, so a normal form
     # that keyed its pieces again after each of the 6k pastes would fail;
-    # heap pushes count the indexed paste loop
-    calls = {"keys": 0, "heappush": 0}
-    endpoint_keys, push = labeled._endpoint_keys, labeled.heappush
+    # heap pushes count the indexed paste loop, which a walked paste skips,
+    # and heap prunes count every paste, walked or not
+    calls = {"keys": 0, "heappush": 0, "prune": 0}
+    endpoint_keys, push, prune = labeled._endpoint_keys, labeled.heappush, labeled._prune
 
     def keys(pieces):
         out = endpoint_keys(pieces)
@@ -318,12 +319,17 @@ def test_work_grows_linearly(m3, monkeypatch):
         calls["heappush"] += 1
         return push(*args)
 
+    def prunes(heap):
+        calls["prune"] += 1
+        return prune(heap)
+
     monkeypatch.setattr(labeled, "_endpoint_keys", keys)
     monkeypatch.setattr(labeled, "heappush", pushes)
+    monkeypatch.setattr(labeled, "_prune", prunes)
     counts = {}
     for k in (16, 32):
         xi = _cut_chain(k)
-        calls.update(keys=0, heappush=0)
+        calls.update(keys=0, heappush=0, prune=0)
         assert len(labeled_normalize(xi, m3)) == 2 * k
         counts[k] = dict(calls)
     for name in calls:
@@ -349,6 +355,132 @@ def test_paste_builds_each_survivor_once(m3, monkeypatch):
     assert (len(xi), len(nf), len(built)) == (440, 24, 24)
     monkeypatch.undo()
     assert nf == oracle_normalize(xi, m3)
+
+
+def test_a_run_pastes_in_one_walk(m3, monkeypatch):
+    # k touching a pieces paste into [0,k):a.  Each paste's result is
+    # pasted again at once, so past the k pieces loaded, the queue and the
+    # index see one piece and its two entries, whatever k is
+    made, pushes = [], []
+    piece, push = labeled._Piece, labeled.heappush
+
+    def counting_piece(*args):
+        made.append(None)
+        return piece(*args)
+
+    def counting_push(*args):
+        pushes.append(None)
+        return push(*args)
+
+    monkeypatch.setattr(labeled, "_Piece", counting_piece)
+    monkeypatch.setattr(labeled, "heappush", counting_push)
+    extra = {}
+    for k in (64, 512):
+        xi = [(Interval(i, i + 1, CLOSED, OPEN), "a") for i in range(k)]
+        random.Random(k).shuffle(xi)
+        del made[:], pushes[:]
+        assert labeled_normalize(xi, m3) == ((Interval(0, k, CLOSED, OPEN), "a"),)
+        extra[k] = (len(made) - k, len(pushes))
+    assert extra[64] == extra[512] == (1, 2), extra
+
+
+class _WalkStops:
+    """Counts the stops of the paste walk by kind, as the queue sees them.
+
+    A walk stops at a merge when ``_paste`` sums two labels.  Otherwise
+    its result is queued as a new piece, and the next live piece popped
+    off the queue tells why the walk stopped there: the result itself
+    when it had no partner, another piece when that one sorts below it.
+    """
+
+    def __init__(self, monkeypatch):
+        self.counts = dict.fromkeys(("merge", "no partner", "queued lower"), 0)
+        self.loading = self.result = None
+        self.base = {}
+        for name in ("_paste", "_Piece", "_coincident_sum", "heappop"):
+            self.base[name] = getattr(labeled, name)
+            monkeypatch.setattr(labeled, name, getattr(self, name.lstrip("_")))
+
+    def paste(self, items, pam, scale):
+        self.loading, self.result = len(items), None
+        try:
+            return self.base["_paste"](items, pam, scale)
+        finally:
+            self.loading = None
+
+    def Piece(self, *args):
+        made = self.base["_Piece"](*args)
+        if self.loading:
+            self.loading -= 1
+        elif self.result is None:
+            self.result = made
+        return made
+
+    def coincident_sum(self, *args):
+        if self.loading is not None:
+            self.counts["merge"] += 1
+            self.result = False
+        return self.base["_coincident_sum"](*args)
+
+    def heappop(self, heap):
+        entry = self.base["heappop"](heap)
+        if self.loading is not None and len(entry) == 3 and entry[-1].live:
+            if self.result:
+                self.counts["no partner" if entry[-1] is self.result else "queued lower"] += 1
+            self.result = None
+        return entry
+
+
+def _walk_config(rng, pam):
+    """Interleaved runs of touching equal-label pieces, built to stop the walk.
+
+    Runs share a few left ends, so a shorter piece queued at the walk's
+    left end sorts below its result.  A run may get a piece on the hull of
+    one of its prefixes, a coincident partner for the walk; a second piece
+    ending where one of its pieces ends with its label, a contended right
+    end; or a piece ending at its left end, which waits for a partner that
+    only a merge may give it.
+    """
+    labels = pam.elements[1:]
+    xi = []
+    for _ in range(rng.randint(1, 3)):
+        u = F(rng.randint(0, 4), 2)
+        for _ in range(rng.randint(1, 2)):
+            m, p0 = rng.choice(labels), rng.choice((OPEN, CLOSED))
+            x, p, ends = u, p0, []
+            for _ in range(rng.randint(1, 4)):
+                w, q = x + F(rng.randint(1, 3), 2), rng.choice((OPEN, CLOSED))
+                xi.append((Interval(x, w, p, q), m))
+                ends.append((w, q))
+                x, p = w, -q
+            w, q = rng.choice(ends)
+            roll = rng.random()
+            if roll < 0.4:
+                xi.append((Interval(u, w, p0, q), rng.choice(labels)))
+            elif roll < 0.6:
+                xi.append((Interval(w - F(1, 4), w, rng.choice((OPEN, CLOSED)), q), m))
+            elif roll < 0.8:
+                xi.append((Interval(u - F(1, 2), u, rng.choice((OPEN, CLOSED)), -p0), rng.choice(labels)))
+    rng.shuffle(xi)
+    return xi
+
+
+def test_walk_stops_match_oracle(m3, z2, monkeypatch):
+    # the walk replaces the queue round trip of each paste and stops where
+    # a queued piece could move next; tuples and errors match the oracle
+    # where it stops at a merge, with no partner and behind a queued piece
+    stops = _WalkStops(monkeypatch)
+    draws = raised = 0
+    for pam in (m3, z2, Z5, TRUNC6):
+        rng = random.Random("walk-" + pam.name)
+        for _ in range(800):
+            xi = _walk_config(rng, pam)
+            fast = _outcome(labeled_normalize, xi, pam)
+            assert fast == _outcome(oracle_normalize, xi, pam), (pam.name, xi)
+            draws += 1
+            raised += fast[0] == "raised"
+    assert draws >= 3000 and 0 < raised < draws / 2, (draws, raised)
+    assert min(stops.counts.values()) >= 100, stops.counts
 
 
 def _rand_intervals(rng):

@@ -40,6 +40,7 @@ from pamscan import (
     MooreLoop,
     TraceError,
     WindowIndex,
+    admissibility_sweep,
     alpha_eval,
     alpha_trace,
     bm_canon,
@@ -287,7 +288,7 @@ def oracle_trace(xi, s, pam):
 
 def oracle_axis_trace(xi, s, pam):
     """The refined Fraction parameter axis over the keyed ``scan_core``."""
-    return oracle_refined_trace(scanning.scan_core, WindowIndex(xi), lc_sorted(xi), s, pam)
+    return oracle_refined_trace(scanning.scan_core, WindowIndex(xi, pam), lc_sorted(xi), s, pam)
 
 
 def oracle_sweep_points(xi, eps):
@@ -377,7 +378,7 @@ def oracle_every_centre(xi, eps, support, pam, read):
     """is_admissible as (ok, reason, window), reading every centre of the sweep
     on keys with ``read`` until the first that fails."""
     eps, a, b = F(eps), F(support[0]), F(support[1])
-    windows = WindowIndex(xi)
+    windows = WindowIndex(xi, pam)
     ok, wit = in_T_labeled(windows.pieces, pam, witness=True)
     if not ok:
         return False, "not in the tensor region: %r" % (wit,), None
@@ -479,14 +480,14 @@ def test_is_admissible_reads_each_window_content_once(m3, monkeypatch):
         assert 2 * len(reads) < 1.2 * len(sides), (len(reads), len(sides))
 
 
-def test_window_index_matches_restrict():
+def test_window_index_matches_restrict(m3):
     rng = random.Random(7)
     for _ in range(200):
         xi = [(_rand_piece(rng), rng.choice("abc")) for _ in range(rng.randint(0, 8))]
         # coincident pieces, with the same and with another label
         for j, _ in list(xi[: rng.randint(0, 2)]):
             xi.append((j, rng.choice("abc")))
-        windows = WindowIndex(xi)
+        windows = WindowIndex(xi, m3)
         ends = [x for j, _ in xi for x in (j.u, j.v)] or [F(0)]
         for _ in range(12):
             a = rng.choice(ends) if rng.random() < 0.5 else rand_frac(rng, -1, 7)
@@ -533,12 +534,12 @@ def _window_end(rng, ends, scale):
     return _mixed(rng, -1, 7)
 
 
-def test_integer_bisection_matches_fraction_bisection():
+def test_integer_bisection_matches_fraction_bisection(m3):
     rng = random.Random(8)
     draws = 0
     while draws < 20000:
         xi = [(_mixed_piece(rng), rng.choice("abc")) for _ in range(rng.randint(0, 10))]
-        windows = WindowIndex(xi)
+        windows = WindowIndex(xi, m3)
         ends = [x for j, _ in xi for x in (j.u, j.v)] or [F(0)]
         for _ in range(20):
             a = _window_end(rng, ends, windows.scale)
@@ -709,7 +710,7 @@ def test_window_content_reads_match_segment_reads(m3, z2, monkeypatch):
                 xi, s = _overlapping(rng, labels)
             del made[:], segments[:]
             text = _trace_text(alpha_trace, xi, s, pam)
-            windows = WindowIndex(xi)
+            windows = WindowIndex(xi, pam)
             for m0, m, k, tracks in segments:
                 assert tracks == oracle_segment_tracks(windows, pam, k, m), (xi, s, pam.name, F(m, k))
                 seen["moved"] += m != m0
@@ -808,6 +809,20 @@ def test_scan_reads_neither_count_nor_check_the_tensor(m3, monkeypatch):
         del calls[:]
 
 
+def test_a_label_that_no_window_meets_is_checked(m3):
+    # the index checks every label once, so [5,6):zz is refused by reads
+    # and a trace whose windows never meet it
+    xi = [(Interval(0, 1, CLOSED, OPEN), "a"), (Interval(5, 6, CLOSED, OPEN), "zz")]
+    for read in (
+        lambda: alpha_eval(xi, F(1, 2), m3),
+        lambda: alpha_trace(xi, 3, m3),
+        lambda: next(admissibility_sweep(xi, 1, m3)),
+        lambda: is_admissible(xi, 1, (-1, 8), m3),
+    ):
+        with pytest.raises(DomainError, match="^unknown element 'zz' of pam 'M3'$"):
+            read()
+
+
 def test_large_lcm_chain_matches_oracle(m3):
     # every endpoint of the 16-cluster pair chain moves by 1/p for its own
     # prime p, so the index's scale is the product of 64 primes
@@ -816,7 +831,7 @@ def test_large_lcm_chain_matches_oracle(m3):
     xi = [
         (Interval(j.u + next(shifts), j.v + next(shifts), j.p, j.q), m) for j, m in xi
     ]
-    assert WindowIndex(xi).scale.bit_length() > 400
+    assert WindowIndex(xi, m3).scale.bit_length() > 400
     assert is_admissible(xi, 1, (0, s), m3)
     _assert_matches_oracle(xi, s, m3)
 
@@ -901,7 +916,7 @@ def test_integer_scan_matches_fraction_scan(m3, z2):
         rng = random.Random("scan-" + pam.name)
         for _ in range(500):
             xi = _scan_config(rng, pam.elements)
-            windows, full = WindowIndex(xi), FullScan(xi)
+            windows, full = WindowIndex(xi, pam), FullScan(xi)
             for _ in range(10):
                 u, t = _scan_params(rng, xi)
                 fast = _outcome(scanning.scan_core, windows, pam, u, t)
