@@ -25,7 +25,6 @@ from .tensor import (
     bm_canon,
     in_T,
     norm_circle,
-    tensor_eq,
 )
 from .labeled import (
     AdmissibilityReport,
@@ -34,7 +33,6 @@ from .labeled import (
     Elem1,
     Elem2,
     SymmetricConfig,
-    ThickenedConfig,
     WindowIndex,
     admissibility_sweep,
     config_eq,
@@ -84,9 +82,9 @@ __all__ = [
     "interval_leq", "is_chain", "is_compatible", "merge_summable", "normalize_config",
     "BASEPOINT", "BMElement", "CircleCarrier", "ConfigCarrier", "EqVerdict",
     "TrivialCarrier", "bm_canon", "in_T",
-    "norm_circle", "tensor_eq",
+    "norm_circle",
     "AdmissibilityReport", "DecompResult", "DecomposeError", "Elem1",
-    "Elem2", "SymmetricConfig", "ThickenedConfig", "WindowIndex", "config_eq",
+    "Elem2", "SymmetricConfig", "WindowIndex", "config_eq",
     "admissibility_sweep", "decompose_window", "double", "in_T_labeled", "is_admissible",
     "is_mirror_invariant", "labeled_normalize", "labeled_rewrite_neighbors", "lc_sorted",
     "mirror_config", "positive_part", "restrict",

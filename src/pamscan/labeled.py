@@ -13,7 +13,6 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate, count
 from math import gcd, lcm
-from operator import itemgetter
 
 from .pam import UNIT, DomainError
 from .intervals import CLOSED, OPEN, Interval, _frac, _positive, clip_interval, is_compatible
@@ -38,11 +37,6 @@ def lc_sorted(pairs):
     return tuple(sorted(pairs, key=lambda jm: (jm[0].sort_key(), jm[1])))
 
 
-def pi_mul(xi):
-    """Forget labels."""
-    return tuple(j for j, _ in xi)
-
-
 def in_T_labeled(xi, pam, witness=False):
     """Tensor membership of a labeled configuration.
 
@@ -55,7 +49,7 @@ def in_T_labeled(xi, pam, witness=False):
     xi = list(xi)
     for _, m in xi:
         pam.check_element(m)
-    if is_compatible(pi_mul(xi)):
+    if is_compatible([j for j, _ in xi]):
         return (True, None) if witness else True
     pairs = [((j,), m) for j, m in xi]
     return in_T(_CONFIGS, PamCarrier(pam), pairs, witness=witness)
@@ -1027,21 +1021,6 @@ def is_admissible(xi, eps, support, pam):
     if kept != [((u * f, v * f, p, q), m, None) for (u, v, p, q), m in windows._keys]:
         return AdmissibilityReport(False, "support leaks outside (%s, %s)" % (lo, hi))
     return AdmissibilityReport(True)
-
-
-@dataclass(frozen=True)
-class ThickenedConfig:
-    """A labeled configuration with its admissibility data."""
-
-    config: tuple
-    eps: Fraction
-    support: tuple
-
-    def validate(self, pam):
-        report = is_admissible(self.config, self.eps, self.support, pam)
-        if not report:
-            raise DomainError(report.reason)
-        return self
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,19 @@ decomposed and evaluated on endpoint keys over one common scale (see
 A trace runs on one integer scale too (see ``alpha_trace``): its
 breakpoints, the affine tracks of each segment, their crossings and the
 continuity check are integers, with one keyed read per window content
-that every segment of that content shares, and Fractions are built only
-for the finished MooreLoop: one per breakpoint, and one per distinct
-intercept, which equal segments share.  ``omega`` and
-``merged_strand_value`` key their arguments the same way and wrap the
-integer evaluators.
+that every segment of that content shares, and the MooreLoop keeps them
+on that scale.  A successful trace builds no Fraction: the loop's
+Fraction breakpoints and intercepts are built when first read, and
+``loop_eval`` bisects and evaluates on integers, building Fractions only
+for the values it canonicalizes.  ``omega`` and ``merged_strand_value``
+key their arguments the same way and wrap the integer evaluators.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 from math import lcm
 from operator import itemgetter, lt
@@ -38,7 +39,7 @@ from .labeled import (
     _moved,
     _num,
 )
-from .tensor import bm_canon, norm_circle
+from .tensor import bm_canon
 
 
 class TraceError(Exception):
@@ -189,36 +190,128 @@ def path_eval_at_zero(eta, pam):
     return alpha_eval(eta, 0, pam, t=0)
 
 
-@dataclass(frozen=True)
 class MooreLoop:
-    """Exact piecewise-affine loop: tracks c1*u + c0 per segment."""
+    """Exact piecewise-affine loop over [0, s]: tracks c1*u + c0 per segment.
 
-    s: Fraction
-    breakpoints: tuple
-    segments: tuple
+    The loop is stored on integers: breakpoints over a scale k, and per
+    segment a list of (c1, c0, label) tracks with the slope c1 over d and
+    the intercept c0 over k*d.  A traced loop has d = 1, k the trace's
+    scale, and one shared list for consecutive equal segments.
+    ``MooreLoop(s, breakpoints, segments)`` takes rationals, with k the
+    lcm of the denominators of s, the breakpoints and the intercepts, and
+    d that of the slopes.
 
-    def __post_init__(self):
-        if self.s <= 0:
+    ``breakpoints`` (one Fraction each) and ``segments`` (a tuple per run
+    of equal segments, one Fraction per distinct intercept) are views of
+    a traced loop, built on first read; a loop built from them keeps them
+    as given.  Equality and the hash compare (s, breakpoints, segments).
+    ``loop_eval`` finds its segment by bisecting the integer breakpoints
+    and evaluates the tracks on integers: O(log n + tracks).
+    """
+
+    def __init__(self, s, breakpoints, segments):
+        d = lcm(*(c1.denominator for seg in segments for c1, _, _ in seg))
+        k = lcm(
+            s.denominator,
+            *(x.denominator for x in breakpoints),
+            *(c0.denominator for seg in segments for _, c0, _ in seg),
+        )
+        points = tuple([_num(x, k) for x in breakpoints])
+        tracks = tuple([[(_num(c1, d), _num(c0, k * d), m) for c1, c0, m in seg] for seg in segments])
+        self._init(s, k, d, points, tracks)
+        vars(self).update(breakpoints=breakpoints, segments=segments)
+
+    @classmethod
+    def _scaled(cls, s, k, points, tracks):
+        """The loop with integer breakpoints and (c1, c0, label) tracks over k."""
+        loop = cls.__new__(cls)
+        loop._init(s, k, 1, tuple(points), tuple(tracks))
+        return loop
+
+    def _init(self, s, k, d, points, tracks):
+        if s <= 0:
             raise ValueError("loop length must be positive")
-        if len(self.segments) != len(self.breakpoints) - 1:
+        if len(tracks) != len(points) - 1:
             raise ValueError("segment count must be breakpoint count - 1")
-        if self.breakpoints[0] != 0 or self.breakpoints[-1] != self.s:
-            raise ValueError("breakpoints must run from 0 to %s" % self.s)
-        if not all(map(lt, self.breakpoints, self.breakpoints[1:])):
+        if points[0] != 0 or points[-1] != _num(s, k):
+            raise ValueError("breakpoints must run from 0 to %s" % s)
+        if not all(map(lt, points, points[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        vars(self).update(s=s, _k=k, _d=d, _points=points, _tracks=tracks)
+
+    @cached_property
+    def breakpoints(self):
+        k = self._k
+        return tuple([Fraction(x, k) for x in self._points])
+
+    @cached_property
+    def segments(self):
+        # built only for a traced loop (d = 1): a loop built from its
+        # views keeps them
+        intercepts, out, prev = _Intercepts(self._k), [], None
+        for seg in self._tracks:
+            if seg is not prev:
+                prev = seg
+                exact = tuple([(c1, intercepts[c0], m) for c1, c0, m in seg])
+            out.append(exact)
+        return tuple(out)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.s, self.breakpoints, self.segments) == (other.s, other.breakpoints, other.segments)
+
+    def __hash__(self):
+        return hash((self.s, self.breakpoints, self.segments))
+
+    def __repr__(self):
+        return "MooreLoop(s=%r, breakpoints=%r, segments=%r)" % (self.s, self.breakpoints, self.segments)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class _Intercepts(dict):
+    """Integer intercepts over k to their Fractions, each built on first use."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, k):
+        self.k = k
+
+    def __missing__(self, c0):
+        frac = self[c0] = Fraction(c0, self.k)
+        return frac
 
 
 def loop_eval(loop, u, pam):
+    """The value of the loop at u in [0, s]: ``bm_canon`` of its tracks there.
+
+    At an inner breakpoint the segment to its left is read, as
+    ``bisect_left`` on the breakpoints picks it: the first integer
+    breakpoint at or above ceil(u*k) ends that segment.
+    """
     u = _frac(u)
-    if not (0 <= u <= loop.s):
+    n, q = u.numerator, u.denominator
+    if n < 0 or n * loop._k > q * loop._points[-1]:
         raise DomainError("parameter %s outside [0, %s]" % (u, loop.s))
-    seg = max(bisect_left(loop.breakpoints, u) - 1, 0)
+    seg = max(bisect_left(loop._points, -(-n * loop._k // q)) - 1, 0)
     return _segment_value(loop, seg, u, pam)
 
 
 def _segment_value(loop, i, u, pam):
-    """``bm_canon`` of the tracks of segment i at u."""
-    return bm_canon(pam, [(norm_circle(c1 * u + c0), m) for c1, c0, m in loop.segments[i]])
+    """``bm_canon`` of the tracks of segment i at u.
+
+    Each track is evaluated and normalized on integers over K*d, with
+    K = lcm(k, u.denominator); only the values passed on are Fractions.
+    """
+    k, q = loop._k, u.denominator
+    big = lcm(k, q)
+    f, x, scale = big // k, u.numerator * (big // q), big * loop._d
+    return bm_canon(pam, [(Fraction(_norm(c1 * x + c0 * f, scale), scale), m) for c1, c0, m in loop._tracks[i]])
 
 
 def alpha_trace(xi, s, pam):
@@ -278,10 +371,9 @@ def alpha_trace(xi, s, pam):
 
     A segment whose integer tracks equal those of the segment before it
     (a piece that meets a window end while its unit sits at the
-    basepoint leaves them unchanged) shares that segment's track list and
-    its exact tuple, like the parts of a split segment.  Each intercept
-    becomes a Fraction once per trace, through a map from the integer
-    intercept, so equal intercepts of the loop are one object.
+    basepoint leaves them unchanged) shares that segment's track list,
+    like the parts of a split segment, and with it the tuple of the
+    loop's ``segments`` view.
 
     The end and continuity checks compare, at each breakpoint x, the map
     that takes each track value other than the basepoint T to the sum of
@@ -301,11 +393,12 @@ def alpha_trace(xi, s, pam):
     segment's units, a part of first fit's tuple, whose sum the read
     checked, and a part of a summable tuple sums.
 
-    Fractions are built for the MooreLoop, and to word an error: a window
-    that fails to decompose is read again by ``scan_core`` a third of the
-    way along the segment that first meets it, and the error names that
-    window; unsummable labels at an end, a discontinuity or a non-empty
-    end is worded through ``bm_canon``.
+    The loop takes the integer breakpoints and track lists as they are,
+    so Fractions are built only to word an error: a window that fails to
+    decompose is read again by ``scan_core`` a third of the way along the
+    segment that first meets it, and the error names that window;
+    unsummable labels at an end, a discontinuity or a non-empty end is
+    worded through ``bm_canon``.
     """
     s = _positive(s, "loop length")
     windows = WindowIndex(xi, pam)
@@ -318,9 +411,7 @@ def alpha_trace(xi, s, pam):
             grid.update(t for t in (x - half, x + half) if 0 < t < end)
     grid = sorted(grid | stretches)
 
-    points, tracks, loop_tracks = [], [], []
-    seg = exact = None
-    intercepts = _Intercepts(k)
+    points, tracks, seg = [], [], None
     for lo, hi in zip(grid, grid[1:]):
         m = (lo + hi) // 2
         try:
@@ -334,24 +425,17 @@ def alpha_trace(xi, s, pam):
             raise
         if new != seg:
             seg = new
-            exact = tuple([(c1, intercepts[c0], label) for c1, c0, label in seg])
         points.append(lo)
         tracks.append(seg)
-        loop_tracks.append(exact)
         if len(seg) > 1:
             for x in _crossings(seg, lo, hi):
                 points.append(x)
                 tracks.append(seg)
-                loop_tracks.append(exact)
     points.append(end)
 
-    loop = MooreLoop(
-        s=s,
-        breakpoints=tuple([Fraction(x, k) for x in points]),
-        segments=tuple(loop_tracks),
-    )
+    loop = MooreLoop._scaled(s, k, points, tracks)
     if _circle_sums(loop, 0, _side(tracks[0], 0, k), 0, k, pam):
-        raise TraceError("loop value at 0 is not the empty element", loop.breakpoints[0])
+        raise TraceError("loop value at 0 is not the empty element", Fraction(0))
     if _circle_sums(loop, -1, _side(tracks[-1], end, k), end, k, pam):
         raise TraceError("loop value at %s is not the empty element" % s, s)
     for i in range(1, len(points) - 1):
@@ -360,26 +444,13 @@ def alpha_trace(xi, s, pam):
         x = points[i]
         left, right = _side(tracks[i - 1], x, k), _side(tracks[i], x, k)
         if left != right and _circle_sums(loop, i - 1, left, x, k, pam) != _circle_sums(loop, i, right, x, k, pam):
-            x = loop.breakpoints[i]
+            x = Fraction(x, k)
             raise TraceError(
                 "loop discontinuity at breakpoint %s: %r vs %r"
                 % (x, _segment_value(loop, i - 1, x, pam), _segment_value(loop, i, x, pam)),
                 x,
             )
     return loop
-
-
-class _Intercepts(dict):
-    """Integer intercepts over k to their Fractions, each built on first use."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k):
-        self.k = k
-
-    def __missing__(self, c0):
-        frac = self[c0] = Fraction(c0, self.k)
-        return frac
 
 
 def _segment_tracks(units, m0, m, k):

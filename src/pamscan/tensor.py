@@ -18,8 +18,8 @@ from .intervals import (
     IncompatibleConfig, Interval, _frac, interval_leq, merge_summable, normalize_config,
 )
 
-# Nodes a rewrite search may see, both sides together, before it answers
-# UNKNOWN: each node costs a tensor-membership check per neighbour.
+# Nodes a rewrite search (``labeled.config_eq``) may see, both sides
+# together, before it answers UNKNOWN.
 SEARCH_NODE_CAP = 20000
 
 
@@ -331,64 +331,6 @@ def _canon_pairs(c1, c2, pairs):
     return tuple(sorted(pairs, key=lambda p: (c1.sort_key(p[0]), c2.sort_key(p[1]))))
 
 
-def rewrite_neighbors(c1, c2, pairs):
-    """One-step rewrites of a pair multiset, filtered to the tensor region.
-
-    Moves: drop/insert a pair with a zero coordinate (insertions use the
-    other carrier's elements when finite, and reuse coordinates already
-    present otherwise); split a coordinate along the carrier's partitions;
-    merge two pairs that agree in the other coordinate and whose remaining
-    coordinates are summable.  Every candidate is checked: unlike
-    ``labeled.labeled_rewrite_neighbors``, no claim is made here that the
-    moves keep the tensor region.
-    """
-    pairs = list(pairs)
-    out = set()
-
-    def admit(cand):
-        cand = list(cand)
-        if in_T(c1, c2, cand):
-            out.add(_canon_pairs(c1, c2, cand))
-
-    for i, (x, y) in enumerate(pairs):
-        if c1.is_zero(x) or c2.is_zero(y):
-            admit(pairs[:i] + pairs[i + 1 :])
-
-    first_coords = [p[0] for p in pairs]
-    second_coords = [p[1] for p in pairs]
-    e1 = c1.elements()
-    e2 = c2.elements()
-    for x in e1 if e1 is not None else set(first_coords):
-        admit(pairs + [(x, c2.zero())])
-    for y in e2 if e2 is not None else set(second_coords):
-        admit(pairs + [(c1.zero(), y)])
-
-    for i, (x, y) in enumerate(pairs):
-        rest = pairs[:i] + pairs[i + 1 :]
-        parts1 = c1.partitions(x)
-        if parts1 is not None:
-            for x1, x2 in parts1:
-                admit(rest + [(x1, y), (x2, y)])
-        parts2 = c2.partitions(y)
-        if parts2 is not None:
-            for y1, y2 in parts2:
-                admit(rest + [(x, y1), (x, y2)])
-
-    for i in range(len(pairs)):
-        for k in range(i + 1, len(pairs)):
-            (x1, y1), (x2, y2) = pairs[i], pairs[k]
-            rest = [p for idx, p in enumerate(pairs) if idx not in (i, k)]
-            if y1 == y2:
-                s = c1.pair_sum(x1, x2)
-                if s is not None:
-                    admit(rest + [(s, y1)])
-            if x1 == x2:
-                s = c2.pair_sum(y1, y2)
-                if s is not None:
-                    admit(rest + [(x1, s)])
-    return out
-
-
 def _trivial_canon(c1, c2, pairs):
     """Exact canonical form when either carrier is trivial.
 
@@ -420,30 +362,6 @@ def _trivial_canon(c1, c2, pairs):
         pair = (k, total) if key_side == 0 else (total, k)
         out.append(pair)
     return _canon_pairs(c1, c2, out)
-
-
-def tensor_eq(c1, c2, a, b, depth=6):
-    """Decide rewrite equivalence of two pair multisets.
-
-    With a trivial carrier on either side the canonical form is exact.
-    Otherwise a bounded bidirectional search over one-step rewrites returns
-    EQUAL, DISTINCT (both reachability sets exhausted), or UNKNOWN once
-    ``depth`` rounds or ``SEARCH_NODE_CAP`` nodes are spent.
-    """
-    if not in_T(c1, c2, a) or not in_T(c1, c2, b):
-        raise DomainError("tensor_eq requires both multisets in the tensor region")
-    if c1.is_trivial or c2.is_trivial:
-        return (
-            EqVerdict.EQUAL
-            if _trivial_canon(c1, c2, a) == _trivial_canon(c1, c2, b)
-            else EqVerdict.DISTINCT
-        )
-    return _bidirectional_search(
-        _canon_pairs(c1, c2, a),
-        _canon_pairs(c1, c2, b),
-        lambda node: rewrite_neighbors(c1, c2, node),
-        depth,
-    )
 
 
 def _bidirectional_search(start_a, start_b, neighbors, depth):

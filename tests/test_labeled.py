@@ -10,7 +10,6 @@ from pamscan import (
     Interval,
     OPEN,
     SymmetricConfig,
-    ThickenedConfig,
     config_eq,
     decompose_window,
     double,
@@ -262,7 +261,7 @@ def test_symmetric_config_validate(m3):
 
 
 def test_thickened_config_validate(m3):
-    ThickenedConfig(((I(1, 2, *HO), "a"),), F(1), (F(0), F(3))).validate(m3)
-    with pytest.raises(DomainError):
-        # content beyond the support window is rejected
-        ThickenedConfig(((I(1, 4, *HO), "a"),), F(1), (F(0), F(3))).validate(m3)
+    assert is_admissible(((I(1, 2, *HO), "a"),), F(1), (F(0), F(3)), m3)
+    # content beyond the support window is rejected
+    report = is_admissible(((I(1, 4, *HO), "a"),), F(1), (F(0), F(3)), m3)
+    assert not report and report.reason == "support leaks outside (1/2, 5/2)"

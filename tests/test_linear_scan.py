@@ -629,17 +629,18 @@ def test_trace_reads_each_window_content_once(m3, monkeypatch):
     assert all(a < c < b for c, a, b in zip(centres, stretches, stretches[1:])), centres
     assert all(F(hi - lo, k) == 2 for lo, hi, k in windows)
     assert scans == []
-    # the only Fractions are the loop's breakpoints and the intercepts of
-    # each derived segment, shared by its parts: none per read
-    derived = {id(t): len(t) for t in loop.segments}
-    assert len(built) <= len(loop.breakpoints) + sum(derived.values()), (len(built), len(windows))
+    # a successful trace builds no Fraction: none per read, and none for
+    # the loop, whose views are built when first read
+    assert built == [], (len(built), len(windows))
 
 
 def test_trace_builds_each_segment_and_intercept_once(m3, monkeypatch):
-    # a 64-cluster chain: a segment with the integer tracks of the one
-    # before shares its tuple, equal intercepts share one Fraction, and
-    # only a breakpoint between two different segments is compared, a
-    # sorted side each, beside the two end checks
+    # a 64-cluster chain: the trace builds no Fraction, and only a
+    # breakpoint between two different segments is compared, a sorted
+    # side each, beside the two end checks; reading ``segments`` builds
+    # one Fraction per distinct intercept, a segment with the integer
+    # tracks of the one before sharing its tuple, reading ``breakpoints``
+    # one Fraction per breakpoint, and a second read builds nothing
     xi, s = rand_admissible(random.Random("work-64"), clusters=64)
     sides, built = [], []
     side = scanning._side
@@ -658,24 +659,32 @@ def test_trace_builds_each_segment_and_intercept_once(m3, monkeypatch):
     F.__new__ = staticmethod(counting_new)
     try:
         loop = alpha_trace(xi, s, m3)
+        traced = len(built)
+        segments = loop.segments
+        from_segments = len(built) - traced
+        breakpoints = loop.breakpoints
+        from_breakpoints = len(built) - traced - from_segments
+        assert loop.segments is segments and loop.breakpoints is breakpoints
+        again = len(built) - traced - from_segments - from_breakpoints
     finally:
         F.__new__ = new
+    assert traced == 0 and again == 0, (traced, again)
+    assert from_breakpoints == len(breakpoints) == len(segments) + 1
     shared = differ = 0
-    for a, b in zip(loop.segments, loop.segments[1:]):
+    for a, b in zip(segments, segments[1:]):
         if a == b:
             assert a is b
             shared += 1
         else:
             differ += 1
     intercepts, tracks = {}, 0
-    for seg in loop.segments:
+    for seg in segments:
         for _, c0, _ in seg:
             assert intercepts.setdefault(c0, c0) is c0
             tracks += 1
     assert shared > 0 and differ > 0 and len(intercepts) < tracks, (shared, differ, len(intercepts), tracks)
     assert len(sides) == 2 + 2 * differ
-    # the only Fractions built are the breakpoints and one per intercept
-    assert len(built) == len(loop.breakpoints) + len(intercepts), (len(built), len(intercepts))
+    assert from_segments == len(intercepts), (from_segments, len(intercepts))
 
 
 def test_window_content_reads_match_segment_reads(m3, z2, monkeypatch):
@@ -684,17 +693,17 @@ def test_window_content_reads_match_segment_reads(m3, z2, monkeypatch):
     # the trace's verdict (equal sorted sides, or else equal circle sums)
     # is the verdict of bm_canon on the two sides' tracks
     made, segments = [], []
-    loop_class, segment_tracks = scanning.MooreLoop, scanning._segment_tracks
+    scaled, segment_tracks = scanning.MooreLoop._scaled, scanning._segment_tracks
 
-    def capturing_loop(**kwargs):
-        made.append(loop_class(**kwargs))
+    def capturing_loop(*args):
+        made.append(scaled(*args))
         return made[-1]
 
     def recording_tracks(units, m0, m, k):
         segments.append((m0, m, k, segment_tracks(units, m0, m, k)))
         return segments[-1][3]
 
-    monkeypatch.setattr(scanning, "MooreLoop", capturing_loop)
+    monkeypatch.setattr(scanning.MooreLoop, "_scaled", capturing_loop)
     monkeypatch.setattr(scanning, "_segment_tracks", recording_tracks)
     seen = dict.fromkeys(("moved", "sides equal", "sides differ, sums equal", "discontinuity"), 0)
     for pam in (m3, z2, cyclic_pam(5), truncated_pam(6)):
@@ -719,6 +728,7 @@ def test_window_content_reads_match_segment_reads(m3, z2, monkeypatch):
             loop, k = made[0], 4 * lcm(2 * windows.scale, F(s).denominator)
             ints, first = {}, None
             tracks = [ints.setdefault(id(t), [(c1, int(c0 * k), m) for c1, c0, m in t]) for t in loop.segments]
+            assert tracks == list(loop._tracks) and [int(x * k) for x in loop.breakpoints] == list(loop._points)
             for i in range(1, len(loop.segments)):
                 bp = loop.breakpoints[i]
                 x = int(bp * k)

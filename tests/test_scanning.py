@@ -1,5 +1,12 @@
-"""Scanning map: pointwise values, Moore loop traces, loop invariants."""
+"""Scanning map: pointwise values, Moore loop traces, loop invariants.
 
+``oracle_loop_eval`` is the Fraction evaluation that the integer
+``loop_eval`` replaced: it bisects the Fraction breakpoints and evaluates
+each track as a Fraction.
+"""
+
+import random
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
@@ -11,13 +18,19 @@ from pamscan import (
     Interval,
     MooreLoop,
     OPEN,
+    TraceError,
     alpha_eval,
     alpha_trace,
+    bm_canon,
     loop_eval,
+    norm_circle,
     omega,
     path_eval_at_zero,
 )
+from pamscan.dsl import fmt_loop, fmt_rational, parse_loop
 from pamscan.scanning import merged_strand_value
+
+from genutil import rand_admissible
 
 
 def I(u, v, p, q):
@@ -131,8 +144,6 @@ def test_trace_breakpoint_continuity(m3):
 
 
 def test_trace_needs_support(m3):
-    from pamscan import TraceError
-
     # the failing end is named as a breakpoint: the loop length, or 0
     xi = ((I(1, 5, *HO), "a"),)
     with pytest.raises(TraceError) as info:
@@ -160,3 +171,65 @@ def test_moore_loop_rejects_breakpoints_off_the_span():
         MooreLoop(F(4), (F(0), F(2)), ((),))
     with pytest.raises(ValueError, match="positive"):
         MooreLoop(F(0), (F(0), F(0)), ((),))
+
+
+def oracle_loop_eval(loop, u, pam):
+    """``bm_canon`` of the tracks of u's segment, all on Fractions."""
+    u = F(u)
+    if not (0 <= u <= loop.s):
+        raise DomainError("parameter %s outside [0, %s]" % (u, loop.s))
+    seg = max(bisect_left(loop.breakpoints, u) - 1, 0)
+    return bm_canon(pam, [(norm_circle(c1 * u + c0), m) for c1, c0, m in loop.segments[seg]])
+
+
+def _outcome(evaluate, loop, u, pam):
+    try:
+        return repr(evaluate(loop, u, pam))
+    except DomainError as e:
+        return "DomainError: %s" % e
+
+
+def _rand_loop_text(rng, labels):
+    """A loop with rational slopes, intercepts and breakpoints, as text."""
+    s = F(rng.randint(1, 24), rng.choice((1, 2, 3, 5)))
+    inner = sorted({s * F(rng.randint(1, 59), 60) for _ in range(rng.randint(0, 6))})
+    bps = [F(0)] + inner + [s]
+    lines = ["moore %s" % fmt_rational(s)] + ["breakpoint %s" % fmt_rational(b) for b in bps]
+    for i in range(len(bps) - 1):
+        lines.append("segment %d" % i)
+        for _ in range(rng.randint(0, 3)):
+            c1 = F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 9)))
+            c0 = F(rng.randint(-40, 40), rng.choice((1, 2, 5, 6, 7)))
+            lines.append("track %s %s %s" % (fmt_rational(c1), fmt_rational(c0), rng.choice(labels)))
+    return "\n".join(lines) + "\n"
+
+
+def test_loop_eval_matches_fraction_oracle(carrier):
+    # traced loops (relabelled admissible chains) and parsed loops with
+    # rational slopes and intercepts, read at every breakpoint, every
+    # segment midpoint, every seventh of [-1/7, s + 1/7] and two more
+    # points outside [0, s]: values and DomainError texts agree
+    rng = random.Random("loop-eval-" + carrier.name)
+    labels = [m for m in carrier.elements if m != "0"]
+    loops, evals, errors = [], 0, 0
+    while len(loops) < 12:
+        xi, s = rand_admissible(rng, 4)
+        if carrier.name != "M3" or len(loops) % 2:
+            rel = {m: rng.choice(labels) for m in "abc"}
+            xi = [(j, rel[m]) for j, m in xi]
+        try:
+            loops.append(alpha_trace(xi, s, carrier))
+        except (TraceError, DomainError):
+            continue
+    loops += [parse_loop(_rand_loop_text(rng, carrier.elements)) for _ in range(12)]
+    for loop in loops:
+        assert parse_loop(fmt_loop(loop)) == loop and hash(parse_loop(fmt_loop(loop))) == hash(loop)
+        bps = loop.breakpoints
+        us = set(bps) | {(a + b) / 2 for a, b in zip(bps, bps[1:])}
+        us |= {F(j, 7) for j in range(-1, int(loop.s * 7) + 2)} | {-loop.s, loop.s + F(1, 11)}
+        for u in sorted(us):
+            want = _outcome(oracle_loop_eval, loop, u, carrier)
+            assert _outcome(loop_eval, loop, u, carrier) == want, (fmt_loop(loop), u)
+            evals += 1
+            errors += want.startswith("DomainError")
+    assert evals >= 2000 and errors >= 48, (evals, errors)

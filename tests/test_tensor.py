@@ -1,5 +1,13 @@
-"""Tensor-region membership and circle-tensor canonical forms."""
+"""Tensor-region membership and circle-tensor canonical forms.
 
+``rewrite_neighbors`` and ``tensor_eq`` are a bounded search over one-step
+rewrites of pair multisets.  The library decides the one tensor product
+it uses, the circle with a pam, exactly by ``bm_canon``; the search stays
+here as an oracle that must never call two multisets EQUAL whose
+``bm_canon`` differ.
+"""
+
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,12 +27,97 @@ from pamscan.tensor import (
     ConfigCarrier,
     PamCarrier,
     TrivialCarrier,
+    _bidirectional_search,
+    _canon_pairs,
+    _trivial_canon,
     in_T,
-    rewrite_neighbors,
-    tensor_eq,
     EqVerdict,
 )
 from pamscan import CLOSED, OPEN, Interval
+
+from genutil import rand_bm_pairs
+
+
+def rewrite_neighbors(c1, c2, pairs):
+    """One-step rewrites of a pair multiset, filtered to the tensor region.
+
+    Moves: drop/insert a pair with a zero coordinate (insertions use the
+    other carrier's elements when finite, and reuse coordinates already
+    present otherwise); split a coordinate along the carrier's partitions;
+    merge two pairs that agree in the other coordinate and whose remaining
+    coordinates are summable.  Every candidate is checked: unlike
+    ``labeled.labeled_rewrite_neighbors``, no claim is made here that the
+    moves keep the tensor region.
+    """
+    pairs = list(pairs)
+    out = set()
+
+    def admit(cand):
+        cand = list(cand)
+        if in_T(c1, c2, cand):
+            out.add(_canon_pairs(c1, c2, cand))
+
+    for i, (x, y) in enumerate(pairs):
+        if c1.is_zero(x) or c2.is_zero(y):
+            admit(pairs[:i] + pairs[i + 1 :])
+
+    first_coords = [p[0] for p in pairs]
+    second_coords = [p[1] for p in pairs]
+    e1 = c1.elements()
+    e2 = c2.elements()
+    for x in e1 if e1 is not None else set(first_coords):
+        admit(pairs + [(x, c2.zero())])
+    for y in e2 if e2 is not None else set(second_coords):
+        admit(pairs + [(c1.zero(), y)])
+
+    for i, (x, y) in enumerate(pairs):
+        rest = pairs[:i] + pairs[i + 1 :]
+        parts1 = c1.partitions(x)
+        if parts1 is not None:
+            for x1, x2 in parts1:
+                admit(rest + [(x1, y), (x2, y)])
+        parts2 = c2.partitions(y)
+        if parts2 is not None:
+            for y1, y2 in parts2:
+                admit(rest + [(x, y1), (x, y2)])
+
+    for i in range(len(pairs)):
+        for k in range(i + 1, len(pairs)):
+            (x1, y1), (x2, y2) = pairs[i], pairs[k]
+            rest = [p for idx, p in enumerate(pairs) if idx not in (i, k)]
+            if y1 == y2:
+                s = c1.pair_sum(x1, x2)
+                if s is not None:
+                    admit(rest + [(s, y1)])
+            if x1 == x2:
+                s = c2.pair_sum(y1, y2)
+                if s is not None:
+                    admit(rest + [(x1, s)])
+    return out
+
+
+def tensor_eq(c1, c2, a, b, depth=6):
+    """Decide rewrite equivalence of two pair multisets.
+
+    With a trivial carrier on either side the canonical form is exact.
+    Otherwise a bounded bidirectional search over one-step rewrites returns
+    EQUAL, DISTINCT (both reachability sets exhausted), or UNKNOWN once
+    ``depth`` rounds or ``SEARCH_NODE_CAP`` nodes are spent.
+    """
+    if not in_T(c1, c2, a) or not in_T(c1, c2, b):
+        raise DomainError("tensor_eq requires both multisets in the tensor region")
+    if c1.is_trivial or c2.is_trivial:
+        return (
+            EqVerdict.EQUAL
+            if _trivial_canon(c1, c2, a) == _trivial_canon(c1, c2, b)
+            else EqVerdict.DISTINCT
+        )
+    return _bidirectional_search(
+        _canon_pairs(c1, c2, a),
+        _canon_pairs(c1, c2, b),
+        lambda node: rewrite_neighbors(c1, c2, node),
+        depth,
+    )
 
 
 def test_norm_circle():
@@ -138,11 +231,28 @@ def test_is_pairwise_insummable(m3):
     assert is_pairwise_insummable(pc, ["c"])
 
 
+def circle_search(pam, a, b, depth):
+    """The rewrite search between two circle pair multisets over ``pam``.
+
+    ``tensor_eq`` answers from ``_trivial_canon`` here, since the circle
+    is a trivial carrier; this runs the search itself, and checks that an
+    EQUAL it finds has equal ``bm_canon``.
+    """
+    circ, pc = CircleCarrier(), PamCarrier(pam)
+    verdict = _bidirectional_search(
+        _canon_pairs(circ, pc, a), _canon_pairs(circ, pc, b), lambda node: rewrite_neighbors(circ, pc, node), depth
+    )
+    if verdict == EqVerdict.EQUAL:
+        assert bm_canon(pam, a) == bm_canon(pam, b), (a, b)
+    return verdict
+
+
 def test_tensor_eq_reflexive(m3):
     circ = CircleCarrier()
     pc = PamCarrier(m3)
     pairs = [(F(1, 2), "a"), (F(1, 4), "b")]
     assert tensor_eq(circ, pc, pairs, pairs) == EqVerdict.EQUAL
+    assert circle_search(m3, pairs, pairs, 1) == EqVerdict.EQUAL
 
 
 def test_rewrite_neighbors(m3):
@@ -152,12 +262,39 @@ def test_rewrite_neighbors(m3):
     # splitting c along its nonzero partitions is among the moves
     split = sorted([(F(1, 2), "a"), (F(1, 2), "b")])
     assert any(sorted(n) == split for n in nbrs)
+    assert all(circle_search(m3, [(F(1, 2), "c")], n, 1) == EqVerdict.EQUAL for n in nbrs)
 
 
 def test_rewrites_past_sixteen_pairs(z2):
     circ = CircleCarrier()
     pairs = [(F(k, 32), "g") for k in range(1, 17)]
-    assert any(len(n) == 17 for n in rewrite_neighbors(circ, PamCarrier(z2), pairs))
+    nbrs = rewrite_neighbors(circ, PamCarrier(z2), pairs)
+    assert any(len(n) == 17 for n in nbrs)
+    assert all(bm_canon(z2, n) == bm_canon(z2, pairs) for n in nbrs)
+
+
+def test_circle_search_equal_means_equal_bm_canon(m3):
+    # 300 seeded searches over M3, from a drawn multiset to a random walk
+    # of one to three rewrites from it or to a fresh draw: every EQUAL has
+    # equal bm_canon (checked in circle_search), and every fresh draw
+    # with another bm_canon stays apart
+    rng = random.Random("circle-search")
+    circ, pc = CircleCarrier(), PamCarrier(m3)
+    seen = dict.fromkeys(("walk", "apart"), 0)
+    for n in range(300):
+        a = rand_bm_pairs(rng, m3)
+        if n % 3:
+            b = a
+            for _ in range(rng.randint(1, 3)):
+                b = list(rng.choice(sorted(rewrite_neighbors(circ, pc, b), key=repr)))
+            assert circle_search(m3, a, b, 4) == EqVerdict.EQUAL, (a, b)
+            seen["walk"] += 1
+        else:
+            b = rand_bm_pairs(rng, m3)
+            if bm_canon(m3, a) != bm_canon(m3, b):
+                assert circle_search(m3, a, b, 2) != EqVerdict.EQUAL, (a, b)
+                seen["apart"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_searches_stop_at_the_node_bound(m3, monkeypatch):
