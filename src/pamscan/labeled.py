@@ -550,15 +550,6 @@ class WindowIndex:
         out.sort()
         return out
 
-    def restrict(self, a, b):
-        """``restrict`` of the configuration to (a, b), read through ``clip``."""
-        a, b = _frac(a), _frac(b)
-        scale = lcm(self.scale, a.denominator, b.denominator)
-        return tuple(
-            (_interval(key, scale), m)
-            for key, m, _ in self.clip(scale, _num(a, scale), _num(b, scale))
-        )
-
 
 def mirror_config(xi):
     return lc_sorted((j.mirror(), m) for j, m in xi)
@@ -872,9 +863,59 @@ def _sweep_centres(keys, scale, eps):
 
 def window_sweep_points(xi, eps):
     """Window centers that cover every combinatorial type of restriction."""
+    eps = _positive(eps, "eps")
     scale, keyed = _endpoint_keys(tuple(xi))
-    k, _, centres = _sweep_centres([key for key, _, _ in keyed], scale, _frac(eps))
+    k, _, centres = _sweep_centres([key for key, _, _ in keyed], scale, eps)
     return [Fraction(t, k) for t in centres]
+
+
+def _reads(windows, k, e, centres, pam):
+    """First fit at each of the increasing ``centres``, each window content read once.
+
+    ``windows`` is a WindowIndex, ``k`` a multiple of its scale, and the
+    window at a centre t is (t - e, t + e), all integers over k.  Yields,
+    for each t, (c, items): the centre c at which ``_decompose_keys`` read
+    first fit's keyed ``items``, not moved; ``_moved_items(items, c - e,
+    c + e, t - c)`` are the items at t.  A read that fails raises at its
+    own centre.
+
+    The state of a centre t is the pair (#{x <= t - e}, #{x < t + e}) over
+    the endpoints x, and t is read exactly when its state differs from the
+    state of the centre before it.  On integer centres the first count
+    grows at t = x + e and the second at t = x - e + 1, so one sorted list
+    of those change points tells, by one comparison per centre, whether
+    the state has changed.
+
+    Two centres c < t with one state have one content, up to the clipped
+    ends.  ``WindowIndex.clip`` clips an end on lo like one below lo and an
+    end on hi like one above hi: a piece ending at or below lo or starting
+    at or above hi clips to nothing, a point included, one starting at or
+    below lo is cut open at lo, and one ending at or above hi is cut open
+    at hi.  No endpoint changes side of either window end between c and
+    t, so the same pieces survive, the same ends are cut, and every uncut
+    end lies strictly inside both windows; only the clipped ends move, and
+    they sit on the window ends and move together, by t - c.  So no piece
+    of the content starts at the right window end or ends at the left one,
+    and a clipped end takes part in no paste; two keys are equal at c
+    exactly when they are at t, and they sort in the same order, a clipped
+    left end below every uncut one and a clipped right end above.  The
+    kinds of ``_classify`` test uncut ends against the window ends, and
+    first fit compares the uncut ends of its pairs.  So the normal form,
+    the kinds, first fit and the order of its items are c's, up to the
+    clipped ends; first fit's labels are the same tuple, so its one sum,
+    and a failure with it, are c's too.  The counts of ``_count_matchings``
+    compare only uncut ends and labels, so they agree as well.  Hence each
+    centre takes the last read, moved, and the first centre of a failing
+    content is read, so the first failing window words its own error.
+    """
+    f = k // windows.scale
+    changes = sorted({x * f + d for key, _ in windows._keys for x in key[:2] for d in (e, 1 - e)})
+    n, i, c = len(changes), 0, None
+    for t in centres:
+        if c is None or i < n and changes[i] <= t:
+            i = bisect_right(changes, t, i)
+            c, items = t, _decompose_keys(windows.clip(k, t - e, t + e), k, t - e, t + e, pam)
+        yield c, items
 
 
 def _moved(keys, a, b, d):
@@ -891,74 +932,19 @@ def _moved_items(items, a, b, d):
     return out
 
 
-def _sweep(windows, eps, pam):
-    """Decompose every window of the sweep on integers, each content once.
-
-    Yields (t, K, items), first fit's keyed items with the centre t over
-    the scale K of ``_sweep_centres``.  Windows are read through the
-    WindowIndex ``windows``, so each read costs a bisection plus the
-    pieces near the window.
-
-    Centres alternate: an outer centre, then critical points x +- eps and
-    the midpoints between them, then the other outer centre.  Only the
-    midpoints, the outer centres and the critical centres with endpoints
-    on both window ends are read.  Take a critical centre t whose
-    endpoints sit on its left window end lo only, and let d be the
-    distance to the next centre.  A piece ending at lo clips to nothing
-    and a piece starting at lo is cut open, at t as at t + d; no endpoint
-    lies in (lo, lo + d] or in [hi, hi + d], since it would put a critical
-    point in (t, t + d].  So, as for a stretch of ``alpha_trace``, the
-    normal form, the kinds, first fit, the order of its items and its one
-    sum are those of t + d, up to the clipped ends, which sit on the
-    window ends: t yields the next read's items with those ends moved back
-    by d.  A centre with endpoints on its right window end only yields
-    the previous read's items moved forward, by symmetry.  The counts of
-    ``_count_matchings`` compare only uncut ends and labels, so they agree
-    too.  A left-only centre can fail first, where a piece starting at lo
-    and one crossing it clip to one interval there and merge.  So when the
-    read after a waiting left-only centre fails, that centre, which has
-    the same content, is read again for its own error, the first failing
-    window's.
-    """
-    k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, eps)
-    f = k // windows.scale
-    ends = {x * f for key, _ in windows._keys for x in key[:2]}
-
-    def read(t):
-        return _decompose_keys(windows.clip(k, t - e, t + e), k, t - e, t + e, pam)
-
-    last = waiting = None
-    for t in centres:
-        lo, hi = t - e, t + e
-        if lo in ends and hi not in ends:
-            waiting = t
-            continue
-        if hi in ends and lo not in ends:
-            c, items = last
-            yield t, k, _moved_items(items, c - e, c + e, t - c)
-            continue
-        try:
-            items = read(t)
-        except DomainError:
-            if waiting is not None:
-                yield waiting, k, read(waiting)
-            raise
-        if waiting is not None:
-            yield waiting, k, _moved_items(items, lo, hi, waiting - t)
-            waiting = None
-        last = t, items
-        yield t, k, items
-
-
 def admissibility_sweep(xi, eps, pam):
     """Decompose every combinatorially distinct window; yields (t, result).
 
     One result per centre of ``window_sweep_points``, each counted; a
     window content shared by neighbouring centres is read once (see
-    ``_sweep``), and the first failing window raises its DecomposeError.
+    ``_reads``), and the first failing window raises its DecomposeError.
     """
     eps = _positive(eps, "eps")
-    for t, k, items in _sweep(WindowIndex(xi, pam), eps, pam):
+    windows = WindowIndex(xi, pam)
+    k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, eps)
+    for t, (c, items) in zip(centres, _reads(windows, k, e, centres, pam)):
+        if c != t:
+            items = _moved_items(items, c - e, c + e, t - c)
         yield Fraction(t, k), _decomp_result(items, k, pam)
 
 
@@ -988,7 +974,7 @@ def is_admissible(xi, eps, support, pam):
     chain exactly when the intervals are compatible, and only an input
     whose keys do not chain goes to ``in_T_labeled`` for its verdict and
     witness.  The windows are swept on the keys, one read per window
-    content (see ``_sweep``), and the support check clips on them too.
+    content (see ``_reads``), and the support check clips on them too.
     ``restrict`` to the inner window keeps the configuration exactly when
     every piece clips to itself, and ``WindowIndex.clip`` clips as
     ``clip_interval`` does, so the support holds exactly when the clipped
@@ -1003,17 +989,18 @@ def is_admissible(xi, eps, support, pam):
         ok, wit = in_T_labeled(windows.pieces, pam, witness=True)
         if not ok:
             return AdmissibilityReport(False, "not in the tensor region: %r" % (wit,))
+    k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, eps)
     try:
         # Every window must decompose: a read checks first fit with one
         # sum and counts nothing.  Over a self-insummable pam a summable
         # tuple holds each nonzero label at most once, which forces the
         # matching, so the count ``admissibility_sweep`` reports is 1 there.
-        for _ in _sweep(windows, eps, pam):
+        for _ in _reads(windows, k, e, centres, pam):
             pass
-    except DecomposeError as e:
-        return AdmissibilityReport(False, str(e), e.window)
-    except DomainError as e:
-        return AdmissibilityReport(False, str(e))
+    except DecomposeError as err:
+        return AdmissibilityReport(False, str(err), err.window)
+    except DomainError as err:
+        return AdmissibilityReport(False, str(err))
     lo, hi = a + eps / 2, b - eps / 2
     k = lcm(windows.scale, lo.denominator, hi.denominator)
     f = k // windows.scale

@@ -11,12 +11,13 @@ decomposed and evaluated on endpoint keys over one common scale (see
 A trace runs on one integer scale too (see ``alpha_trace``): its
 breakpoints, the affine tracks of each segment, their crossings and the
 continuity check are integers, with one keyed read per window content
-that every segment of that content shares, and the MooreLoop keeps them
-on that scale.  A successful trace builds no Fraction: the loop's
-Fraction breakpoints and intercepts are built when first read, and
-``loop_eval`` bisects and evaluates on integers, building Fractions only
-for the values it canonicalizes.  ``omega`` and ``merged_strand_value``
-key their arguments the same way and wrap the integer evaluators.
+that every segment of that content shares (``labeled._reads`` proves
+they may share it), and the MooreLoop keeps them on that scale.  A
+successful trace builds no Fraction: the loop's Fraction breakpoints and
+intercepts are built when first read, and ``loop_eval`` bisects and
+evaluates on integers, building Fractions only for the values it
+canonicalizes.  ``omega`` and ``merged_strand_value`` key their
+arguments the same way and wrap the integer evaluators.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .labeled import (
     _interval,
     _moved,
     _num,
+    _reads,
 )
 from .tensor import bm_canon
 
@@ -329,23 +331,14 @@ def alpha_trace(xi, s, pam):
     midpoint m of a segment is an even integer with m - 1 and m + 1 inside
     it.
 
-    The window content is read once per stretch between two consecutive
-    points among 0, s and every endpoint +-1.  Inside a stretch no
-    endpoint crosses or meets a window end, so the pieces the window cuts,
-    which ends it cuts and the order of every uncut end against the
-    window ends stay the same; only the clipped ends move, and they sit on
-    the window ends m - T and m + T.  No piece of the content starts at
-    the right window end or ends at the left one, so a clipped end takes
-    part in no paste, and clipped ends move together, so two keys are
-    equal at one centre exactly when they are at another.  The kinds of
-    ``_classify`` test uncut ends against the window ends, and first fit
-    compares the uncut ends of its pairs.  So the normal form, the kinds,
-    first fit and the order of its items are the same at every centre of
-    the stretch, up to the clipped ends.  First fit's labels are then the
-    same tuple, and its one sum is the one the read at the stretch's first
-    midpoint m0 checked.  So that read serves every segment of the
-    stretch, each clipped end moved by m - m0, and the segments split at
-    an endpoint +-1/2 reuse it.
+    The segments are read at their midpoints, window radius T, through
+    ``labeled._reads``: a segment is read only when some endpoint has
+    changed side of a window end since the last read, which happens at
+    the first segment and at each segment that starts at an endpoint +-1.
+    Every other segment takes the last read, centred at c, with each
+    clipped end moved by m - c (``_reads`` proves that the content, its
+    normal form, first fit and its one sum agree), and units are built
+    once per read.
 
     Inside a segment nothing else moves either.  No endpoint +-1/2 is
     crossed, and a clipped end stays a whole unit from the centre, so each
@@ -404,21 +397,21 @@ def alpha_trace(xi, s, pam):
     windows = WindowIndex(xi, pam)
     k = 4 * lcm(2 * windows.scale, s.denominator)
     f, half, end = k // windows.scale, k // 2, _num(s, k)
-    stretches, grid = {0, end}, set()
+    grid = {0, end}
     for (u, v, _, _), _ in windows._keys:
         for x in (u * f, v * f):
-            stretches.update(t for t in (x - k, x + k) if 0 < t < end)
-            grid.update(t for t in (x - half, x + half) if 0 < t < end)
-    grid = sorted(grid | stretches)
+            grid.update(t for t in (x - k, x - half, x + half, x + k) if 0 < t < end)
+    grid = sorted(grid)
+    mids = [(lo + hi) // 2 for lo, hi in zip(grid, grid[1:])]
 
-    points, tracks, seg = [], [], None
-    for lo, hi in zip(grid, grid[1:]):
-        m = (lo + hi) // 2
+    reads = _reads(windows, k, k, mids, pam)
+    points, tracks, seg, c = [], [], None, None
+    for lo, hi, m in zip(grid, grid[1:], mids):
         try:
-            if lo in stretches:
-                m0 = m
-                units = list(_units(_decompose_keys(windows.clip(k, m - k, m + k), k, m - k, m + k, pam)))
-            new = _segment_tracks(units, m0, m, k)
+            at, items = next(reads)
+            if at != c:
+                c, units = at, list(_units(items))
+            new = _segment_tracks(units, c, m, k)
         except DomainError:
             u = Fraction(2 * lo + hi, 3 * k)
             scan_core(windows, pam, u, u)
@@ -453,15 +446,15 @@ def alpha_trace(xi, s, pam):
     return loop
 
 
-def _segment_tracks(units, m0, m, k):
+def _segment_tracks(units, c, m, k):
     """The (c1, c0, label) tracks, c0 over k, of the segment with midpoint m.
 
-    ``units`` come from the read of the window (m0 - k, m0 + k) of the
-    same stretch; each clipped end moves with the centre, so the keys at
-    m are the read's own when m is m0.  A unit at the basepoint at m is
+    ``units`` come from the read of the window (c - k, c + k) that serves
+    this segment; each clipped end moves with the centre, so the keys at
+    m are the read's own when m is c.  A unit at the basepoint at m is
     there on the whole segment and leaves no track.
     """
-    a, b, d = m0 - k, m0 + k, m - m0
+    a, b, d = c - k, c + k, m - c
     out = []
     for keys, label in units:
         val = _unit_value(_moved(keys, a, b, d) if d else keys, m, k)

@@ -1,5 +1,6 @@
 import pytest
 
+import pamscan.labeled as labeled
 from pamscan import FinitePam
 
 from genutil import cyclic_pam, truncated_pam
@@ -23,3 +24,23 @@ def carrier(request):
     if request.param == "trunc6":
         return truncated_pam(6)
     return request.getfixturevalue(request.param)
+
+
+@pytest.fixture
+def decompose_reads(monkeypatch):
+    """The (lo, hi, k) window of every call to ``labeled._decompose_keys``.
+
+    The reads of ``labeled._reads``, and so of the sweep and the trace, are
+    recorded in call order; ``scanning.scan_core`` calls its own import and
+    is not.  The list holds integers only, so a test that counts built
+    Fractions is not disturbed.
+    """
+    reads = []
+    decompose = labeled._decompose_keys
+
+    def counting_decompose(keyed, k, lo, hi, pam):
+        reads.append((lo, hi, k))
+        return decompose(keyed, k, lo, hi, pam)
+
+    monkeypatch.setattr(labeled, "_decompose_keys", counting_decompose)
+    return reads

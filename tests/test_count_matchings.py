@@ -506,7 +506,8 @@ def test_first_fit_read_matches_the_counting_oracle(m3, z2):
     # the oracle reads every centre: the items, counts and first error,
     # unknown labels included, agree, and both the centres with endpoints
     # on both window ends and the inputs whose first failing centre has
-    # them on one end only (so the sweep reads it again) come up
+    # them on one end only (the first centre of its content, so the sweep
+    # reads it) come up
     seen = dict.fromkeys(("counted", "collide, not elementary", "no matching"), 0)
     sides = dict.fromkeys(("two-sided centres", "one-sided first failures", "unknown labels"), 0)
     windows = 0

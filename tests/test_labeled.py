@@ -211,6 +211,10 @@ def test_window_sweep_points():
     assert pts[0] == F(-1)
     assert pts[-1] == F(5)
     assert F(2) in pts
+    # eps is checked as admissibility_sweep and is_admissible check it
+    for eps in (0, -1, F(-1, 2)):
+        with pytest.raises(DomainError, match="eps must be positive"):
+            window_sweep_points(xi, eps)
 
 
 def test_is_admissible(m3):

@@ -54,7 +54,7 @@ from pamscan import (
     restrict,
 )
 from pamscan.dsl import fmt_loop, parse_config
-from pamscan.labeled import E1_LEFT, E1_RIGHT, _sweep_centres
+from pamscan.labeled import E1_LEFT, E1_RIGHT, _decompose_keys, _interval, _moved_items, _num, _sweep_centres
 from pamscan.scanning import merged_strand_value
 
 from genutil import cyclic_pam, odd_primes, rand_admissible, rand_frac, truncated_pam
@@ -62,13 +62,10 @@ from test_count_matchings import centre_sides, oracle_decompose, rand_sweep_inpu
 
 
 class FullScan:
-    """The slow window read: clip every piece of the configuration."""
+    """The slow window read: ``restrict`` clips every piece of ``pieces``."""
 
     def __init__(self, xi):
         self.pieces = lc_sorted(xi)
-
-    def restrict(self, a, b):
-        return restrict(self.pieces, a, b)
 
 
 def oracle_omega(j, s):
@@ -149,7 +146,7 @@ def oracle_replace_elementary(items):
 def oracle_scan_core(windows, pam, u, t):
     """The Fraction scan read: restrict, list the matchings, evaluate each unit."""
     u, t = F(u), F(t)
-    content = windows.restrict(t - 1, t + 1)
+    content = restrict(windows.pieces, t - 1, t + 1)
     decomp = oracle_decompose(content, t - 1, t + 1, pam)
     units = oracle_replace_elementary(decomp.items)
     return [(unit.value(u), unit.label) for unit in units]
@@ -316,7 +313,7 @@ def oracle_is_admissible(xi, eps, support, pam):
     windows = FullScan(xi)
     for t in oracle_sweep_points(xi, eps):
         try:
-            oracle_decompose(windows.restrict(t - eps, t + eps), t - eps, t + eps, pam)
+            oracle_decompose(restrict(windows.pieces, t - eps, t + eps), t - eps, t + eps, pam)
         except DecomposeError as e:
             return False, str(e), (t - eps, t + eps)
         except DomainError as e:
@@ -411,76 +408,141 @@ def rand_support(rng, xi, eps):
     return a, b
 
 
-def test_admissible_reasons_match_the_every_centre_oracle(m3, z2, monkeypatch):
+def content_starts(sides):
+    """The first centre of each window content, from ``centre_sides``.
+
+    A centre with endpoints on its right window end only has the content
+    of the centre before it, and the centre after one with endpoints on
+    its left window end only has that centre's content; every other
+    centre starts a content.  There are as many starts as centres whose
+    two window ends agree.
+    """
+    return [
+        t
+        for i, (t, (left, right)) in enumerate(sides)
+        if not (right and not left) and not (i and sides[i - 1][1] == (True, False))
+    ]
+
+
+def test_admissible_reasons_match_the_every_centre_oracle(m3, z2, decompose_reads):
     # 2,000 draws over four carriers and four radii (``rand_sweep_input``):
     # the verdict, the reason and the failing window are the oracle's,
     # which reads every centre and stops at the first that fails.  The
-    # sweep reads each window content once: the midpoints, the outer
-    # centres and the centres with endpoints on both window ends, up to
-    # the first failure, and then at most one more read, of the one-sided
-    # centre that words it
-    reads = []
-    decompose = labeled._decompose_keys
-
-    def counting_decompose(keyed, k, lo, hi, pam):
-        reads.append(F(lo + hi, 2 * k))
-        return decompose(keyed, k, lo, hi, pam)
-
-    monkeypatch.setattr(labeled, "_decompose_keys", counting_decompose)
-    seen = dict.fromkeys(("admissible", "window", "re-read", "other"), 0)
+    # sweep reads the first centre of each window content, as many as
+    # the centres whose window ends agree, up to the first failure and no
+    # further, so a first failing centre with an endpoint on its left
+    # window end only is read once, as its own window
+    seen = dict.fromkeys(("admissible", "window", "left-only failure", "other"), 0)
     for pam in (m3, z2, cyclic_pam(5), truncated_pam(6)):
         rng = random.Random("reasons-" + pam.name)
         labels = [m for m in pam.elements if m != "0"]
         for n in range(500):
             xi, eps = rand_sweep_input(rng, n, pam, labels)
             support = rand_support(rng, xi, eps)
-            del reads[:]
+            del decompose_reads[:]
             got = _admissibility(xi, eps, support, pam)
+            reads = [F(lo + hi, 2 * k) for lo, hi, k in decompose_reads]
             try:
-                want = oracle_every_centre(xi, eps, support, pam, decompose)
+                want = oracle_every_centre(xi, eps, support, pam, _decompose_keys)
             except DomainError as e:
                 want = type(e).__name__, str(e)
             assert got == want, (xi, eps, support, pam.name)
-            read = [t for t, (left, right) in centre_sides(xi, eps) if left == right]
-            extra = [t for t in reads if t not in read]
-            assert len(extra) <= 1 and reads[: len(reads) - len(extra)] == read[: len(reads) - len(extra)]
-            if extra:
-                assert reads[-1] == extra[0] == sum(got[2]) / 2, (xi, eps)
-                seen["re-read"] += 1
+            sides = centre_sides(xi, eps)
+            starts = content_starts(sides)
+            assert len(starts) == sum(left == right for _, (left, right) in sides)
+            assert reads == starts[: len(reads)], (xi, eps)
             if got[0] is True:
                 seen["admissible"] += 1
-                assert reads == read
+                assert reads == starts
             elif len(got) == 3 and got[2]:
                 seen["window"] += 1
+                assert reads[-1] == sum(got[2]) / 2, (xi, eps)
+                seen["left-only failure"] += dict(sides)[reads[-1]] == (True, False)
             else:
                 seen["other"] += 1
     assert min(seen.values()) >= 100, seen
 
 
-def test_is_admissible_reads_each_window_content_once(m3, monkeypatch):
-    # on admissible chains of 8 and 64 clusters, one keyed read per
-    # midpoint, per outer centre and per centre with endpoints on both
-    # window ends; every other centre has an endpoint on one window end
-    # only and takes a neighbour's read, which is about half of them
-    reads = []
-    decompose = labeled._decompose_keys
-
-    def counting_decompose(keyed, k, lo, hi, pam):
-        reads.append(F(lo + hi, 2 * k))
-        return decompose(keyed, k, lo, hi, pam)
-
-    monkeypatch.setattr(labeled, "_decompose_keys", counting_decompose)
+def test_is_admissible_reads_each_window_content_once(m3, decompose_reads):
+    # on admissible chains of 8 and 64 clusters, one keyed read at the
+    # first centre of each window content, as many as the midpoints, the
+    # outer centres and the centres with endpoints on both window ends;
+    # every other centre has an endpoint on one window end only and takes
+    # a neighbour's read, which is about half of them
     rng = random.Random("chain-reads")
     for clusters in (8, 64):
         xi, s = rand_admissible(rng, clusters=clusters)
-        del reads[:]
+        del decompose_reads[:]
         assert is_admissible(xi, 1, (0, s), m3)
         sides = centre_sides(xi, 1)
-        assert reads == [t for t, (left, right) in sides if left == right]
+        reads = [F(lo + hi, 2 * k) for lo, hi, k in decompose_reads]
+        assert reads == content_starts(sides)
+        assert len(reads) == sum(left == right for _, (left, right) in sides)
         assert 2 * len(reads) < 1.2 * len(sides), (len(reads), len(sides))
 
 
+def _window_state(ends, lo, hi):
+    """The endpoints on or below the window end lo, and those below hi."""
+    return sum(x <= lo for x in ends), sum(x < hi for x in ends)
+
+
+def test_reads_match_a_fresh_read_at_every_centre(carrier, decompose_reads):
+    # ``labeled._reads`` on arbitrary increasing centres, not only the
+    # sweep's or the trace's: critical centres with endpoints on the low
+    # window end, the high one or both, and free centres on a scale up to
+    # three times finer.  Each yield, moved to its centre, is a fresh read
+    # there; a failing input raises the fresh read's error at the same
+    # first centre; and there is one read per run of equal states
+    # (#{x <= t - e}, #{x < t + e}), at the first centre of the run
+    kinds = dict.fromkeys(("low end only", "high end only", "both ends", "failures"), 0)
+    rng = random.Random("reads-" + carrier.name)
+    labels = [m for m in carrier.elements if m != "0"]
+    for n in range(800):
+        xi, eps = rand_sweep_input(rng, n, carrier, labels)
+        try:
+            windows = WindowIndex(xi, carrier)
+        except DomainError:
+            continue
+        k, e, crit = _sweep_centres([key for key, _ in windows._keys], windows.scale, eps)
+        f = rng.choice((1, 2, 3))
+        k, e, crit = k * f, e * f, [t * f for t in crit]
+        ends = [x * (k // windows.scale) for key, _ in windows._keys for x in key[:2]]
+        # every centre with endpoints on both window ends, a sample of the
+        # other sweep centres, and up to 12 free ones
+        on_end = set(ends)
+        centres = {t for t in crit if t - e in on_end and t + e in on_end}
+        centres.update(rng.sample(crit, rng.randint(1, len(crit))))
+        centres.update(rng.randint(crit[0], crit[-1]) for _ in range(rng.randint(0, 12)))
+        centres = sorted(centres)
+        del decompose_reads[:]
+        got = []
+        try:
+            for t, (c, items) in zip(centres, labeled._reads(windows, k, e, centres, carrier)):
+                got.append(items if c == t else _moved_items(items, c - e, c + e, t - c))
+        except DomainError as err:
+            got.append((type(err).__name__, str(err)))
+        want = []
+        for t in centres:
+            try:
+                want.append(_decompose_keys(windows.clip(k, t - e, t + e), k, t - e, t + e, carrier))
+            except DomainError as err:
+                want.append((type(err).__name__, str(err)))
+                kinds["failures"] += 1
+                break
+        assert got == want, (xi, eps, centres)
+        states = [_window_state(ends, t - e, t + e) for t in centres[: len(want)]]
+        firsts = [t for i, t in enumerate(centres[: len(want)]) if not i or states[i] != states[i - 1]]
+        assert decompose_reads == [(t - e, t + e, k) for t in firsts], (xi, eps, centres)
+        for t in centres[: len(want)]:
+            low, high = t - e in on_end, t + e in on_end
+            kinds["low end only"] += low and not high
+            kinds["high end only"] += high and not low
+            kinds["both ends"] += low and high
+    assert min(kinds.values()) >= 100, kinds
+
+
 def test_window_index_matches_restrict(m3):
+    # ``WindowIndex.clip`` keys, turned back into Intervals, are ``restrict``
     rng = random.Random(7)
     for _ in range(200):
         xi = [(_rand_piece(rng), rng.choice("abc")) for _ in range(rng.randint(0, 8))]
@@ -492,7 +554,11 @@ def test_window_index_matches_restrict(m3):
         for _ in range(12):
             a = rng.choice(ends) if rng.random() < 0.5 else rand_frac(rng, -1, 7)
             b = rng.choice(ends) if rng.random() < 0.5 else a + rand_frac(rng, 0, 2)
-            assert windows.restrict(a, b) == restrict(xi, a, b), (xi, a, b)
+            a, b = F(a), F(b)
+            scale = lcm(windows.scale, a.denominator, b.denominator)
+            clipped = windows.clip(scale, _num(a, scale), _num(b, scale))
+            got = tuple((_interval(key, scale), m) for key, m, _ in clipped)
+            assert got == restrict(xi, a, b), (xi, a, b)
 
 
 def oracle_bounds(pieces, a, b):
@@ -589,17 +655,20 @@ def test_clipped_pieces_grow_linearly(m3, monkeypatch):
     assert 0 < counts[32] <= 2.5 * counts[16], counts
 
 
-def test_trace_reads_each_window_content_once(m3, monkeypatch):
+def _stretch_reads(xi, s):
+    """The midpoint of the first initial segment of each stretch between two
+    consecutive points among 0, s and every endpoint +-1."""
+    grid, stretches = _initial_grid(xi, s), set(_stretches(xi, s))
+    return [(lo + hi) / 2 for lo, hi in zip(grid, grid[1:]) if lo in stretches]
+
+
+def test_trace_reads_each_window_content_once(m3, monkeypatch, decompose_reads):
     xi, s = _pair_chain(8)
     # one pair whose facing tracks cross inside a segment
     xi += parse_config("[57,117/2):a [59,61):b", m3)
     s += 7
-    windows, scans, built = [], [], []
-    decompose, scan = scanning._decompose_keys, scanning.scan_core
-
-    def counting_decompose(keyed, k, lo, hi, pam):
-        windows.append((lo, hi, k))
-        return decompose(keyed, k, lo, hi, pam)
+    scans, built = [], []
+    scan = scanning.scan_core
 
     def counting_scan(*args):
         scans.append(args)
@@ -611,27 +680,34 @@ def test_trace_reads_each_window_content_once(m3, monkeypatch):
         built.append(cls)
         return new.__func__(cls, *args, **kwargs)
 
-    monkeypatch.setattr(scanning, "_decompose_keys", counting_decompose)
     monkeypatch.setattr(scanning, "scan_core", counting_scan)
     F.__new__ = staticmethod(counting_new)
     try:
         loop = alpha_trace(xi, s, m3)
     finally:
         F.__new__ = new
-    grid, stretches = _initial_grid(xi, s), _stretches(xi, s)
+    windows = list(decompose_reads)
+    grid = _initial_grid(xi, s)
     # exactly one keyed decomposition per window content, the stretch
     # between two consecutive points among 0, s and every endpoint +-1,
-    # centred inside it; the segments split there at an endpoint +-1/2,
-    # and the parts of a segment a crossing split, read nothing
+    # at the midpoint of its first segment; the segments split there at
+    # an endpoint +-1/2, and the parts of a segment a crossing split,
+    # read nothing
     assert len(loop.segments) > len(grid) - 1 > len(windows)
-    centres = sorted(F(lo + hi, 2 * k) for lo, hi, k in windows)
-    assert len(centres) == len(stretches) - 1
-    assert all(a < c < b for c, a, b in zip(centres, stretches, stretches[1:])), centres
+    assert [F(lo + hi, 2 * k) for lo, hi, k in windows] == _stretch_reads(xi, s)
     assert all(F(hi - lo, k) == 2 for lo, hi, k in windows)
     assert scans == []
     # a successful trace builds no Fraction: none per read, and none for
     # the loop, whose views are built when first read
     assert built == [], (len(built), len(windows))
+    # the same reads, in number and place, on admissible chains of 8 and
+    # 64 clusters
+    rng = random.Random("trace-reads")
+    for clusters in (8, 64):
+        xi, s = rand_admissible(rng, clusters=clusters)
+        del decompose_reads[:]
+        alpha_trace(xi, s, m3)
+        assert [F(lo + hi, 2 * k) for lo, hi, k in decompose_reads] == _stretch_reads(xi, s)
 
 
 def test_trace_builds_each_segment_and_intercept_once(m3, monkeypatch):
