@@ -160,9 +160,6 @@ class FinitePam:
     def index(self, x):
         return self._index[self.check_element(x)]
 
-    def is_zero(self, x):
-        return self.check_element(x) == UNIT
-
     def pair_sum(self, a, b):
         """The sum of two elements, or None when the pair is insummable."""
         self.check_element(a)

@@ -75,18 +75,14 @@ def _endpoint_marker(x, y, closed, color, mid):
     )
 
 
-def config_svg(xi, window=None):
+def config_svg(xi):
     """Number-line picture: one bar per piece, stacked to avoid overlap."""
     pieces = list(xi)
-    if window is not None:
-        lo, hi = Fraction(window[0]), Fraction(window[1])
-    elif pieces:
+    if pieces:
         lo = min(j.u for j, _ in pieces) - Fraction(1, 2)
         hi = max(j.v for j, _ in pieces) + Fraction(1, 2)
     else:
         lo, hi = Fraction(-1), Fraction(1)
-    if hi <= lo:
-        hi = lo + 1
     width, margin = 720, 50
     span = hi - lo
 
@@ -139,10 +135,9 @@ def config_svg(xi, window=None):
 def loop_svg(loop):
     """Piecewise-affine tracks of a loop, basepoint at the frame's edges."""
     width, height, margin = 720, 280, 50
-    s = loop.s if loop.s > 0 else Fraction(1)
 
     def X(u):
-        return margin + Fraction(u) * (width - 2 * margin) / s
+        return margin + Fraction(u) * (width - 2 * margin) / loop.s
 
     def Y(val):
         return margin + (1 - Fraction(val)) * (height - 2 * margin) / 2

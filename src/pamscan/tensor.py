@@ -1,9 +1,10 @@
-"""Tensor-style multiset calculus over a pair of partial sum carriers.
+"""Tensor regions over a pair of partial sum carriers, and circle sums.
 
-A carrier provides a partial pairwise sum, tuple sums, and (when finite or
-enumerable) element and partition listings.  A multiset of pairs lies in the
-tensor region when, for every sub-multiset, pairwise insummability of one
-projection forces tuple summability of the other, in both directions.
+A carrier provides a partial pairwise sum and tuple sums.  A multiset of
+pairs lies in the tensor region when, for every sub-multiset, pairwise
+insummability of one projection forces tuple summability of the other, in
+both directions; ``in_T`` decides it, with a minimal witness.  ``bm_canon``
+gives the canonical form of a circle/label pair multiset.
 """
 
 from __future__ import annotations
@@ -32,16 +33,8 @@ class EqVerdict(enum.Enum):
 class PamCarrier:
     """A finite partial abelian monoid viewed as a sum carrier."""
 
-    is_trivial = False
-
     def __init__(self, pam: FinitePam):
         self.pam = pam
-
-    def zero(self):
-        return UNIT
-
-    def is_zero(self, x):
-        return self.pam.is_zero(x)
 
     def pair_sum(self, x, y):
         return self.pam.pair_sum(x, y)
@@ -49,30 +42,13 @@ class PamCarrier:
     def tuple_sum(self, xs):
         return self.pam.sum_tuple(xs)
 
-    def partitions(self, m):
-        return self.pam.partitions(m)
-
-    def elements(self):
-        return list(self.pam.elements)
-
-    def sort_key(self, x):
-        return self.pam.index(x)
-
 
 class _BasedSet:
     """A based set with the trivial partial sum: only the base is a unit.
 
     A subclass sets ``base`` and gives ``point(x)``, which checks x, or
-    normalizes it, and returns its canonical value.
+    normalizes it, and returns its canonical value; both sums read them.
     """
-
-    is_trivial = True
-
-    def zero(self):
-        return self.base
-
-    def is_zero(self, x):
-        return self.point(x) == self.base
 
     def pair_sum(self, x, y):
         x, y = self.point(x), self.point(y)
@@ -88,12 +64,6 @@ class _BasedSet:
             return None
         return nontrivial[0] if nontrivial else self.base
 
-    def partitions(self, m):
-        m = self.point(m)
-        if m == self.base:
-            return [(self.base, self.base)]
-        return [(self.base, m), (m, self.base)]
-
 
 class TrivialCarrier(_BasedSet):
     """A finite based set with the trivial partial sum."""
@@ -108,12 +78,6 @@ class TrivialCarrier(_BasedSet):
         if x not in self.points:
             raise DomainError("unknown point %r" % (x,))
         return x
-
-    def elements(self):
-        return list(self.points)
-
-    def sort_key(self, x):
-        return self.points.index(x)
 
 
 BASEPOINT = Fraction(1)
@@ -138,22 +102,9 @@ class CircleCarrier(_BasedSet):
     def point(self, t):
         return norm_circle(t)
 
-    sort_key = point
-
-    def elements(self):
-        return None
-
 
 class ConfigCarrier:
     """Reduced interval configurations under the merge partial sum."""
-
-    is_trivial = False
-
-    def zero(self):
-        return ()
-
-    def is_zero(self, c):
-        return len(self._reduce(c)) == 0
 
     @staticmethod
     def _reduce(c):
@@ -172,15 +123,6 @@ class ConfigCarrier:
             return normalize_config(pieces)
         except IncompatibleConfig:
             return None
-
-    def partitions(self, c):
-        return None
-
-    def elements(self):
-        return None
-
-    def sort_key(self, c):
-        return tuple(j.sort_key() for j in self._reduce(c))
 
 
 def _insummable_masks(carrier, xs):
@@ -327,43 +269,6 @@ def _pivot(masks, p, x):
     return pivot
 
 
-def _canon_pairs(c1, c2, pairs):
-    return tuple(sorted(pairs, key=lambda p: (c1.sort_key(p[0]), c2.sort_key(p[1]))))
-
-
-def _trivial_canon(c1, c2, pairs):
-    """Exact canonical form when either carrier is trivial.
-
-    Group by the trivial-side coordinate, sum the other side within each
-    group (summability is forced by tensor membership), then drop pairs with
-    a zero on either side.
-    """
-    if c1.is_trivial:
-        key_side, sum_side = 0, 1
-        kc, sc = c1, c2
-    else:
-        key_side, sum_side = 1, 0
-        kc, sc = c2, c1
-    groups = {}
-    for p in pairs:
-        k = kc.point(p[key_side])
-        if k != kc.base:
-            groups.setdefault(k, []).append(p[sum_side])
-    out = []
-    for k, vals in groups.items():
-        total = sc.tuple_sum(vals)
-        if total is None:
-            raise DomainError(
-                "not in the tensor region: coordinate %r carries unsummable labels %r"
-                % (k, vals)
-            )
-        if sc.is_zero(total):
-            continue
-        pair = (k, total) if key_side == 0 else (total, k)
-        out.append(pair)
-    return _canon_pairs(c1, c2, out)
-
-
 def _bidirectional_search(start_a, start_b, neighbors, depth):
     """Bounded bidirectional walk between two nodes.
 
@@ -453,25 +358,34 @@ def bm_canon(pam, pairs):
     """Canonical form of a circle/label pair multiset.
 
     Requires the labels off the basepoint to be jointly summable (raising
-    DomainError with a minimal witnessing subset otherwise), then takes
-    ``_trivial_canon`` over the circle and the pam: basepoint coordinates
-    drop, and coincident coordinates merge by summing unless the sum is 0.
+    DomainError with a minimal witnessing subset otherwise).  Basepoint
+    coordinates and zero labels drop, and the labels at each coordinate
+    sum, which cannot fail since a part of a summable tuple sums; a zero
+    total drops too.  The label at coordinate 0 becomes ``m0``.
     """
-    pairs = list(pairs)
     labels = []
+    groups = {}
     for t, m in pairs:
         t = norm_circle(t)
         pam.check_element(m)
         if t != BASEPOINT and m != UNIT:
             labels.append(m)
+            groups.setdefault(t, []).append(m)
     if pam.sum_tuple(labels) is None:
         raise DomainError(
             "not in the tensor region: labels %r are not jointly summable"
             % (_minimal_unsummable(pam.sum_tuple, labels),)
         )
-    canon = _trivial_canon(CircleCarrier(), PamCarrier(pam), pairs)
-    m0 = next((m for t, m in canon if t == 0), None)
-    return BMElement(m0, tuple((t, m) for t, m in canon if t != 0))
+    m0, points = None, []
+    for t in sorted(groups):
+        total = pam.sum_tuple(groups[t])
+        if total == UNIT:
+            continue
+        if t == 0:
+            m0 = total
+        else:
+            points.append((t, total))
+    return BMElement(m0, tuple(points))
 
 
 def _minimal_unsummable(sums, items):

@@ -4,7 +4,12 @@
 rewrites of pair multisets.  The library decides the one tensor product
 it uses, the circle with a pam, exactly by ``bm_canon``; the search stays
 here as an oracle that must never call two multisets EQUAL whose
-``bm_canon`` differ.
+``bm_canon`` differ.  ``oracle_bm_canon`` is ``bm_canon`` as it was built
+on the two-carrier ``_trivial_canon``, which the library no longer has.
+
+The library's carriers give only the two sums ``in_T`` reads; the search
+reads units, element and partition listings and sort keys besides, which
+``ListedPam`` and ``ListedCircle`` add here.
 """
 
 import random
@@ -15,6 +20,7 @@ import pytest
 import pamscan.tensor as tensor
 from pamscan import (
     BASEPOINT,
+    UNIT,
     BMElement,
     DomainError,
     bm_canon,
@@ -28,14 +34,115 @@ from pamscan.tensor import (
     PamCarrier,
     TrivialCarrier,
     _bidirectional_search,
-    _canon_pairs,
-    _trivial_canon,
+    _minimal_unsummable,
     in_T,
     EqVerdict,
 )
 from pamscan import CLOSED, OPEN, Interval
 
 from genutil import rand_bm_pairs
+
+
+class ListedPam(PamCarrier):
+    """A pam carrier with the unit, listings and sort key the search reads."""
+
+    is_trivial = False
+
+    def zero(self):
+        return UNIT
+
+    def is_zero(self, x):
+        return self.pam.check_element(x) == UNIT
+
+    def partitions(self, m):
+        return self.pam.partitions(m)
+
+    def elements(self):
+        return list(self.pam.elements)
+
+    def sort_key(self, x):
+        return self.pam.index(x)
+
+
+class ListedCircle(CircleCarrier):
+    """The circle with the unit, partitions and sort key the search reads;
+    it lists no elements."""
+
+    is_trivial = True
+
+    def zero(self):
+        return self.base
+
+    def is_zero(self, t):
+        return self.point(t) == self.base
+
+    def partitions(self, t):
+        t = self.point(t)
+        if t == self.base:
+            return [(self.base, self.base)]
+        return [(self.base, t), (t, self.base)]
+
+    def elements(self):
+        return None
+
+    def sort_key(self, t):
+        return self.point(t)
+
+
+def _canon_pairs(c1, c2, pairs):
+    return tuple(sorted(pairs, key=lambda p: (c1.sort_key(p[0]), c2.sort_key(p[1]))))
+
+
+def _trivial_canon(c1, c2, pairs):
+    """Exact canonical form when either carrier is trivial.
+
+    Group by the trivial-side coordinate, sum the other side within each
+    group (summability is forced by tensor membership), then drop pairs with
+    a zero on either side.
+    """
+    if c1.is_trivial:
+        key_side, sum_side = 0, 1
+        kc, sc = c1, c2
+    else:
+        key_side, sum_side = 1, 0
+        kc, sc = c2, c1
+    groups = {}
+    for p in pairs:
+        k = kc.point(p[key_side])
+        if k != kc.base:
+            groups.setdefault(k, []).append(p[sum_side])
+    out = []
+    for k, vals in groups.items():
+        total = sc.tuple_sum(vals)
+        if total is None:
+            raise DomainError(
+                "not in the tensor region: coordinate %r carries unsummable labels %r"
+                % (k, vals)
+            )
+        if sc.is_zero(total):
+            continue
+        pair = (k, total) if key_side == 0 else (total, k)
+        out.append(pair)
+    return _canon_pairs(c1, c2, out)
+
+
+def oracle_bm_canon(pam, pairs):
+    """``bm_canon`` through ``_trivial_canon`` over the circle and the pam."""
+    pairs = list(pairs)
+    labels = []
+    for t, m in pairs:
+        t = norm_circle(t)
+        pam.check_element(m)
+        if t != BASEPOINT and m != UNIT:
+            labels.append(m)
+    if pam.sum_tuple(labels) is None:
+        raise DomainError(
+            "not in the tensor region: labels %r are not jointly summable"
+            % (_minimal_unsummable(pam.sum_tuple, labels),)
+        )
+    canon = _trivial_canon(ListedCircle(), ListedPam(pam), pairs)
+    m0 = next((m for t, m in canon if t == 0), None)
+    return BMElement(m0, tuple((t, m) for t, m in canon if t != 0))
 
 
 def rewrite_neighbors(c1, c2, pairs):
@@ -176,6 +283,118 @@ def test_bm_canon_group_annihilation(z2):
     assert z.is_empty
 
 
+def _draw_bm_pairs(rng, pam):
+    """Up to six pairs on a quarter grid of [-3, 3], so coordinates wrap
+    and hit 0 and the basepoint; a third of the pairs land on an earlier
+    pair's point, two either way or in place.  Labels may be zero, and one
+    draw in fifty carries a label the pam does not know."""
+    pairs = []
+    for _ in range(rng.randint(0, 6)):
+        if pairs and rng.random() < 1 / 3:
+            t = rng.choice(pairs)[0] + 2 * rng.randint(-1, 1)
+        else:
+            t = F(rng.randint(-12, 12), 4)
+        pairs.append((t, rng.choice(pam.elements)))
+    if pairs and rng.random() < 0.02:
+        pairs[rng.randrange(len(pairs))] = (F(1, 2), "q")
+    return pairs
+
+
+def _bm_cases(pam, pairs):
+    """The cases a draw exercises, for the oracle test's counts."""
+    cases = set()
+    groups = {}
+    for t, m in pairs:
+        nt = norm_circle(t)
+        if nt != t:
+            cases.add("wrap")
+        if nt == BASEPOINT:
+            cases.add("basepoint")
+        elif m != UNIT and m in pam.elements:
+            groups.setdefault(nt, []).append(m)
+        if m == UNIT:
+            cases.add("zero label")
+    if F(0) in groups:
+        cases.add("coordinate 0")
+    if any(len(ms) > 1 and pam.sum_tuple(ms) == UNIT for ms in groups.values()):
+        cases.add("annihilate")
+    return cases
+
+
+def _has_inverses(pam):
+    return any(pam.pair_sum(a, b) == UNIT for a in pam.elements for b in pam.elements if a != UNIT)
+
+
+def test_bm_canon_matches_trivial_canon_oracle(carrier):
+    # 1,000 seeded draws per carrier, 4,000 over the four: bm_canon and
+    # oracle_bm_canon give equal values, or DomainErrors with equal texts.
+    # Over a group every label sum exists, so no draw is unsummable, and
+    # only a group has nonzero labels that annihilate.
+    rng = random.Random("bm-canon-oracle-" + carrier.name)
+    seen = dict.fromkeys(
+        ("unsummable", "annihilate", "coordinate 0", "wrap", "basepoint", "zero label"), 0
+    )
+    for _ in range(1000):
+        pairs = _draw_bm_pairs(rng, carrier)
+        try:
+            want = oracle_bm_canon(carrier, pairs)
+        except DomainError as e:
+            with pytest.raises(DomainError) as info:
+                bm_canon(carrier, iter(pairs))
+            assert str(info.value) == str(e), pairs
+            seen["unsummable"] += "jointly summable" in str(e)
+        else:
+            assert repr(bm_canon(carrier, iter(pairs))) == repr(want), pairs
+        for case in _bm_cases(carrier, pairs):
+            seen[case] += 1
+    impossible = "unsummable" if _has_inverses(carrier) else "annihilate"
+    assert seen.pop(impossible) == 0, seen
+    assert min(seen.values()) >= 100, seen
+
+
+class SumsOnly:
+    """A pam carrier with nothing but the two sums ``in_T`` reads."""
+
+    __slots__ = ("pair_sum", "tuple_sum")
+
+    def __init__(self, pam):
+        self.pair_sum = pam.pair_sum
+        self.tuple_sum = pam.sum_tuple
+
+
+def test_carriers_give_two_sums():
+    # a based set also keeps its point and base, which its sums read
+    listed = {"pair_sum", "tuple_sum", "point", "base"}
+    for cls in (PamCarrier, TrivialCarrier, CircleCarrier, ConfigCarrier):
+        names = {n for c in cls.__mro__[:-1] for n in vars(c) if not n.startswith("_")}
+        assert names <= listed, (cls, names - listed)
+
+
+def test_in_T_reads_only_the_two_sums(carrier):
+    # the duck-typed carrier gives the verdicts and witnesses PamCarrier
+    # gives, on either side, against a pam, the circle and a trivial set;
+    # over a group every label sum exists, so every draw is in the region
+    rng = random.Random("sums-only-" + carrier.name)
+    pc, duck = PamCarrier(carrier), SumsOnly(carrier)
+    trivial = TrivialCarrier(["0", "x", "y"])
+    others = [
+        (pc, lambda: rng.choice(carrier.elements)),
+        (CircleCarrier(), lambda: F(rng.randint(-4, 4), 4)),
+        (trivial, lambda: rng.choice(trivial.points)),
+    ]
+    verdicts = {True: 0, False: 0}
+    for n in range(600):
+        other, draw = others[n % 3]
+        pairs = [(rng.choice(carrier.elements), draw()) for _ in range(rng.randint(0, 8))]
+        flipped = [(y, x) for x, y in pairs]
+        want = in_T(pc, other, pairs, witness=True)
+        assert in_T(duck, other, pairs, witness=True) == want, pairs
+        assert in_T(other, duck, flipped, witness=True) == in_T(other, pc, flipped, witness=True), pairs
+        verdicts[want[0]] += 1
+    assert verdicts[True] >= 50, verdicts
+    assert verdicts[False] >= 50 or (_has_inverses(carrier) and not verdicts[False]), verdicts
+
+
 def test_in_T_trivial_times_pam(m3):
     triv = TrivialCarrier(("0", "x", "y"))
     pc = PamCarrier(m3)
@@ -215,7 +434,7 @@ def test_config_carrier():
     b = (Interval(F(1), F(2), CLOSED, OPEN),)
     assert cc.pair_sum(a, b) == (Interval(F(0), F(2), CLOSED, OPEN),)
     assert cc.pair_sum(a, a) is None
-    assert cc.is_zero(())
+    assert cc.tuple_sum([]) == ()
 
 
 def is_pairwise_insummable(carrier, xs):
@@ -238,7 +457,7 @@ def circle_search(pam, a, b, depth):
     is a trivial carrier; this runs the search itself, and checks that an
     EQUAL it finds has equal ``bm_canon``.
     """
-    circ, pc = CircleCarrier(), PamCarrier(pam)
+    circ, pc = ListedCircle(), ListedPam(pam)
     verdict = _bidirectional_search(
         _canon_pairs(circ, pc, a), _canon_pairs(circ, pc, b), lambda node: rewrite_neighbors(circ, pc, node), depth
     )
@@ -248,16 +467,16 @@ def circle_search(pam, a, b, depth):
 
 
 def test_tensor_eq_reflexive(m3):
-    circ = CircleCarrier()
-    pc = PamCarrier(m3)
+    circ = ListedCircle()
+    pc = ListedPam(m3)
     pairs = [(F(1, 2), "a"), (F(1, 4), "b")]
     assert tensor_eq(circ, pc, pairs, pairs) == EqVerdict.EQUAL
     assert circle_search(m3, pairs, pairs, 1) == EqVerdict.EQUAL
 
 
 def test_rewrite_neighbors(m3):
-    circ = CircleCarrier()
-    pc = PamCarrier(m3)
+    circ = ListedCircle()
+    pc = ListedPam(m3)
     nbrs = rewrite_neighbors(circ, pc, [(F(1, 2), "c")])
     # splitting c along its nonzero partitions is among the moves
     split = sorted([(F(1, 2), "a"), (F(1, 2), "b")])
@@ -266,9 +485,9 @@ def test_rewrite_neighbors(m3):
 
 
 def test_rewrites_past_sixteen_pairs(z2):
-    circ = CircleCarrier()
+    circ = ListedCircle()
     pairs = [(F(k, 32), "g") for k in range(1, 17)]
-    nbrs = rewrite_neighbors(circ, PamCarrier(z2), pairs)
+    nbrs = rewrite_neighbors(circ, ListedPam(z2), pairs)
     assert any(len(n) == 17 for n in nbrs)
     assert all(bm_canon(z2, n) == bm_canon(z2, pairs) for n in nbrs)
 
@@ -279,7 +498,7 @@ def test_circle_search_equal_means_equal_bm_canon(m3):
     # equal bm_canon (checked in circle_search), and every fresh draw
     # with another bm_canon stays apart
     rng = random.Random("circle-search")
-    circ, pc = CircleCarrier(), PamCarrier(m3)
+    circ, pc = ListedCircle(), ListedPam(m3)
     seen = dict.fromkeys(("walk", "apart"), 0)
     for n in range(300):
         a = rand_bm_pairs(rng, m3)
@@ -298,7 +517,7 @@ def test_circle_search_equal_means_equal_bm_canon(m3):
 
 
 def test_searches_stop_at_the_node_bound(m3, monkeypatch):
-    pc = PamCarrier(m3)
+    pc = ListedPam(m3)
     a, b = [("c", "c")], [("a", "a"), ("b", "a"), ("a", "b"), ("b", "b")]
     xi = parse_config("(0,2]:c", m3)
     alt = parse_config("(0,1):a [1,2]:a (0,1):b [1,2]:b", m3)
