@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate, count
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .pam import UNIT, DomainError
 from .intervals import CLOSED, OPEN, Interval, _frac, _positive, clip_interval, is_compatible
@@ -97,19 +97,19 @@ def labeled_normalize(xi, pam):
     at once.  A failing label merge means the input was outside the tensor
     region and raises DomainError naming the interval and the two labels.
 
-    The moves are replayed in that order through an index of left ends, so
-    the cost is O(n log n) for n pieces rather than a re-sort and rescan
-    per move; pieces are sorted, grouped and matched on the integer keys of
+    Pieces are sorted, grouped and matched on the integer keys of
     ``_endpoint_keys``, and only a piece that a paste made is built as an
-    Interval, once, at the end.  A run of touching pieces pastes in one
-    walk: a paste's result that sorts below every queued piece would be
-    the next one popped, and its left end, the popped piece's, has nothing
-    waiting under it, so it is pasted again at once instead of being
-    queued (``_paste`` gives the proof).  The result is canonical only
-    where the moves converge to one answer: a configuration with two
-    irreducible presentations (such as [0,1):g1 [1/2,1):g1 [1,2):g1 over
-    Z/5, where either g1 piece ending at 1 may take the paste) gets the
-    one this order reaches.
+    Interval, once, at the end.  Once coincident pieces are merged, a
+    chain (each piece ends before the next one starts, or touches it with
+    the opposite parity) pastes in one sorted pass, as any order of its
+    pastes reaches one fixpoint (``_normal_keys`` gives the proof).  Other
+    inputs replay the moves in the order above through an index of left
+    ends (``_paste``), so the cost is O(n log n) for n pieces rather than a
+    re-sort and rescan per move.  The result is canonical only where the
+    moves converge to one answer: a configuration with two irreducible
+    presentations (such as [0,1):g1 [1/2,1):g1 [1,2):g1 over Z/5, where
+    either g1 piece ending at 1 may take the paste) gets the one this
+    order reaches.
     """
     xi = tuple(xi)
     for _, m in xi:
@@ -132,6 +132,28 @@ def _normal_keys(keyed, pam, scale):
     One pass over the sorted triples drops degenerate keys and zero
     labels; only where keys coincide does it collect the run's labels and
     merge them, keeping the first triple's interval.
+
+    If the kept keys chain (``_is_chain``), a second pass pastes them: a
+    piece pastes onto the last output piece exactly when the two touch
+    and share a label.  This reaches the fixpoint the move order reaches.
+    The kept keys are distinct and none is degenerate, so in a chain every
+    piece after x starts at or after x's right end, and every piece after
+    x's right neighbour y starts at or after y's right end, which lies
+    beyond x's.  Only y can start where x ends, and when it does, its
+    parity is opposite to x's: x has at most one partner, y, and pastes
+    onto it exactly when their labels agree.  Pasting x and y into z
+    leaves a chain of distinct keys: z starts as x does and ends as y
+    does, so it chains with x's left neighbour and y's right neighbour as
+    x and y did, and every other piece ends at or before z's left end or
+    starts at or after its right end, so none coincides with it.  Hence no
+    merge ever applies, and no move can raise.  The pasteable joints of z
+    are those of x on its left and of y on its right: each paste removes
+    one joint and makes none.  Every order of moves therefore ends at the
+    chain with every joint removed, which is what one left-to-right fold
+    over the sorted keys builds.  The fold's output stays in key order,
+    and a piece it pasted carries no interval, as ``_paste``'s do.  Keys
+    that do not chain go to ``_paste``, the one path that follows the
+    leftmost-first move order where that order decides the answer.
     """
     items = []
     i, n = 0, len(keyed)
@@ -150,15 +172,19 @@ def _normal_keys(keyed, pam, scale):
         elif key[0] == key[1] or m == UNIT:
             continue
         items.append((key, m, j))
-    if len(items) < 2 or not _some_paste(items):
+    if len(items) < 2:
         return items
-    return _paste(items, pam, scale)
-
-
-def _some_paste(items):
-    """True when some piece of keyed ``items`` pastes onto another."""
-    lefts = {(u, p, m) for (u, _, p, _), m, _ in items}
-    return any((v, -q, m) in lefts for (_, v, _, q), m, _ in items)
+    if not _is_chain(items):
+        return _paste(items, pam, scale)
+    out = items[:1]
+    for item in items[1:]:
+        key, m, _ = item
+        (u, v, p, _), last, _ = out[-1]
+        if v == key[0] and last == m:
+            out[-1] = ((u, key[1], p, key[3]), m, None)
+        else:
+            out.append(item)
+    return out
 
 
 def _coincident_sum(key, scale, m1, m2, pam):
@@ -204,11 +230,15 @@ def _prune(heap):
 
 
 def _paste(items, pam, scale):
-    """Paste the distinct, labeled ``items`` to a fixpoint.
+    """Paste the distinct, labeled ``items`` to a fixpoint, in move order.
 
     ``items`` holds (key, label, interval) in key order, keyed over
-    ``scale``.  Pastes create no endpoint, so those integers cover every
-    piece that appears; a key sorts as its interval does and names the
+    ``scale``.  ``_normal_keys`` sends only keys that do not chain here,
+    where a paste may make a coincidence and the order of the moves may
+    decide the answer; it works on any distinct keys, and the tests
+    compare it with the one-pass fold on chains.  Pastes create no
+    endpoint, so those integers cover every piece that appears; a key
+    sorts as its interval does and names the
     piece in ``live``.  A pasted piece is a key and a label only, and
     leaves with no interval.  Pieces leave ``todo`` in key order.  One
     with no live partner waits under the left end a partner would have and
@@ -960,9 +990,19 @@ class AdmissibilityReport:
         return self.ok
 
 
-def _is_chain(keys):
-    """True when sorted (key, label) pairs chain as ``is_compatible`` asks."""
-    return all(x[1] < y[0] or (x[1] == y[0] and x[3] != y[2]) for (x, _), (y, _) in zip(keys, keys[1:]))
+def _is_chain(items):
+    """True when sorted ``items``, each led by its key, chain as ``is_compatible`` asks.
+
+    Each key must end before the next one starts, or where it starts with
+    the opposite parity.
+    """
+    v, q = -inf, None
+    for item in items:
+        u, w, p, r = item[0]
+        if v > u or v == u and q == p:
+            return False
+        v, q = w, r
+    return True
 
 
 def is_admissible(xi, eps, support, pam):

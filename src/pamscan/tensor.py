@@ -334,6 +334,19 @@ class BMElement:
         if self.m0 == UNIT:
             raise ValueError("use m0=None for an absent zero-coordinate label")
 
+    @classmethod
+    def _canonical(cls, m0, points):
+        """A BMElement from parts already in the checked form, unchecked.
+
+        ``points`` must hold Fraction coordinates, strictly increasing in
+        (-1, 1) and none zero, with nonzero labels, and ``m0`` must be None
+        or nonzero; ``bm_canon`` builds them so.
+        """
+        z = object.__new__(cls)
+        object.__setattr__(z, "m0", m0)
+        object.__setattr__(z, "points", points)
+        return z
+
     @property
     def is_empty(self):
         return self.m0 is None and not self.points
@@ -361,7 +374,10 @@ def bm_canon(pam, pairs):
     DomainError with a minimal witnessing subset otherwise).  Basepoint
     coordinates and zero labels drop, and the labels at each coordinate
     sum, which cannot fail since a part of a summable tuple sums; a zero
-    total drops too.  The label at coordinate 0 becomes ``m0``.
+    total drops too.  The label at coordinate 0 becomes ``m0``.  The
+    result skips BMElement's checks, which it meets by construction:
+    ``norm_circle`` gives Fractions in (-1, 1], the basepoint 1 drops, the
+    coordinates are distinct keys emitted in order, and zero totals drop.
     """
     labels = []
     groups = {}
@@ -385,7 +401,7 @@ def bm_canon(pam, pairs):
             m0 = total
         else:
             points.append((t, total))
-    return BMElement(m0, tuple(points))
+    return BMElement._canonical(m0, tuple(points))
 
 
 def _minimal_unsummable(sums, items):

@@ -105,6 +105,10 @@ CASES = [
      "[Errno 2] No such file or directory: '{missing}/m3.pam'\n"),
     # config normalize | eq | admissible
     (0, ["config", "normalize", "--pam", "{m3}", "[0,1):a [1,2]:a"], "[0,2]:a\n", None),
+    # a chain pastes in one pass; overlapping pieces paste through the heap
+    (0, ["config", "normalize", "--pam", "{m3}", "(6,7]:a [2,3]:b [0,1):a [4,5):c (3,4):b [1,2):a [5,6]:a"],
+     "[0,2):a [2,4):b [4,5):c [5,7]:a\n", None),
+    (0, ["config", "normalize", "--pam", "{m3}", "[0,2):a [1,3):b [2,3):a"], "[0,3):a [1,3):b\n", None),
     (0, ["config", "normalize", "--pam", "{m3}", "--default-label", "a", "[0,1)"], "[0,1):a\n", None),
     (0, ["config", "normalize", "--pam", "{m3}", "--svg", "{out}/nf.svg", "[0,1):a"], None, None),
     (2, ["config", "normalize", "--pam", "{m3}", "--svg", "{missing}/nf.svg", "[0,1):a"], None,

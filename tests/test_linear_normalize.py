@@ -306,7 +306,8 @@ def test_work_grows_linearly(m3, monkeypatch):
     # integer endpoint keys count the sorting and grouping, so a normal form
     # that keyed its pieces again after each of the 6k pastes would fail;
     # heap pushes count the indexed paste loop, which a walked paste skips,
-    # and heap prunes count every paste, walked or not
+    # and heap prunes count every paste, walked or not.  One b piece over
+    # the first a run keeps the keys from chaining, so they take the walk
     calls = {"keys": 0, "heappush": 0, "prune": 0}
     endpoint_keys, push, prune = labeled._endpoint_keys, labeled.heappush, labeled._prune
 
@@ -328,9 +329,9 @@ def test_work_grows_linearly(m3, monkeypatch):
     monkeypatch.setattr(labeled, "_prune", prunes)
     counts = {}
     for k in (16, 32):
-        xi = _cut_chain(k)
+        xi = _cut_chain(k) + [(Interval(1, 2, CLOSED, OPEN), "b")]
         calls.update(keys=0, heappush=0, prune=0)
-        assert len(labeled_normalize(xi, m3)) == 2 * k
+        assert len(labeled_normalize(xi, m3)) == 2 * k + 1
         counts[k] = dict(calls)
     for name in calls:
         assert 0 < counts[32][name] <= 2.5 * counts[16][name], counts
@@ -357,10 +358,8 @@ def test_paste_builds_each_survivor_once(m3, monkeypatch):
     assert nf == oracle_normalize(xi, m3)
 
 
-def test_a_run_pastes_in_one_walk(m3, monkeypatch):
-    # k touching a pieces paste into [0,k):a.  Each paste's result is
-    # pasted again at once, so past the k pieces loaded, the queue and the
-    # index see one piece and its two entries, whatever k is
+def _count_heap_work(monkeypatch):
+    """Lists that grow by one per ``_Piece`` made and per ``heappush``."""
     made, pushes = [], []
     piece, push = labeled._Piece, labeled.heappush
 
@@ -374,14 +373,36 @@ def test_a_run_pastes_in_one_walk(m3, monkeypatch):
 
     monkeypatch.setattr(labeled, "_Piece", counting_piece)
     monkeypatch.setattr(labeled, "heappush", counting_push)
+    return made, pushes
+
+
+def test_a_run_pastes_in_one_walk(m3, monkeypatch):
+    # k touching a pieces paste into [0,k):a; the b piece over the first
+    # two keeps the keys from chaining, so they take the walk.  Each
+    # paste's result is pasted again at once, so past the k + 1 pieces
+    # loaded, the queue and the index see one piece and its two entries,
+    # whatever k is
+    made, pushes = _count_heap_work(monkeypatch)
+    b = (Interval(F(1, 2), F(3, 2), CLOSED, OPEN), "b")
     extra = {}
+    for k in (64, 512):
+        xi = [(Interval(i, i + 1, CLOSED, OPEN), "a") for i in range(k)] + [b]
+        random.Random(k).shuffle(xi)
+        del made[:], pushes[:]
+        assert labeled_normalize(xi, m3) == ((Interval(0, k, CLOSED, OPEN), "a"), b)
+        extra[k] = (len(made) - (k + 1), len(pushes))
+    assert extra[64] == extra[512] == (1, 2), extra
+
+
+def test_a_chain_pastes_in_one_pass(m3, monkeypatch):
+    # k touching a pieces chain, so they paste in one fold over the sorted
+    # keys: no piece of the paste index is made and no heap is pushed
+    made, pushes = _count_heap_work(monkeypatch)
     for k in (64, 512):
         xi = [(Interval(i, i + 1, CLOSED, OPEN), "a") for i in range(k)]
         random.Random(k).shuffle(xi)
-        del made[:], pushes[:]
         assert labeled_normalize(xi, m3) == ((Interval(0, k, CLOSED, OPEN), "a"),)
-        extra[k] = (len(made) - k, len(pushes))
-    assert extra[64] == extra[512] == (1, 2), extra
+    assert (len(made), len(pushes)) == (0, 0)
 
 
 class _WalkStops:
@@ -511,8 +532,8 @@ def test_normalize_config_matches_oracle():
     assert 0 < raised < 600
 
 
-def oracle_normal_keys(keyed, pam, scale):
-    """The keyed normal form by ``groupby``: one list per run of equal keys."""
+def oracle_merge(keyed, pam, scale):
+    """The merge pass by ``groupby``: one list per run of equal keys."""
     items = []
     for key, run in groupby(keyed, key=itemgetter(0)):
         if key[0] != key[1]:
@@ -520,9 +541,12 @@ def oracle_normal_keys(keyed, pam, scale):
             m = labeled._merge_labels(key, scale, [m for _, m, _ in run if m != UNIT], pam)
             if m is not None:
                 items.append((key, m, run[0][2]))
-    if len(items) < 2 or not labeled._some_paste(items):
-        return items
-    return labeled._paste(items, pam, scale)
+    return items
+
+
+def oracle_normal_keys(keyed, pam, scale):
+    """The keyed normal form: the ``groupby`` merge, then the heap paste on every input."""
+    return labeled._paste(oracle_merge(keyed, pam, scale), pam, scale)
 
 
 def _rand_keyed(rng, pam):
@@ -557,4 +581,116 @@ def test_normal_keys_match_the_groupby_pass(m3, z2):
             seen["degenerate"] += any(u == v for u, v, _, _ in keys)
             seen["raised"] += fast[0] == "raised"
             seen["pasted"] += fast[0] == "ok" and any(j is None for _, _, j in fast[1])
+    assert min(seen.values()) >= 100, seen
+
+
+def _chain_config(rng, pam):
+    """A chain of touching and spaced pieces, perhaps with one overlap.
+
+    A touching piece takes the opposite parity of the end it touches, or
+    in one case in ten the same parity, so that the keys do not chain.
+    Half of the pieces repeat the label before them, so that touching
+    ones paste.  A piece may come as a coincident run: its label split
+    into two nonzero parts, or two to three drawn labels, which may merge
+    to another label, to zero or not at all.  Zero-labeled and degenerate
+    pieces fall anywhere, as both drop before the pastes.  One draw in
+    four gets a piece that starts inside another one.
+    """
+    labels = pam.elements[1:]
+    xi, spans = [], []
+    x, q, m = F(rng.randint(-8, 8), 4), None, None
+    for _ in range(rng.randint(1, 10)):
+        if q is not None and rng.random() < 0.6:
+            p = q if rng.random() < 0.1 else -q
+        else:
+            x += F(rng.randint(1, 4), 4)
+            p = rng.choice((OPEN, CLOSED))
+        if m is None or rng.random() < 0.5:
+            m = rng.choice(labels)
+        v, q = x + F(rng.randint(1, 4), 4), rng.choice((OPEN, CLOSED))
+        j = Interval(x, v, p, q)
+        roll = rng.random()
+        if roll < 0.1 and pam.nonzero_partitions(m):
+            xi += [(j, part) for part in rng.choice(pam.nonzero_partitions(m))]
+        elif roll < 0.2:
+            xi += [(j, rng.choice(pam.elements)) for _ in range(rng.randint(2, 3))]
+        else:
+            xi.append((j, m))
+        spans.append((x, v))
+        x = v
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        u, v = rng.choice(spans)
+        w = u + F(rng.randint(-4, 8), 8)
+        if rng.random() < 0.5:
+            p = rng.choice((OPEN, CLOSED))
+            xi.append((Interval(w, w, p, -p), rng.choice(pam.elements)))
+        else:
+            xi.append((Interval(w, w + F(rng.randint(1, 6), 4), OPEN, OPEN), UNIT))
+    if rng.random() < 0.25:
+        u, v = rng.choice(spans)
+        w = u + (v - u) / 3
+        xi.append((Interval(w, w + F(rng.randint(1, 6), 4), CLOSED, OPEN), rng.choice(labels)))
+    rng.shuffle(xi)
+    return xi
+
+
+def _is_chain_oracle(items):
+    """True when the keyed ``items`` precede one another as intervals."""
+    js = [labeled._interval(key, 1) for key, _, _ in items]
+    return all(interval_leq(a, b) for a, b in zip(js, js[1:]))
+
+
+def test_chain_fold_matches_the_heap_and_the_oracle(carrier, monkeypatch):
+    # 1,000 seeded draws per carrier, three in ten remapped onto mixed
+    # denominators.  labeled_normalize matches the restart-from-the-front
+    # oracle, and the keyed normal form matches _paste called directly on
+    # the same merged items, intervals included.  Keys that chain never
+    # reach _paste, and keys that do not always do
+    heap_calls = []
+    paste = labeled._paste
+
+    def counting_paste(items, pam, scale):
+        heap_calls.append(None)
+        return paste(items, pam, scale)
+
+    monkeypatch.setattr(labeled, "_paste", counting_paste)
+    rng = random.Random("chain-fold-" + carrier.name)
+    seen = dict.fromkeys(
+        ("chain pasted", "chain unpasted", "heap", "run merged into a chain", "zero label",
+         "degenerate", "touching same label", "touching other label", "remapped"), 0
+    )
+    for _ in range(1000):
+        xi = _chain_config(rng, carrier)
+        if rng.random() < 0.3:
+            xi = _remap(rng, xi, (2, 3, 5, 7, 8, 12))
+            seen["remapped"] += 1
+        del heap_calls[:]
+        fast = _outcome(labeled_normalize, xi, carrier)
+        reached_heap = bool(heap_calls)
+        assert fast == _outcome(oracle_normalize, xi, carrier), (carrier.name, xi)
+        scale, keyed = labeled._endpoint_keys(xi)
+        keyed.sort()
+        assert _outcome(labeled._normal_keys, keyed, carrier, scale) == _outcome(
+            oracle_normal_keys, keyed, carrier, scale
+        ), (carrier.name, xi)
+        keys = [key for key, _, _ in keyed]
+        seen["zero label"] += any(m == UNIT for _, m, _ in keyed)
+        seen["degenerate"] += any(u == v for u, v, _, _ in keys)
+        if fast[0] == "raised":
+            continue
+        items = oracle_merge(keyed, carrier, scale)
+        chained = _is_chain_oracle(items)
+        assert reached_heap != chained, (carrier.name, xi)
+        if not chained:
+            seen["heap"] += 1
+            continue
+        touching = [(x[1], y[1]) for x, y in zip(items, items[1:]) if x[0][1] == y[0][0]]
+        seen["run merged into a chain"] += len(set(keys)) < len(keys)
+        seen["touching same label"] += any(a == b for a, b in touching)
+        seen["touching other label"] += any(a != b for a, b in touching)
+        pasted = any(j is None for _, _, j in labeled._normal_keys(keyed, carrier, scale))
+        seen["chain pasted" if pasted else "chain unpasted"] += 1
+    if len(carrier.elements) == 2:
+        # Z2 has one nonzero label
+        assert seen.pop("touching other label") == 0, seen
     assert min(seen.values()) >= 100, seen

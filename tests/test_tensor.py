@@ -352,6 +352,41 @@ def test_bm_canon_matches_trivial_canon_oracle(carrier):
     assert min(seen.values()) >= 100, seen
 
 
+def test_bm_canon_builds_what_the_checks_accept(carrier):
+    # bm_canon builds its result without BMElement's checks; on the oracle
+    # test's draws, the checking constructor accepts the same parts and
+    # gives an equal value with the same repr and hash
+    rng = random.Random("bm-canon-oracle-" + carrier.name)
+    built = 0
+    for _ in range(1000):
+        pairs = _draw_bm_pairs(rng, carrier)
+        try:
+            z = bm_canon(carrier, pairs)
+        except DomainError:
+            continue
+        checked = BMElement(z.m0, z.points)
+        assert (z, repr(z), hash(z)) == (checked, repr(checked), hash(checked)), pairs
+        built += z.level > 0
+    assert built >= 200, built
+
+
+def test_bm_element_refuses_noncanonical_parts():
+    # the public constructor keeps every check bm_canon skips
+    for m0, points, message in (
+        (None, ((F(1), "a"),), "coordinate 1 outside the punctured domain"),
+        (None, ((F(-1), "a"),), "coordinate -1 outside the punctured domain"),
+        (None, ((F(0), "a"),), "coordinate 0 outside the punctured domain"),
+        (None, ((F(1, 2), "a"), (F(1, 4), "b")), "coordinates must be strictly increasing"),
+        (None, ((F(1, 2), "a"), (F(1, 2), "b")), "coordinates must be strictly increasing"),
+        (None, ((F(1, 2), "0"),), "zero label at coordinate 1/2"),
+        ("0", (), "use m0=None for an absent zero-coordinate label"),
+    ):
+        with pytest.raises(ValueError) as info:
+            BMElement(m0, points)
+        assert str(info.value) == message
+    assert BMElement(None, ((0.5, "a"),)).points == ((F(1, 2), "a"),)
+
+
 class SumsOnly:
     """A pam carrier with nothing but the two sums ``in_T`` reads."""
 
