@@ -55,6 +55,21 @@ class Interval:
         if self.u == self.v and self.p == self.q:
             raise ValueError("degenerate interval requires opposite parities")
 
+    @classmethod
+    def _trusted(cls, u, v, p, q):
+        """An Interval from parts already in the checked form, unchecked.
+
+        ``u`` and ``v`` must be Fractions with u < v, or u == v and p != q,
+        and ``p`` and ``q`` each CLOSED or OPEN; ``labeled_normalize``
+        builds the pieces its pastes make so.
+        """
+        j = object.__new__(cls)
+        object.__setattr__(j, "u", u)
+        object.__setattr__(j, "v", v)
+        object.__setattr__(j, "p", p)
+        object.__setattr__(j, "q", q)
+        return j
+
     @property
     def is_degenerate(self):
         return self.u == self.v

@@ -58,24 +58,44 @@ def in_T_labeled(xi, pam, witness=False):
 def _endpoint_keys(pieces):
     """The common scale S of ``pieces`` and each piece under its integer key.
 
-    S is the lcm of every endpoint denominator, so each endpoint x is the
-    integer x.numerator * (S // x.denominator) over S.  Scaling by S > 0
-    keeps order and equality, so the key (u*S, v*S, p, q) sorts, groups and
-    compares exactly as ``Interval.sort_key`` does, on integers alone.
-    Returns S and a list of (key, label, interval); sorted, that list is in
-    ``lc_sorted`` order, and entries that tie on key and label are equal.
+    Each endpoint is read once, as its integer ratio a/b.  S is the lcm of
+    every b, so the endpoint is the integer a * (S // b) over S.  Scaling by
+    S > 0 keeps order and equality, so the key (u*S, v*S, p, q) sorts,
+    groups and compares exactly as ``Interval.sort_key`` does, on integers
+    alone.  Returns S and a list of (key, label, interval) in input order;
+    sorted, that list is in ``lc_sorted`` order, and entries that tie on
+    key and label are equal.  ``pieces`` is read twice, so it must not be
+    an iterator.
     """
-    scale = lcm(*{x.denominator for j, _ in pieces for x in (j.u, j.v)})
-    return scale, _keys_over(pieces, scale)
+    ends = _ratios(pieces)
+    scale = lcm(*{d for _, b, _, d in ends for d in (b, d)})
+    return scale, _keys_over(pieces, scale, ends)
 
 
-def _keys_over(pieces, scale):
-    """(key, label, interval) for each piece, endpoints as integers over ``scale``."""
-    return [((_num(j.u, scale), _num(j.v, scale), j.p, j.q), m, j) for j, m in pieces]
+def _ratios(pieces):
+    """(a, b, c, d) for each piece, its endpoints u = a/b and v = c/d in lowest terms."""
+    return [j.u.as_integer_ratio() + j.v.as_integer_ratio() for j, _ in pieces]
+
+
+def _keys_over(pieces, scale, ends=None):
+    """(key, label, interval) for each piece, endpoints as integers over ``scale``.
+
+    ``ends`` are the pieces' ``_ratios``, read here when not given.
+    """
+    if ends is None:
+        ends = _ratios(pieces)
+    return [
+        ((a * (scale // b), c * (scale // d), j.p, j.q), m, j)
+        for (j, m), (a, b, c, d) in zip(pieces, ends)
+    ]
 
 
 def _num(x, scale):
-    """The rational x as an integer over ``scale``, which its denominator divides."""
+    """One rational x, such as eps or a window end, as an integer over ``scale``.
+
+    The denominator of x must divide ``scale``.  Pieces are keyed by
+    ``_endpoint_keys`` and ``_keys_over`` instead.
+    """
     return x.numerator * (scale // x.denominator)
 
 
@@ -97,28 +117,38 @@ def labeled_normalize(xi, pam):
     at once.  A failing label merge means the input was outside the tensor
     region and raises DomainError naming the interval and the two labels.
 
-    Pieces are sorted, grouped and matched on the integer keys of
-    ``_endpoint_keys``, and only a piece that a paste made is built as an
-    Interval, once, at the end.  Once coincident pieces are merged, a
-    chain (each piece ends before the next one starts, or touches it with
-    the opposite parity) pastes in one sorted pass, as any order of its
-    pastes reaches one fixpoint (``_normal_keys`` gives the proof).  Other
-    inputs replay the moves in the order above through an index of left
-    ends (``_paste``), so the cost is O(n log n) for n pieces rather than a
-    re-sort and rescan per move.  The result is canonical only where the
-    moves converge to one answer: a configuration with two irreducible
-    presentations (such as [0,1):g1 [1/2,1):g1 [1,2):g1 over Z/5, where
-    either g1 piece ending at 1 may take the paste) gets the one this
-    order reaches.
+    Each endpoint is keyed once, from its integer ratio, by
+    ``_endpoint_keys``.  Pieces are sorted, grouped and matched on those
+    keys, and only a piece that a paste made is built as an Interval, once,
+    at the end.  It is built unchecked (``Interval._trusted``): its ends
+    are ends of valid input pieces, and a paste leaves u < v.  Once
+    coincident pieces are merged, a chain (each piece ends before the next
+    one starts, or touches it with the opposite parity) pastes in one
+    sorted pass, as any order of its pastes reaches one fixpoint
+    (``_normal_keys`` gives the proof).  Other inputs replay the moves in
+    the order above through an index of left ends (``_paste``), so the
+    cost is O(n log n) for n pieces rather than a re-sort and rescan per
+    move.  The result is canonical only where the moves converge to one
+    answer: a configuration with two irreducible presentations (such as
+    [0,1):g1 [1/2,1):g1 [1,2):g1 over Z/5, where either g1 piece ending at
+    1 may take the paste) gets the one this order reaches.
     """
-    xi = tuple(xi)
-    for _, m in xi:
-        pam.check_element(m)
-    scale, keyed = _endpoint_keys(xi)
-    keyed.sort()
+    scale, keyed = _endpoint_keys(tuple(xi))
     return tuple(
-        (j or _interval(key, scale), m) for key, m, j in _normal_keys(keyed, pam, scale)
+        (j or Interval._trusted(Fraction(u, scale), Fraction(v, scale), p, q), m)
+        for (u, v, p, q), m, j in _normal_form(keyed, pam, scale)
     )
+
+
+def _normal_form(keyed, pam, scale):
+    """``_normal_keys`` of (key, label, interval) triples given in input order.
+
+    Checks the labels in input order first, then sorts ``keyed`` in place.
+    """
+    for _, m, _ in keyed:
+        pam.check_element(m)
+    keyed.sort()
+    return _normal_keys(keyed, pam, scale)
 
 
 def _normal_keys(keyed, pam, scale):
@@ -325,8 +355,14 @@ def config_eq(x1, x2, pam, method="nf", depth=6):
     ``labeled_normalize``).  ``search`` runs a bounded bidirectional walk
     over one-step rewrites and answers UNKNOWN once it is out of bounds.
 
-    The search runs on integer keys.  S is the lcm of the endpoint
-    denominators of x1 and x2, whose endpoints are the extra cuts.  A node
+    Both methods run on integer keys.  S is the lcm of the endpoint
+    denominators of x1 and x2, each endpoint keyed once over S.  ``nf``
+    puts each side through the steps of ``labeled_normalize``, x1 first,
+    and compares the (key, label) lists: the normal form reads keys only
+    by order and equality, which a common scale keeps, so it builds no
+    Interval and raises what ``labeled_normalize`` raises, in that order.
+
+    In the search the endpoints of x1 and x2 are the extra cuts.  A node
     is (e, items): the pieces as sorted ((u, v, p, q), label) keys over
     S * 2**e, with e the fewest halvings its endpoints need.  An odd
     midpoint cut doubles a node, and a paste or drop that removes its last
@@ -338,18 +374,18 @@ def config_eq(x1, x2, pam, method="nf", depth=6):
     those that land in T, so from such a start the search answers UNKNOWN
     instead; an EQUAL is a chain of moves and stands.
     """
-    if method == "nf":
-        return (
-            EqVerdict.EQUAL
-            if labeled_normalize(x1, pam) == labeled_normalize(x2, pam)
-            else EqVerdict.DISTINCT
-        )
-    if method != "search":
+    if method not in ("nf", "search"):
         raise ValueError("unknown method %r" % method)
     x1, x2 = tuple(x1), tuple(x2)
     scale, keyed = _endpoint_keys(x1 + x2)
-    cuts = sorted({x for key, _, _ in keyed for x in key[:2]})
     n = len(x1)
+    if method == "nf":
+        w1, w2 = (
+            [(key, m) for key, m, _ in _normal_form(part, pam, scale)]
+            for part in (keyed[:n], keyed[n:])
+        )
+        return EqVerdict.EQUAL if w1 == w2 else EqVerdict.DISTINCT
+    cuts = sorted({x for key, _, _ in keyed for x in key[:2]})
     starts = [(0, tuple(sorted((key, m) for key, m, _ in part))) for part in (keyed[:n], keyed[n:])]
     verdict = _bidirectional_search(*starts, lambda node: _rewrite_keys(node, pam, cuts, scale), depth)
     # both starts were expanded, so their labels are known

@@ -11,15 +11,18 @@ Codes: 0 success, 1 false, 2 parse or usage error, 3 domain error,
 """
 
 import os
+import random
 import subprocess
 import sys
+import traceback
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import pamscan
 from pamscan import TraceError, alpha_trace
-from pamscan.cli import main
+from pamscan.cli import COMMANDS, main
 from pamscan.dsl import parse_config, parse_pam_text
 
 M3_TEXT = "pam M3\nelements 0 a b c\nsum a + b = c\n"
@@ -301,6 +304,82 @@ def test_every_argv_exits_0_to_4(paths, capsys, code, argv, stdout, stderr):
         assert out == stdout
     if stderr is not None:
         assert err == stderr.format(**paths)
+
+
+# Tokens for generated argv.  Values are valid for some commands and
+# carriers and not for others; a few are malformed everywhere.
+FLAG_VALUES = {
+    "--pam": ["{%s}" % name for name in FILES] + ["{binary}", "{missing}/x.pam", "{out}"],
+    "--svg": ["{out}/g.svg", "{missing}/g.svg"],
+    "--method": ["nf", "search", "bogus"],
+    "--depth": ["2", "0", "x"],
+    "--default-label": ["a", "g1"],
+    "--support": ["-4,4", "0,1", "1"],
+    "--eps": ["1/2", "1", "0"],
+    "--u": ["1/4", "0", "x"],
+    "--t": ["1/2", "0", "1", "2"],
+    "--len": ["3", "1/2", "-1"],
+    "--z": ["1/2:c", "-1/2:a 1/4:b", "∅", "2:a"],
+    "--alpha": ["1/2:a,b", "1/2:a,"],
+}
+OPERANDS = [
+    "[0,1):a", "[0,1):a [1,2]:a", "[0,2):a [1,3):b", H, "(0,1]:g1 (1,2):g1", "(0,1]:1 (0,1]:2", "∅",
+    "1/2:c", "-1/2:b 1/2:a", "0", "1/2", "-3/4", "{m3}", "{skew}",
+]
+MALFORMED = ["[0,1)", "0:a", "[0,1", "1/0", "x", "", "[1,0):a", ":a", "nan", "1e999", "[0,1):zz", "0,1",
+             "((0,1)):a", "∅ ∅", "-1", "--bogus"]
+BARE = sorted(FLAG_VALUES) + ["--require-self-insummable", "-h", "--"]
+POOL = [(flag, v) for flag, vs in FLAG_VALUES.items() for v in vs] + [(t,) for t in OPERANDS + MALFORMED + BARE]
+
+
+def _generated_argv(rng):
+    """A verb of ``COMMANDS`` and 0 to 7 tokens, half the time its own arguments.
+
+    Those are ``--pam``, M3 half the time, an operand for each positional
+    argument, a value for each required option and, now and then, for an
+    optional one; one of them may be left out.  Draws from ``POOL`` join
+    them, up to one beside the command's own arguments and up to three
+    otherwise, while the tokens number at most 7.  The draws are shuffled,
+    a flag staying before its value.
+    """
+    verb, action, _, arguments, _ = rng.choice(COMMANDS)
+    draws, extra = [], 3
+    if rng.random() < 0.5:
+        draws.append(("--pam", "{m3}" if rng.random() < 0.5 else rng.choice(FLAG_VALUES["--pam"])))
+        for name, kwargs in arguments:
+            if not name.startswith("-"):
+                draws.append((rng.choice(OPERANDS),))
+            elif kwargs.get("required") or name in FLAG_VALUES and rng.random() < 0.2:
+                draws.append((name, rng.choice(FLAG_VALUES[name])))
+        if rng.random() < 0.2:
+            del draws[rng.randrange(len(draws))]
+        extra = rng.choice((0, 0, 1))
+    budget = 7 - sum(map(len, draws))
+    for draw in rng.sample(POOL, rng.randint(0, extra)):
+        if len(draw) <= budget:
+            draws.append(draw)
+            budget -= len(draw)
+    rng.shuffle(draws)
+    return [verb] + ([action] if action else []) + [t for d in draws for t in d]
+
+
+def test_generated_argv_exit_0_to_4(paths, capsys):
+    rng = random.Random("cli-total")
+    codes = Counter()
+    for _ in range(500):
+        argv = [a.format(**paths) for a in _generated_argv(rng)]
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+        except Exception:
+            pytest.fail("%r raised:\n%s" % (argv, traceback.format_exc()))
+        out, err = capsys.readouterr()
+        assert rc in range(5) and "Traceback" not in err, (argv, rc, err)
+        codes[rc] += 1
+    # most argv are usage errors; enough get through to a result or a
+    # domain error
+    assert codes[0] >= 10 and codes[3] >= 10, codes
 
 
 def test_trace_errors_name_their_breakpoint():

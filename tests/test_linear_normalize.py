@@ -4,14 +4,18 @@ The oracles re-sort and rescan from the first piece after every move.  The
 library replays the same moves in the same order, so tuples and DomainError
 messages must agree exactly, over carriers beyond M3 and Z2 too, and on
 endpoints over mixed and very large denominators.  The keyed normal form
-that every window read runs is compared with the groupby pass it replaced.
+that every window read runs is compared with the groupby pass it replaced,
+and the keys and equality by normal form with the two-read keying and the
+comparison of two Interval normal forms they replaced.
 The work guard counts integer endpoint keys, so a quadratic normal form
 cannot return without a failing test.
 """
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from itertools import groupby
+from math import lcm
 from operator import itemgetter
 
 import pytest
@@ -29,11 +33,11 @@ from pamscan import (
     labeled_normalize,
     normalize_config,
 )
-from pamscan.dsl import parse_config
+from pamscan.dsl import fmt_interval, parse_config
 from pamscan.pam import UNIT
 from pamscan.tensor import EqVerdict
 
-from genutil import cyclic_pam, odd_primes, truncated_pam
+from genutil import cyclic_pam, odd_primes, rand_rewrite, truncated_pam
 
 
 def oracle_normalize(xi, pam):
@@ -337,21 +341,33 @@ def test_work_grows_linearly(m3, monkeypatch):
         assert 0 < counts[32][name] <= 2.5 * counts[16][name], counts
 
 
-def test_paste_builds_each_survivor_once(m3, monkeypatch):
-    # 432 parts of 24 pieces, with zero labels and degenerate pieces mixed
-    # in: pastes run on keys, and only the 24 pasted survivors are built
-    xi = _cut_chain(12, parts=18)
-    xi += [(Interval(7 * i, 7 * i + 1, CLOSED, OPEN), "0") for i in range(4)]
-    xi += [(Interval(7 * i, 7 * i, CLOSED, OPEN), "a") for i in range(4)]
-    random.Random(440).shuffle(xi)
+def _count_interval_builds(monkeypatch):
+    """A list that grows by one per Interval built, checked or trusted."""
     built = []
-    post_init = Interval.__post_init__
+    post_init, trusted = Interval.__post_init__, Interval._trusted.__func__
 
     def counting(self):
         built.append(None)
         post_init(self)
 
+    def counting_trusted(cls, *parts):
+        built.append(None)
+        return trusted(cls, *parts)
+
     monkeypatch.setattr(Interval, "__post_init__", counting)
+    monkeypatch.setattr(Interval, "_trusted", classmethod(counting_trusted))
+    return built
+
+
+def test_paste_builds_each_survivor_once(m3, monkeypatch):
+    # 432 parts of 24 pieces, with zero labels and degenerate pieces mixed
+    # in: pastes run on keys, and only the 24 pasted survivors are built,
+    # through either constructor
+    xi = _cut_chain(12, parts=18)
+    xi += [(Interval(7 * i, 7 * i + 1, CLOSED, OPEN), "0") for i in range(4)]
+    xi += [(Interval(7 * i, 7 * i, CLOSED, OPEN), "a") for i in range(4)]
+    random.Random(440).shuffle(xi)
+    built = _count_interval_builds(monkeypatch)
     nf = labeled_normalize(xi, m3)
     assert (len(xi), len(nf), len(built)) == (440, 24, 24)
     monkeypatch.undo()
@@ -694,3 +710,148 @@ def test_chain_fold_matches_the_heap_and_the_oracle(carrier, monkeypatch):
         # Z2 has one nonzero label
         assert seen.pop("touching other label") == 0, seen
     assert min(seen.values()) >= 100, seen
+
+
+def oracle_keys_over(pieces, scale):
+    """Keys by two property reads per endpoint, as ``_keys_over`` made them."""
+
+    def num(x):
+        return x.numerator * (scale // x.denominator)
+
+    return [((num(j.u), num(j.v), j.p, j.q), m, j) for j, m in pieces]
+
+
+def oracle_endpoint_keys(pieces):
+    """The scale and keys of ``_endpoint_keys`` by denominator and numerator reads."""
+    scale = lcm(*{x.denominator for j, _ in pieces for x in (j.u, j.v)})
+    return scale, oracle_keys_over(pieces, scale)
+
+
+def oracle_eq_outcome(x1, x2, pam):
+    """``config_eq(x1, x2, pam)`` by comparing two Interval normal forms.
+
+    Returns ("ok", verdict), or ("raised", side, type, text) for the first
+    of the two ``labeled_normalize`` calls that raised, x1 being side 1.
+    """
+    nfs = []
+    for side, x in enumerate((x1, x2), 1):
+        out = _outcome(labeled_normalize, x, pam)
+        if out[0] == "raised":
+            return ("raised", side) + out[1:]
+        nfs.append(out[1])
+    return "ok", EqVerdict.EQUAL if nfs[0] == nfs[1] else EqVerdict.DISTINCT
+
+
+def _eq_pair(rng, pam):
+    """Two configurations over ``pam``, often presentations of one element.
+
+    x2 is x1 after one to three ``rand_rewrite`` steps (which keep the
+    element), x1 with one piece dropped or relabeled, or a draw of its
+    own.  One pair in ten puts an unknown label on one side or both, and
+    four in ten go under one increasing map onto mixed denominators,
+    shifted below zero.
+    """
+    x1 = _rand_config(rng, pam)
+    roll = rng.random()
+    if roll < 0.45:
+        x2 = x1
+        for _ in range(rng.randint(1, 3)):
+            x2 = rand_rewrite(rng, x2, pam)
+        x2 = list(x2)
+        rng.shuffle(x2)
+    elif roll < 0.7 and x1:
+        x2 = list(x1)
+        i = rng.randrange(len(x2))
+        if rng.random() < 0.5:
+            del x2[i]
+        else:
+            x2[i] = (x2[i][0], rng.choice(pam.elements))
+    else:
+        x2 = _rand_config(rng, pam)
+    if rng.random() < 0.1:
+        for x, label in rng.choice((((x1, "zz1"),), ((x2, "zz2"),), ((x1, "zz1"), (x2, "zz2")))):
+            x.insert(rng.randint(0, len(x)), (Interval(1, 2, CLOSED, OPEN), label))
+    if rng.random() < 0.4:
+        n = len(x1)
+        mapped = _remap(rng, x1 + x2, (2, 3, 5, 7, 8, 12))
+        shift = F(rng.randint(5, 40), rng.choice((3, 7, 11)))
+        mapped = [(Interval(j.u - shift, j.v - shift, j.p, j.q), m) for j, m in mapped]
+        x1, x2 = mapped[:n], mapped[n:]
+    return x1, x2
+
+
+def test_config_eq_and_keys_match_the_fraction_paths(carrier, monkeypatch):
+    # 500 seeded pairs per carrier: the keys and scale of _endpoint_keys
+    # and _keys_over equal those of the two-read keying, and config_eq by
+    # normal form gives the verdict, or raises the error from the same
+    # side, that comparing two labeled_normalize results gives
+    sides = []
+    normal_form = labeled._normal_form
+
+    def counting(keyed, pam, scale):
+        sides.append(None)
+        return normal_form(keyed, pam, scale)
+
+    monkeypatch.setattr(labeled, "_normal_form", counting)
+    rng = random.Random("config-eq-keys-" + carrier.name)
+    seen = dict.fromkeys(("equal", "distinct", "raised", "raised on side 2", "mixed below zero"), 0)
+    for _ in range(500):
+        x1, x2 = _eq_pair(rng, carrier)
+        pieces = x1 + x2
+        scale, keyed = labeled._endpoint_keys(pieces)
+        assert (scale, keyed) == oracle_endpoint_keys(pieces), pieces
+        assert labeled._keys_over(x1, 6 * scale) == oracle_keys_over(x1, 6 * scale), x1
+        del sides[:]
+        fast = _outcome(config_eq, x1, x2, carrier)
+        if fast[0] == "raised":
+            fast = ("raised", len(sides)) + fast[1:]
+        want = oracle_eq_outcome(x1, x2, carrier)
+        assert fast == want, (carrier.name, x1, x2)
+        ends = [x for j, _ in pieces for x in (j.u, j.v)]
+        seen["mixed below zero"] += len({x.denominator for x in ends}) > 1 and min(ends, default=0) < 0
+        if want[0] == "raised":
+            seen["raised"] += 1
+            seen["raised on side 2"] += want[1] == 2
+        else:
+            seen["equal" if want[1] is EqVerdict.EQUAL else "distinct"] += 1
+    assert seen["mixed below zero"] >= 150 and seen["raised"] >= 25, seen
+    assert min(seen.values()) >= 20, seen
+
+
+def test_config_eq_by_normal_form_builds_no_interval(m3, monkeypatch):
+    # the 20 pieces of the chain, each unpasted into 20 parts: config_eq
+    # keys both sides once and compares keys, so neither Interval
+    # constructor runs, the one the pastes use included
+    source = _cut_chain(10, parts=1)
+    noisy = _cut_chain(10, parts=20)
+    random.Random(400).shuffle(noisy)
+    built = _count_interval_builds(monkeypatch)
+    assert config_eq(noisy, source, m3) == EqVerdict.EQUAL
+    assert config_eq(noisy, source[1:], m3) == EqVerdict.DISTINCT
+    assert (len(noisy), len(built)) == (400, 0)
+
+
+def test_a_trusted_interval_is_the_checked_one():
+    for u, v, p, q in (
+        (F(1, 3), F(5, 2), CLOSED, OPEN),
+        (F(-7, 4), F(-7, 4), OPEN, CLOSED),
+        (F(0), F(3), OPEN, OPEN),
+        (F(-9, 2), F(-1, 6), CLOSED, CLOSED),
+    ):
+        trusted, checked = Interval._trusted(u, v, p, q), Interval(u, v, p, q)
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert (repr(trusted), fmt_interval(trusted)) == (repr(checked), fmt_interval(checked))
+        with pytest.raises(FrozenInstanceError):
+            trusted.u = F(0)
+
+
+def test_the_public_interval_keeps_its_checks():
+    for args, text in (
+        ((0, 1, 0, OPEN), "parities must be +1 (closed) or -1 (open)"),
+        ((0, 1, CLOSED, 2), "parities must be +1 (closed) or -1 (open)"),
+        ((2, 1, CLOSED, OPEN), "interval endpoints out of order: 2 > 1"),
+        ((F(1, 2), F(1, 2), OPEN, OPEN), "degenerate interval requires opposite parities"),
+    ):
+        with pytest.raises(ValueError) as info:
+            Interval(*args)
+        assert str(info.value) == text
