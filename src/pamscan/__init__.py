@@ -19,7 +19,6 @@ from .tensor import (
     BASEPOINT,
     BMElement,
     CircleCarrier,
-    ConfigCarrier,
     EqVerdict,
     TrivialCarrier,
     bm_canon,
@@ -80,7 +79,7 @@ __all__ = [
     "UNIT", "DomainError", "FinitePam", "PamError", "validate_pam",
     "CLOSED", "OPEN", "IncompatibleConfig", "Interval", "clip_interval",
     "interval_leq", "is_chain", "is_compatible", "merge_summable", "normalize_config",
-    "BASEPOINT", "BMElement", "CircleCarrier", "ConfigCarrier", "EqVerdict",
+    "BASEPOINT", "BMElement", "CircleCarrier", "EqVerdict",
     "TrivialCarrier", "bm_canon", "in_T",
     "norm_circle",
     "AdmissibilityReport", "DecompResult", "DecomposeError", "Elem1",

@@ -11,14 +11,12 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import accumulate, count
+from itertools import accumulate, count, groupby
 from math import gcd, inf, lcm
 
 from .pam import UNIT, DomainError
-from .intervals import CLOSED, OPEN, Interval, _frac, _positive, clip_interval, is_compatible
-from .tensor import ConfigCarrier, EqVerdict, PamCarrier, _bidirectional_search, in_T
-
-_CONFIGS = ConfigCarrier()
+from .intervals import CLOSED, OPEN, Interval, _frac, _positive, clip_interval
+from .tensor import EqVerdict, _bidirectional_search, _minimal_unsummable
 
 
 class DecomposeError(DomainError):
@@ -40,19 +38,18 @@ def lc_sorted(pairs):
 def in_T_labeled(xi, pam, witness=False):
     """Tensor membership of a labeled configuration.
 
-    A compatible interval multiset short-circuits to True: all of its
-    sub-multisets are compatible, so neither direction of the tensor
-    condition has anything to force.  A witness is on the "first" side:
-    a failing clique of pairwise insummable labels has two overlapping
-    pieces, and those fail first on the interval side.
+    The labels are checked in input order and ``_tensor_sweep`` decides on
+    the sorted keys; its witness, on the "first" side, names indices of xi.
     """
     xi = list(xi)
     for _, m in xi:
         pam.check_element(m)
-    if is_compatible([j for j, _ in xi]):
-        return (True, None) if witness else True
-    pairs = [((j,), m) for j, m in xi]
-    return in_T(_CONFIGS, PamCarrier(pam), pairs, witness=witness)
+    _, keyed = _endpoint_keys(xi)
+    order = sorted(range(len(keyed)), key=lambda i: keyed[i][0])
+    bad = _tensor_sweep([keyed[i] for i in order], pam)
+    if not witness:
+        return bad is None
+    return (True, None) if bad is None else (False, ("first", sorted(order[k] for k in bad)))
 
 
 def _endpoint_keys(pieces):
@@ -143,9 +140,10 @@ def labeled_normalize(xi, pam):
 def _normal_form(keyed, pam, scale):
     """``_normal_keys`` of (key, label, interval) triples given in input order.
 
-    Checks the labels in input order first, then sorts ``keyed`` in place.
+    Checks each distinct label once, in input order, so the first unknown
+    label raises, then sorts ``keyed`` in place.
     """
-    for _, m, _ in keyed:
+    for m in dict.fromkeys(m for _, m, _ in keyed):
         pam.check_element(m)
     keyed.sort()
     return _normal_keys(keyed, pam, scale)
@@ -455,22 +453,23 @@ def _rewrite_keys(node, pam, cuts, scale):
 
     ``node`` is (e, items), sorted ((u, v, p, q), label) keys over
     scale * 2**e with e canonical (see ``config_eq``), and ``cuts`` are
-    sorted integers over ``scale``.  Membership in T is checked once, on
-    Intervals built from the node's keys; a node outside T checks each
+    sorted integers over ``scale``.  Membership in T is checked once, by
+    ``_tensor_sweep`` on the node's keys; a node outside T checks each
     candidate too (see ``labeled_rewrite_neighbors``).  Each
     candidate is the node's sorted rest with at most two keys inserted,
     doubled for an odd midpoint and halved by ``_halved`` when a paste or
     drop removes an odd endpoint.
     """
     e, items = node
-    pieces = [(_interval(key, scale << e), m) for key, m in items]
-    # Membership reads the labels in order; reading items[0] last names,
-    # of two unknown labels, the one a per-candidate check meets first.
-    inside = in_T_labeled(pieces[1:] + pieces[:1], pam)
+    # Reading items[0] last names, of two unknown labels, the one a check
+    # of the first candidate would meet first.
+    for _, m in items[1:] + items[:1]:
+        pam.check_element(m)
+    inside = _tensor_sweep(items, pam) is None
     out = set()
 
     def admit(e, cand):
-        if inside or in_T_labeled([(_interval(key, scale << e), m) for key, m in cand], pam):
+        if inside or _tensor_sweep(cand, pam) is None:
             out.add((e, cand))
 
     doubled = None
@@ -797,8 +796,8 @@ def _decompose_keys(keyed, scale, lo, hi, pam):
     the window is in the tensor region: the two pieces of a cut pair chain
     (kl ends before kr starts), so a clique of overlapping pieces holds at
     most one of them, and its labels, a part of the summed tuple, sum.  The
-    label side then holds too (see ``in_T_labeled``).  So only a failing
-    read builds Intervals and runs ``in_T_labeled``, whose error wins.
+    label side then holds too, by the proof of ``_tensor_sweep``.  So only
+    a failing read runs the sweep, and a tensor failure's error wins.
     """
     w = _normal_keys(keyed, pam, scale)
     items, lefts, rights = [], [], []
@@ -835,11 +834,10 @@ def _decompose_keys(keyed, scale, lo, hi, pam):
 
 def _read_error(w, scale, lo, hi, pam, reason):
     """The DecomposeError of a failing read of ``w``; a tensor failure wins."""
-    pieces = [(_interval(key, scale), m) for key, m, _ in w]
-    ok, wit = in_T_labeled(pieces, pam, witness=True)
-    if not ok:
-        js, ms = zip(*(pieces[i] for i in wit[1]))
-        reason = "pieces %r collide but their labels %r are not jointly summable" % (list(js), list(ms))
+    bad = _tensor_sweep(w, pam)
+    if bad is not None:
+        js = [_interval(w[i][0], scale) for i in bad]
+        reason = "pieces %r collide but their labels %r are not jointly summable" % (js, [w[i][1] for i in bad])
     window = Fraction(lo, scale), Fraction(hi, scale)
     return DecomposeError("window (%s, %s): %s" % (*window, reason), window)
 
@@ -1041,16 +1039,79 @@ def _is_chain(items):
     return True
 
 
+def _tensor_sweep(items, pam):
+    """None when sorted ``items``, each led by its key, are in the tensor region T.
+
+    Otherwise a witness: ascending positions of pairwise conflicting pieces
+    whose labels do not sum, though those of every proper part do.  Labels
+    must be checked already.  A chain (``_is_chain``) is in T; else, skipping
+    degenerate keys, at each endpoint x in increasing order let TH be the
+    pieces with u < x < v, E_c and E_o those ending at x closed or open, and
+    S_c and S_o those starting there closed or open.  The witness is
+    ``_minimal_unsummable`` of the first of TH+E_c+E_o, TH+S_c+S_o,
+    TH+E_c+S_c and TH+E_o+S_o whose labels do not sum.
+
+    T asks that the labels of every clique of conflicting pieces sum, and
+    that the pieces of every clique of insummable labels chain.  A
+    degenerate piece reduces to none (``normalize_config``), so it is in no
+    clique of pieces; two others conflict when neither precedes the other
+    (``interval_leq``).  Let x be the largest left end of a clique K.  Each
+    piece of K conflicts with one starting at x, so lies in TH, E or S at x.
+    Pieces of TH+E, or of TH+S, share an open interval next to x; one
+    ending and one starting at x conflict exactly when their parities there
+    agree, as ``interval_leq`` refuses a closed-closed or open-open touch.
+    So the four sets are cliques, and K lies in TH+E, in TH+S, or in the set
+    of the parity its pieces of E and S share: as a part of a summable tuple
+    sums, the interval side holds exactly when the four sets sum.  Pieces
+    that do not chain hold a conflicting pair (the first sorted pair out of
+    precedence; only degenerate pieces precede backwards), so a failing
+    clique of labels fails on the interval side too, which decides T alone.
+
+    TH+E_c+E_o, the cell before x, was summed as TH+S_c+S_o one endpoint
+    before; TH+S_c+S_o is TH, a part of that cell, when nothing starts at
+    x; TH+E_c+S_c is a part of a cell unless E_c and S_c both hold a piece,
+    as TH+E_o+S_o is unless E_o and S_o do.  Only the sets left are summed,
+    so the first failing set is the one the full order finds.  Sorting the
+    2n ends costs O(n log n), plus at most three sums per endpoint.
+    """
+    if _is_chain(items):
+        return None
+    ends = []
+    for i, item in enumerate(items):
+        u, v, p, q = item[0]
+        if u < v:
+            ends += ((u, 1, p, i), (v, 0, q, i))
+    ends.sort()
+
+    def sums(indices):
+        return pam.sum_tuple([items[i][1] for i in indices])
+
+    through = {}
+    for _, group in groupby(ends, lambda end: end[0]):
+        at = {(side, parity): [] for side in (0, 1) for parity in (CLOSED, OPEN)}
+        for _, side, parity, i in group:
+            at[side, parity].append(i)
+        ec, eo, sc, so = at[0, CLOSED], at[0, OPEN], at[1, CLOSED], at[1, OPEN]
+        for i in ec + eo:
+            del through[i]
+        for part, summed in ((sc + so, sc or so), (ec + sc, ec and sc), (eo + so, eo and so)):
+            clique = [*through, *part]
+            if summed and len(clique) > 1 and sums(clique) is None:
+                return _minimal_unsummable(sums, sorted(clique))
+        through.update(dict.fromkeys(sc + so))
+    return None
+
+
 def is_admissible(xi, eps, support, pam):
     """Admissibility: tensor membership, decomposable windows, support.
 
     Returns an AdmissibilityReport; failures carry a reason instead of
     raising.  One WindowIndex serves all three checks.  The labels are
-    checked once, by the index; its keys are in ``lc_sorted`` order, so they
-    chain exactly when the intervals are compatible, and only an input
-    whose keys do not chain goes to ``in_T_labeled`` for its verdict and
-    witness.  The windows are swept on the keys, one read per window
-    content (see ``_reads``), and the support check clips on them too.
+    checked once, by the index, and ``_tensor_sweep`` decides tensor
+    membership on its keys; they are in ``lc_sorted`` order, so a witness
+    names positions in ``windows.pieces``.  The windows are swept on the
+    keys, one read per window content (see ``_reads``), and the support
+    check clips on them too.
     ``restrict`` to the inner window keeps the configuration exactly when
     every piece clips to itself, and ``WindowIndex.clip`` clips as
     ``clip_interval`` does, so the support holds exactly when the clipped
@@ -1061,10 +1122,9 @@ def is_admissible(xi, eps, support, pam):
     if b - a <= eps:
         raise DomainError("support window must be wider than eps")
     windows = WindowIndex(xi, pam)
-    if not _is_chain(windows._keys):
-        ok, wit = in_T_labeled(windows.pieces, pam, witness=True)
-        if not ok:
-            return AdmissibilityReport(False, "not in the tensor region: %r" % (wit,))
+    bad = _tensor_sweep(windows._keys, pam)
+    if bad is not None:
+        return AdmissibilityReport(False, "not in the tensor region: %r" % (("first", bad),))
     k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, eps)
     try:
         # Every window must decompose: a read checks first fit with one

@@ -12,12 +12,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 
 from .pam import UNIT, DomainError, FinitePam, PamError
-from .intervals import (
-    IncompatibleConfig, Interval, _frac, interval_leq, merge_summable, normalize_config,
-)
+from .intervals import _frac
 
 # Nodes a rewrite search (``labeled.config_eq``) may see, both sides
 # together, before it answers UNKNOWN.
@@ -103,72 +100,12 @@ class CircleCarrier(_BasedSet):
         return norm_circle(t)
 
 
-class ConfigCarrier:
-    """Reduced interval configurations under the merge partial sum."""
-
-    @staticmethod
-    def _reduce(c):
-        if isinstance(c, Interval):
-            c = (c,)
-        return normalize_config(c)
-
-    def pair_sum(self, c1, c2):
-        return merge_summable(self._reduce(c1), self._reduce(c2))
-
-    def tuple_sum(self, cs):
-        pieces = []
-        for c in cs:
-            pieces.extend(self._reduce(c))
-        try:
-            return normalize_config(pieces)
-        except IncompatibleConfig:
-            return None
-
-
 def _insummable_masks(carrier, xs):
     """Bitmask per index: which partners are insummable with it.
 
-    The masks a test of every pair gives; ``in_T`` says why each way of
-    building them is exact.
-    """
-    if len(xs) < 2:
-        return [0] * len(xs)
-    if isinstance(carrier, ConfigCarrier):
-        return _overlap_masks([carrier._reduce(c) for c in xs])
-    return _twin_masks(carrier, xs)
-
-
-def _overlap_masks(reduced):
-    """Insummability masks of reduced configurations, by a sweep over hulls.
-
-    Two configurations whose hull closures are disjoint chain, so only the
-    pairs still open when a hull starts are tested.  A degenerate piece
-    reduces to () and sums with everything.
-    """
-    masks = [0] * len(reduced)
-    open_ends = []
-    open_now = {}
-    for lo, i in sorted((c[0].u, i) for i, c in enumerate(reduced) if c):
-        while open_ends and open_ends[0][0] < lo:
-            del open_now[heappop(open_ends)[1]]
-        c = reduced[i]
-        for k, d in open_now.items():
-            if len(c) == len(d) == 1:
-                clash = not (interval_leq(c[0], d[0]) or interval_leq(d[0], c[0]))
-            else:
-                clash = merge_summable(c, d) is None
-            if clash:
-                masks[i] |= 1 << k
-                masks[k] |= 1 << i
-        open_now[i] = c
-        heappush(open_ends, (c[-1].v, i))
-    return masks
-
-
-def _twin_masks(carrier, xs):
-    """Insummability masks by value: one ``pair_sum`` per pair of values.
-
-    A value is summed with itself only when it occurs twice.
+    The masks a test of every pair gives, made by value: one ``pair_sum``
+    per pair of values, and a value is summed with itself only when it
+    occurs twice.  ``in_T`` says why that is exact.
     """
     groups = {}
     for i, x in enumerate(xs):
@@ -196,14 +133,13 @@ def in_T(c1, c2, pairs, witness=False):
     maximal cliques are summed.  The witness is (side, indices): an
     inclusion-minimal failing clique inside the first failing maximal one.
 
-    The graph is the one a test of every pair gives, built in near-linear
-    time when few coordinates collide.  Two reduced configurations whose
-    hull closures are disjoint chain, so the sweep over hulls tests only
-    pairs whose closures meet.  A label, circle or trivial sum depends only
-    on the two values, so equal coordinates are twins and one sum per pair
-    of values decides every edge between them.  The pivot scan stops at the
-    first vertex no later vertex can beat, which is the vertex ``max``
-    returns, so the cliques and the witness come out in the same order.
+    The graph is the one a test of every pair gives.  A label, circle or
+    trivial sum depends only on the two values, so equal coordinates are
+    twins and one sum per pair of values decides every edge between them.
+    The pivot scan stops at the first vertex no later vertex can beat,
+    which is the vertex ``max`` returns, so the cliques and the witness
+    come out in the same order.  Labeled interval configurations are
+    decided by ``in_T_labeled`` instead, in one sweep over their endpoints.
     """
     pairs = list(pairs)
     for k, side, ca, cb in ((0, "first", c1, c2), (1, "second", c2, c1)):

@@ -5,11 +5,27 @@ generator is correct by construction: cluster contents are summable
 window-locally, clusters sit farther apart than a window spans, and the
 support leaves a margin beyond the thickening.  All generators are driven
 by a caller-owned random.Random so failures replay from the seed.
+``ConfigCarrier`` and ``small_tables`` are a shared oracle carrier and the
+valid small carriers the randomized suites draw from.
 """
 
+import functools
+import itertools
 from fractions import Fraction
 
-from pamscan import CLOSED, OPEN, UNIT, FinitePam, Interval, lc_sorted, mirror_config
+from pamscan import (
+    CLOSED,
+    OPEN,
+    UNIT,
+    FinitePam,
+    IncompatibleConfig,
+    Interval,
+    PamError,
+    lc_sorted,
+    merge_summable,
+    mirror_config,
+    normalize_config,
+)
 
 E = Fraction(1, 8)
 HALF_OPEN = ((OPEN, CLOSED), (CLOSED, OPEN))
@@ -40,6 +56,52 @@ def truncated_pam(n):
             if i + k <= n
         },
     )
+
+
+class ConfigCarrier:
+    """Reduced interval configurations under the merge partial sum.
+
+    The oracle of the sweep ``in_T_labeled`` runs: ``in_T`` on this carrier
+    and ``PamCarrier`` decides a labeled configuration by the cliques of its
+    insummability graph.  A bare Interval is read as a one-piece
+    configuration, and a degenerate piece reduces to ().
+    """
+
+    @staticmethod
+    def _reduce(c):
+        if isinstance(c, Interval):
+            c = (c,)
+        return normalize_config(c)
+
+    def pair_sum(self, c1, c2):
+        return merge_summable(self._reduce(c1), self._reduce(c2))
+
+    def tuple_sum(self, cs):
+        pieces = []
+        for c in cs:
+            pieces.extend(self._reduce(c))
+        try:
+            return normalize_config(pieces)
+        except IncompatibleConfig:
+            return None
+
+
+@functools.cache
+def small_tables():
+    """Every valid carrier on the three nonzero elements a, b, c: 255 tables.
+
+    The enumeration of ``test_pam_scan``: each unordered pair of nonzero
+    elements sums to nothing, to 0 or to one of a, b, c.
+    """
+    ids = ("a", "b", "c")
+    pairs = list(itertools.combinations_with_replacement(ids, 2))
+    tables = []
+    for values in itertools.product((None, UNIT) + ids, repeat=len(pairs)):
+        try:
+            tables.append(FinitePam("T", (UNIT,) + ids, {p: v for p, v in zip(pairs, values) if v is not None}))
+        except PamError:
+            pass
+    return tuple(tables)
 
 
 def odd_primes(n):

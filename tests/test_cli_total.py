@@ -162,6 +162,10 @@ CASES = [
     (0, ["config", "admissible", "--pam", "{m3}", "--support=-3,100", SEVENTEEN], "admissible\n", None),
     (0, ["config", "admissible", "--pam", "{m3}", "--eps", "1", "--support", "0,5", "(1,3]:a"], "admissible\n", None),
     (1, ["config", "admissible", "--pam", "{z5}", "--eps", "1/2", "--support=-2,3", FAN], FAN_VERDICT, None),
+    # the first set of overlapping pieces that fails to sum is at 3/2,
+    # where (3/2,4):c starts inside (0,5/2]:a
+    (1, ["config", "admissible", "--pam", "{m3}", "--eps", "1", "--support=-2,8", "(0,5/2]:a (3/2,4):c (3,4):a"],
+     "not admissible: not in the tensor region: ('first', [0, 1])\n", None),
     (1, ["config", "admissible", "--pam", "{m3}", "--support", "0,3", "[1,2]:a"], None, None),
     (3, ["config", "admissible", "--pam", "{m3}", "--eps", "0", "--support=-3,5", "[0,1]:a"], None,
      "error: eps must be positive\n"),

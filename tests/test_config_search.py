@@ -297,7 +297,7 @@ def _count_calls(monkeypatch, name):
 def test_membership_is_checked_once_per_node(monkeypatch):
     xi = parse_config("[0,2):a [1,3):b", M3)
     assert in_T_labeled(xi, M3)
-    checks = _count_calls(monkeypatch, "in_T_labeled")
+    checks = _count_calls(monkeypatch, "_tensor_sweep")
     assert labeled_rewrite_neighbors(xi, M3)
     assert len(checks) == 1
     # outside T, every candidate is checked as well

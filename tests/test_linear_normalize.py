@@ -25,6 +25,7 @@ from pamscan import (
     CLOSED,
     OPEN,
     DomainError,
+    FinitePam,
     IncompatibleConfig,
     Interval,
     config_eq,
@@ -855,3 +856,29 @@ def test_the_public_interval_keeps_its_checks():
         with pytest.raises(ValueError) as info:
             Interval(*args)
         assert str(info.value) == text
+
+
+def test_each_distinct_label_is_checked_once(m3, monkeypatch):
+    # 400 pieces that chain, over four labels with no two equal ones
+    # touching, paste and merge nothing, so the only checks are the normal
+    # form's own: one per distinct label, in input order
+    calls = []
+    check = FinitePam.check_element
+
+    def counting(self, x):
+        calls.append(x)
+        return check(self, x)
+
+    monkeypatch.setattr(FinitePam, "check_element", counting)
+    labels = ["c", "0", "b", "a"]
+    xi = [(Interval(k, k + 1, CLOSED, OPEN), labels[k % 7 % 4]) for k in range(400)]
+    nf = labeled_normalize(xi, m3)
+    assert len(nf) == 286 and calls == labels
+    calls.clear()
+    assert config_eq(xi, nf, m3) == EqVerdict.EQUAL
+    assert calls == labels + ["c", "b", "a"]
+    # the first unknown label in input order still raises, on either path
+    bad = xi[:5] + [(Interval(500, 501, CLOSED, OPEN), "zz"), (Interval(-2, -1, CLOSED, OPEN), "yy")] + xi
+    for run in (lambda: labeled_normalize(bad, m3), lambda: config_eq(xi, bad, m3)):
+        with pytest.raises(DomainError, match="^unknown element 'zz' of pam 'M3'$"):
+            run()

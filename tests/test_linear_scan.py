@@ -860,8 +860,9 @@ def test_scan_reads_neither_count_nor_check_the_tensor(m3, monkeypatch):
     # a read is first fit and one sum.  On the pair chain with its crossing
     # pair, and again with two overlapping pieces of summable labels after
     # it, no trace, evaluation or admissibility read counts matchings or
-    # runs in_T; is_admissible runs in_T once on a configuration that
-    # overlaps, for its own check of the whole
+    # runs the tensor sweep; is_admissible runs the sweep once, for its own
+    # check of the whole, which only the overlapping configuration takes
+    # past the chain test, and in_T never
     xi, s = _pair_chain(8)
     xi += parse_config("[57,117/2):a [59,61):b", m3)
     s += 7
@@ -877,15 +878,21 @@ def test_scan_reads_neither_count_nor_check_the_tensor(m3, monkeypatch):
 
     count = labeled._count_matchings
     monkeypatch.setattr(labeled, "_count_matchings", counted("count", count))
-    for module in (labeled, tensor):
-        monkeypatch.setattr(module, "in_T", counted("in_T", tensor.in_T))
-    for config, length, whole in ((xi, s, []), (xi + list(duo), s + 4, ["in_T"])):
+    sweep = labeled._tensor_sweep
+
+    def sweeping(items, pam):
+        calls.append(("sweep", labeled._is_chain(items)))
+        return sweep(items, pam)
+
+    monkeypatch.setattr(labeled, "_tensor_sweep", sweeping)
+    monkeypatch.setattr(tensor, "in_T", counted("in_T", tensor.in_T))
+    for config, length, chain in ((xi, s, True), (xi + list(duo), s + 4, False)):
         alpha_trace(config, length, m3)
         for u in range(int(length) + 1):
             alpha_eval(config, u + F(1, 3), m3)
         assert calls == []
         assert is_admissible(config, 1, (0, length), m3)
-        assert calls == whole
+        assert calls == [("sweep", chain)]
         del calls[:]
         # decompose_window still counts, once per result
         for t in range(int(length) + 1):

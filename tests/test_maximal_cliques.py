@@ -7,22 +7,26 @@ sums only the maximal cliques.  Summability passes to parts in every
 carrier, so the decisions must agree everywhere; the witnesses may differ,
 but each must be a failing clique all of whose proper parts sum.
 
+Labeled configurations are decided by the endpoint sweep of
+``in_T_labeled``, with ``in_T`` on the test ``ConfigCarrier`` and the
+all-cliques scan as its oracles.
+
 The graph itself has an oracle too: ``pairwise_masks`` tests every pair,
-as the library did before it swept hulls and grouped equal values, and
+as the library did before it grouped equal values, and
 ``max_pivot_cliques`` scans every vertex for its pivot.  With both, the
 library's masks, clique order and witnesses must come out unchanged.
 """
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from pamscan import CLOSED, OPEN, Interval, in_T_labeled, is_compatible, tensor
+from pamscan import CLOSED, OPEN, FinitePam, Interval, in_T_labeled, is_compatible
 from pamscan.tensor import (
     CircleCarrier,
-    ConfigCarrier,
     PamCarrier,
     TrivialCarrier,
     _bits,
@@ -31,8 +35,9 @@ from pamscan.tensor import (
     _minimal_unsummable,
     in_T,
 )
+from pamscan.dsl import parse_config
 
-from genutil import cyclic_pam, truncated_pam
+from genutil import ConfigCarrier, cyclic_pam, small_tables, truncated_pam
 
 
 def pairwise_masks(carrier, xs):
@@ -201,6 +206,76 @@ def test_circle_carrier_draws(carrier):
     assert _some_rejected(rejected, 600, carrier)
 
 
+def _failing_cliques(xi, pam):
+    """Every set of two or more pairwise conflicting pieces whose labels do not sum."""
+    cc = ConfigCarrier()
+    n = len(xi)
+    clash = {
+        (i, k) for i, k in itertools.combinations(range(n), 2) if cc.pair_sum(xi[i][0], xi[k][0]) is None
+    }
+    return [
+        c
+        for r in range(2, n + 1)
+        for c in itertools.combinations(range(n), r)
+        if all(pair in clash for pair in itertools.combinations(c, 2))
+        and pam.sum_tuple([xi[i][1] for i in c]) is None
+    ]
+
+
+def test_sweep_matches_the_all_cliques_oracle(m3, z2):
+    # 8,000 draws of 1-7 pieces, degenerate points and zero labels among
+    # them, over M3, Z2, Z/5, {0..6} and the 255 valid three-element tables
+    rng = random.Random("sweep")
+    named = [m3, z2, cyclic_pam(5), truncated_pam(6)]
+    tables = small_tables()
+    tally = Counter()
+    for n in range(8000):
+        pam = named[n % 5] if n % 5 < 4 else rng.choice(tables)
+        xi = [(_rand_interval(rng), rng.choice(pam.elements)) for _ in range(rng.randint(1, 7))]
+        ok, wit = in_T_labeled(xi, pam, witness=True)
+        assert ok == oracle_in_T(ConfigCarrier(), PamCarrier(pam), [((j,), m) for j, m in xi]), xi
+        assert in_T_labeled(xi, pam) == ok
+        tally[pam.name, ok] += 1
+        if ok:
+            assert wit is None
+            continue
+        side, idx = wit
+        assert side == "first" and idx == sorted(set(idx)), (xi, wit)
+        failing = _failing_cliques(xi, pam)
+        # pairwise conflicting and unsummable, and every part one piece
+        # smaller sums, so every proper part does
+        assert tuple(idx) in failing, (xi, wit)
+        labels = [xi[i][1] for i in idx]
+        assert all(pam.sum_tuple(part) is not None for part in itertools.combinations(labels, len(labels) - 1))
+        # leftmost: no failing clique has all its left ends before the witness's last one
+        assert max(xi[i][0].u for i in idx) == min(max(xi[i][0].u for i in c) for c in failing), (xi, wit)
+    # over the groups Z2 and Z/5 every label sum exists
+    for name in ("M3", "T6", "T"):
+        assert min(tally[name, True], tally[name, False]) >= 200, tally
+    assert tally["Z2", True] == tally["Z5", True] == 1600, tally
+
+
+def test_sweep_pinned_cases(m3):
+    def pieces(text):
+        return parse_config(text, m3)
+
+    # two open ends or two closed ends refuse to touch; a closed and an open one chain
+    for text in ("(0,1):a (1,2):a", "[0,1]:a [1,2]:a", "[0,2):a [1,3):a"):
+        assert in_T_labeled(pieces(text), m3, witness=True) == (False, ("first", [0, 1])), text
+    assert in_T_labeled(pieces("[0,1):a [1,2):a"), m3)
+    # a degenerate point conflicts with nothing, and a zero label sums with any
+    point = [(Interval(1, 1, CLOSED, OPEN), "a"), (Interval(1, 1, OPEN, CLOSED), "a")]
+    assert in_T_labeled(pieces("[0,2):a") + tuple(point), m3)
+    assert in_T_labeled(pieces("[0,2):a [1,3):0"), m3)
+    # the first set that fails is at the leftmost endpoint, 3/2, where (3/2,4):c starts
+    assert in_T_labeled(pieces("(0,5/2]:a (3/2,4):c (3,4):a"), m3, witness=True) == (False, ("first", [0, 1]))
+    # the witness names input indices
+    assert in_T_labeled(pieces("[2,3):b") + pieces("[0,2):a [1,3):a"), m3, witness=True) == (
+        False,
+        ("first", [1, 2]),
+    )
+
+
 def _random_graph(rng, n, density):
     """Edges and adjacency bitmasks of a random graph on n vertices."""
     edges = {e for e in itertools.combinations(range(n), 2) if rng.random() < density}
@@ -237,18 +312,22 @@ def _crowd(pam, labels):
 
 @pytest.fixture
 def tuple_sums(monkeypatch):
+    """The length of every tuple a pam sums, in call order."""
     calls = []
-    for cls in (PamCarrier, ConfigCarrier):
-        def counting(self, xs, _sum=cls.tuple_sum):
-            calls.append(len(xs))
-            return _sum(self, xs)
+    real = FinitePam.sum_tuple
 
-        monkeypatch.setattr(cls, "tuple_sum", counting)
+    def counting(self, xs):
+        xs = tuple(xs)
+        calls.append(len(xs))
+        return real(self, xs)
+
+    monkeypatch.setattr(FinitePam, "sum_tuple", counting)
     return calls
 
 
 def test_forty_colliding_pieces_take_one_sum(tuple_sums):
-    # the all-cliques scan would sum 2^40 - 41 cliques here
+    # the all-cliques scan would sum 2^40 - 41 cliques here; the sweep
+    # sums once at each left end, and not at all where pieces only end
     z5 = cyclic_pam(5)
     assert in_T_labeled(_crowd(z5, ["g1", "g2", "g3", "g4"] * 10), z5)
     assert len(tuple_sums) <= 40
@@ -308,30 +387,15 @@ def _two_collide(n):
     return xi + [(Interval(4 + 2 * k, 5 + 2 * k, CLOSED, OPEN), "a") for k in range(n)]
 
 
-def test_two_colliding_pieces_take_constant_pair_tests(m3, monkeypatch):
-    # the pairwise loop makes (n+2)(n+1)/2 pair sums on each side
-    calls = []
-
-    def counting(name, f):
-        def wrapped(*args):
-            calls.append(name)
-            return f(*args)
-
-        return wrapped
-
-    monkeypatch.setattr(tensor, "interval_leq", counting("leq", tensor.interval_leq))
-    monkeypatch.setattr(tensor, "merge_summable", counting("merge", tensor.merge_summable))
-    for cls in (PamCarrier, ConfigCarrier):
-        monkeypatch.setattr(cls, "pair_sum", counting("pair", cls.pair_sum))
+def test_two_colliding_pieces_take_constant_pair_tests(m3, tuple_sums):
+    # a pairwise loop makes (n+2)(n+1)/2 pair tests, and a sweep that sums
+    # every endpoint's sets n sums; the sweep sums only where two pieces meet
     counts = []
     for n in (256, 512):
-        calls.clear()
+        tuple_sums.clear()
         assert in_T_labeled(_two_collide(n), m3)
-        counts.append({name: calls.count(name) for name in ("leq", "merge", "pair")})
-    small, large = counts
-    assert small["leq"] >= 1 and small["pair"] >= 1, small
-    for name in small:
-        assert large[name] <= 2.5 * max(small[name], 1), counts
+        counts.append(len(tuple_sums))
+    assert counts[0] >= 1 and counts[1] == counts[0], counts
 
 
 class _CountingMasks(list):
