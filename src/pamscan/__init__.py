@@ -2,7 +2,7 @@
 abelian monoid, with the scanning map into circle sums and the fiber
 machinery around it."""
 
-from .pam import UNIT, DomainError, FinitePam, PamError, validate_pam
+from .pam import UNIT, DomainError, FinitePam, PamError, UndecidedError, validate_pam
 from .intervals import (
     CLOSED,
     OPEN,
@@ -76,7 +76,7 @@ from .fibers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "UNIT", "DomainError", "FinitePam", "PamError", "validate_pam",
+    "UNIT", "DomainError", "FinitePam", "PamError", "UndecidedError", "validate_pam",
     "CLOSED", "OPEN", "IncompatibleConfig", "Interval", "clip_interval",
     "interval_leq", "is_chain", "is_compatible", "merge_summable", "normalize_config",
     "BASEPOINT", "BMElement", "CircleCarrier", "EqVerdict",

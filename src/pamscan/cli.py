@@ -43,7 +43,7 @@ from .labeled import (
     mirror_config,
     positive_part,
 )
-from .pam import DomainError, PamError
+from .pam import DomainError, PamError, UndecidedError
 from .scanning import TraceError, alpha_eval, alpha_trace
 from .svg import bm_svg, config_svg, loop_svg
 from .tensor import EqVerdict, bm_canon
@@ -321,6 +321,9 @@ def main(argv=None):
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return EXIT_PARSE
+    except UndecidedError as e:
+        print("undecided: %s" % e, file=sys.stderr)
+        return EXIT_UNKNOWN
     except (PamError, DomainError, IncompatibleConfig, TraceError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_DOMAIN

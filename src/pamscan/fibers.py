@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .pam import UNIT, DomainError
+from .pam import UNIT, DomainError, UndecidedError
 from .intervals import CLOSED, OPEN, Interval, _frac, _positive
 from .labeled import (
     _mirror_split,
@@ -321,7 +321,8 @@ def retract_r(eta, z, pam):
     Members already in the standard pattern are returned unchanged, which
     makes the map a genuine retraction.  Otherwise central and near content
     is fixed while everything else is pushed outward until the wide window
-    shows only the standard shape.
+    shows only the standard shape.  A member still outside the standard
+    pattern after ``RETRACT_ROUNDS`` rounds raises UndecidedError.
     """
     half = Fraction(1, 2)
     current = labeled_normalize(eta, pam)
@@ -344,7 +345,10 @@ def retract_r(eta, z, pam):
             if nj is not None:
                 mapped.append((nj, m))
         current = labeled_normalize(mapped, pam)
-    raise DomainError("retraction did not stabilize onto the standard pattern")
+    raise UndecidedError(
+        "the round bound RETRACT_ROUNDS = %d ran out before the retraction "
+        "stabilized onto the standard pattern" % RETRACT_ROUNDS
+    )
 
 
 def glue_g(eta, alpha, z, pam):

@@ -947,8 +947,9 @@ def _reads(windows, k, e, centres, pam):
     the endpoints x, and t is read exactly when its state differs from the
     state of the centre before it.  On integer centres the first count
     grows at t = x + e and the second at t = x - e + 1, so one sorted list
-    of those change points tells, by one comparison per centre, whether
-    the state has changed.
+    of those change points (``_change_points``) tells, by one comparison
+    per centre, whether the state has changed; ``_read_centres`` lists the
+    read centres of a sweep from them alone.
 
     Two centres c < t with one state have one content, up to the clipped
     ends.  ``WindowIndex.clip`` clips an end on lo like one below lo and an
@@ -972,14 +973,37 @@ def _reads(windows, k, e, centres, pam):
     centre takes the last read, moved, and the first centre of a failing
     content is read, so the first failing window words its own error.
     """
-    f = k // windows.scale
-    changes = sorted({x * f + d for key, _ in windows._keys for x in key[:2] for d in (e, 1 - e)})
+    changes = _change_points(windows, k, e)
     n, i, c = len(changes), 0, None
     for t in centres:
         if c is None or i < n and changes[i] <= t:
             i = bisect_right(changes, t, i)
             c, items = t, _decompose_keys(windows.clip(k, t - e, t + e), k, t - e, t + e, pam)
         yield c, items
+
+
+def _change_points(windows, k, e):
+    """The sorted x + e and x - e + 1 over the endpoints x of ``windows``, over k."""
+    f = k // windows.scale
+    return sorted({x * f + d for key, _ in windows._keys for x in key[:2] for d in (e, 1 - e)})
+
+
+def _read_centres(windows, eps):
+    """(K, e, centres): the centres of ``_sweep_centres`` that ``_reads`` reads.
+
+    Those are crit[0] - K and the first centre at or past each change
+    point.  Over K every end and e are even, so a change point x + e is a
+    critical point, its own centre, and one x - e + 1 lies just past the
+    critical point x - e, below the largest.  Its centre is the midpoint of
+    x - e and the next critical point, which is the next change point
+    rounded down to even; halving their sum floors it there.
+    """
+    k = 2 * lcm(windows.scale, eps.denominator)
+    e = _num(eps, k)
+    changes = _change_points(windows, k, e)
+    centres = [changes[0] - 1 - k] if changes else [0]
+    centres += [(t - 1 + changes[i + 1]) // 2 if t % 2 else t for i, t in enumerate(changes)]
+    return k, e, centres
 
 
 def _moved(keys, a, b, d):
@@ -1071,8 +1095,11 @@ def _tensor_sweep(items, pam):
     before; TH+S_c+S_o is TH, a part of that cell, when nothing starts at
     x; TH+E_c+S_c is a part of a cell unless E_c and S_c both hold a piece,
     as TH+E_o+S_o is unless E_o and S_o do.  Only the sets left are summed,
-    so the first failing set is the one the full order finds.  Sorting the
-    2n ends costs O(n log n), plus at most three sums per endpoint.
+    so the first failing set is the one the full order finds.  Each set is
+    summed from TH's total, which exists, as TH is a part of the last
+    TH+S_c+S_o summed: that sum while pieces only start, or TH summed
+    afresh at the first start after a piece ends.  So nested pieces pass
+    O(n) labels in all; sorting the 2n ends costs O(n log n).
     """
     if _is_chain(items):
         return None
@@ -1083,10 +1110,10 @@ def _tensor_sweep(items, pam):
             ends += ((u, 1, p, i), (v, 0, q, i))
     ends.sort()
 
-    def sums(indices):
-        return pam.sum_tuple([items[i][1] for i in indices])
+    def sums(indices, *total):
+        return pam.sum_tuple([*total, *(items[i][1] for i in indices)])
 
-    through = {}
+    through, total = {}, UNIT
     for _, group in groupby(ends, lambda end: end[0]):
         at = {(side, parity): [] for side in (0, 1) for parity in (CLOSED, OPEN)}
         for _, side, parity, i in group:
@@ -1094,11 +1121,17 @@ def _tensor_sweep(items, pam):
         ec, eo, sc, so = at[0, CLOSED], at[0, OPEN], at[1, CLOSED], at[1, OPEN]
         for i in ec + eo:
             del through[i]
-        for part, summed in ((sc + so, sc or so), (ec + sc, ec and sc), (eo + so, eo and so)):
-            clique = [*through, *part]
-            if summed and len(clique) > 1 and sums(clique) is None:
-                return _minimal_unsummable(sums, sorted(clique))
-        through.update(dict.fromkeys(sc + so))
+            total = None
+        if sc or so:
+            if total is None:
+                total = sums(through) if through else UNIT
+            opened = sc + so
+            new = sums(opened, total) if len(through) + len(opened) > 1 else items[opened[0]][1]
+            for part in (opened, ec and sc and ec + sc, eo and so and eo + so):
+                if part and (new if part is opened else sums(part, total)) is None:
+                    return _minimal_unsummable(sums, sorted([*through, *part]))
+            through.update(dict.fromkeys(opened))
+            total = new
     return None
 
 
@@ -1109,13 +1142,13 @@ def is_admissible(xi, eps, support, pam):
     raising.  One WindowIndex serves all three checks.  The labels are
     checked once, by the index, and ``_tensor_sweep`` decides tensor
     membership on its keys; they are in ``lc_sorted`` order, so a witness
-    names positions in ``windows.pieces``.  The windows are swept on the
-    keys, one read per window content (see ``_reads``), and the support
-    check clips on them too.
-    ``restrict`` to the inner window keeps the configuration exactly when
-    every piece clips to itself, and ``WindowIndex.clip`` clips as
-    ``clip_interval`` does, so the support holds exactly when the clipped
-    keys are the index's keys scaled to the window's scale.
+    names positions in ``windows.pieces``.  The windows are read on the
+    keys at the centres of ``_read_centres``, each content once, and the
+    support check clips on them too.  ``restrict`` to the inner window
+    keeps the configuration exactly when every piece clips to itself, and
+    ``WindowIndex.clip`` clips as ``clip_interval`` does, so the support
+    holds exactly when the clipped keys are the index's keys scaled to the
+    window's scale.
     """
     eps = _positive(eps, "eps")
     a, b = _frac(support[0]), _frac(support[1])
@@ -1125,14 +1158,14 @@ def is_admissible(xi, eps, support, pam):
     bad = _tensor_sweep(windows._keys, pam)
     if bad is not None:
         return AdmissibilityReport(False, "not in the tensor region: %r" % (("first", bad),))
-    k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, eps)
+    k, e, centres = _read_centres(windows, eps)
     try:
         # Every window must decompose: a read checks first fit with one
         # sum and counts nothing.  Over a self-insummable pam a summable
         # tuple holds each nonzero label at most once, which forces the
         # matching, so the count ``admissibility_sweep`` reports is 1 there.
-        for _ in _reads(windows, k, e, centres, pam):
-            pass
+        for t in centres:
+            _decompose_keys(windows.clip(k, t - e, t + e), k, t - e, t + e, pam)
     except DecomposeError as err:
         return AdmissibilityReport(False, str(err), err.window)
     except DomainError as err:

@@ -24,6 +24,10 @@ class DomainError(Exception):
     """A value lies outside the domain of the requested operation."""
 
 
+class UndecidedError(DomainError):
+    """An internal bound ran out before the operation decided; the message names it."""
+
+
 class FinitePam:
     """A finite partial abelian monoid given by an explicit sum table.
 

@@ -10,14 +10,14 @@ decomposed and evaluated on endpoint keys over one common scale (see
 ``scan_core``), and each value becomes a Fraction only when it is emitted.
 A trace runs on one integer scale too (see ``alpha_trace``): its
 breakpoints, the affine tracks of each segment, their crossings and the
-continuity check are integers, with one keyed read per window content
-that every segment of that content shares (``labeled._reads`` proves
-they may share it), and the MooreLoop keeps them on that scale.  A
-successful trace builds no Fraction: the loop's Fraction breakpoints and
-intercepts are built when first read, and ``loop_eval`` bisects and
-evaluates on integers, building Fractions only for the values it
-canonicalizes.  ``omega`` and ``merged_strand_value`` key their
-arguments the same way and wrap the integer evaluators.
+continuity check are integers.  The segments of a window content share
+one keyed read (``labeled._reads`` proves they may), and a unit is
+evaluated once per segment, its ``_omega`` branch giving the slope.  A
+successful trace builds no Fraction: the MooreLoop keeps the integers,
+its Fraction breakpoints and intercepts are built when first read, and
+``loop_eval`` bisects and evaluates on integers, building Fractions only
+for the values it canonicalizes.  ``omega`` and ``merged_strand_value``
+key their arguments the same way and wrap the integer evaluators.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def omega(j, s):
     """
     s = _frac(s)
     k = lcm(2, j.u.denominator, j.v.denominator, s.denominator)
-    return Fraction(_omega((_num(j.u, k), _num(j.v, k), j.p, j.q), _num(s, k), k), k)
+    return Fraction(_omega((_num(j.u, k), _num(j.v, k), j.p, j.q), _num(s, k), k)[0], k)
 
 
 def merged_strand_value(ka, kb, s):
@@ -73,7 +73,7 @@ def merged_strand_value(ka, kb, s):
     s = _frac(s)
     k = lcm(2, s.denominator, *(x.denominator for j in (ka, kb) for x in (j.u, j.v)))
     keys = [(_num(j.u, k), _num(j.v, k), j.p, j.q) for j in (ka, kb)]
-    return Fraction(_merged_strand(*keys, _num(s, k), k), k)
+    return Fraction(_merged_strand(*keys, _num(s, k), k)[0], k)
 
 
 def _norm(val, k):
@@ -85,18 +85,18 @@ def _norm(val, k):
 
 
 def _omega(key, s, k):
-    """``omega`` on integers over an even scale k; the basepoint is k."""
+    """(value, slope in s) of ``omega`` on integers over an even scale k.
+
+    The basepoint is k; the slope is p on the left ramp, q on the right
+    ramp, and 0 on a plateau or at the basepoint.
+    """
     u, v, p, q = key
     h = k // 2
     if v - u > k:
         if u - h < s <= u + h:
-            val = p * (s - u - h)
-        elif u + h < s <= v - h:
-            return 0
-        elif v - h < s <= v + h:
-            val = q * (s - v + h)
-        else:
-            return k
+            return p * (s - u - h), p
+        if u + h < s <= v - h:
+            return 0, 0
     else:
         if p == q:
             raise DomainError(
@@ -104,24 +104,22 @@ def _omega(key, s, k):
                 % (_interval(key, k),)
             )
         if u - h < s <= v - h:
-            val = p * (s - u - h)
-        elif v - h < s <= u + h:
-            val = p * (v - u - k)
-        elif u + h < s <= v + h:
-            val = q * (s - v + h)
-        else:
-            return k
-    return _norm(val, k)
+            return p * (s - u - h), p
+        if v - h < s <= u + h:
+            return _norm(p * (v - u - k), k), 0
+    if v - h < s <= v + h:
+        return _norm(q * (s - v + h), k), q
+    return k, 0
 
 
 def _merged_strand(ka, kb, s, k):
-    """``merged_strand_value`` on integer keys over an even scale k."""
+    """(value, slope) of ``merged_strand_value`` on integer keys over an even scale k."""
     h = k // 2
     if s <= kb[0] - h:
         return _omega(ka, s, k)
     if s >= ka[1] + h:
         return _omega(kb, s, k)
-    return _norm(ka[3] * (kb[0] - ka[1]), k)
+    return _norm(ka[3] * (kb[0] - ka[1]), k), 0
 
 
 def scan_core(windows, pam, u, t):
@@ -169,6 +167,11 @@ def _units(items):
 
 def _unit_value(keys, s, k):
     """The value over k of a unit from ``_units`` at s."""
+    return _unit_track(keys, s, k)[0]
+
+
+def _unit_track(keys, s, k):
+    """The (value, slope) over k of a unit from ``_units`` at s."""
     if len(keys) == 2:
         return _merged_strand(*keys, s, k)
     return _omega(keys[0], s, k)
@@ -343,18 +346,18 @@ def alpha_trace(xi, s, pam):
     Inside a segment nothing else moves either.  No endpoint +-1/2 is
     crossed, and a clipped end stays a whole unit from the centre, so each
     unit stays on one branch of ``_omega`` or ``_merged_strand``: the
-    basepoint, a constant, or a ramp of slope -1, 0 or 1 whose values lie
-    strictly inside (-T, T).  (A clipped piece whose other end passes the
-    centre changes its length test there, and both branches give the same
-    ramp.)  So each unit is an affine track on the whole segment: its
-    value at m, and its value at m + 1 with the clipped ends moved by one
-    more, give the slope c1, and c0 is the value at m less c1 * m.  Every
-    key and T / 2 is even, so the value at an even parameter and c0 are
-    even.  For the same reasons the four checks of the three-point
-    derivation that the tests keep as an oracle cannot fail: two reads
-    inside one segment have the same labels, no track meets the basepoint
-    inside unless it stays there, every slope is -1, 0 or 1, and the
-    tracks are affine at m.
+    basepoint, a constant, or a ramp.  (A clipped piece whose other end
+    passes the centre changes its length test there, and both branches
+    give the same ramp.)  No clipped end selects its own ramp: a left one
+    has s - u = T, so s > u + T/2, and a right one has v - s = T.  So the
+    slope the branch returns beside the value at m, p, q or 0, is the
+    track's slope c1, the values lie strictly inside (-T, T), and c0 is
+    the value at m less c1 * m.  Every key and T / 2 is even, so the value
+    at an even parameter and c0 are even.  For the same reasons the four
+    checks of the three-point derivation that the tests keep as an oracle
+    cannot fail: two reads inside one segment have the same labels, no
+    track meets the basepoint inside unless it stays there, every slope is
+    -1, 0 or 1, and the tracks are affine at m.
 
     Two tracks with slopes differing by 1 or 2 and even intercepts cross
     at an integer.  The parts of a split segment keep their parent's
@@ -381,10 +384,9 @@ def alpha_trace(xi, s, pam):
     differing lists are summed.  Two segments that share their tracks
     have equal lists at every point, so only a breakpoint between two
     different track lists is compared, two ``_side`` calls each, beside
-    the two end checks.  Each side's
-    labels there need no check of their own: they are labels of its
-    segment's units, a part of first fit's tuple, whose sum the read
-    checked, and a part of a summable tuple sums.
+    the two end checks.  Each side's labels there need no check of their
+    own: they are labels of its segment's units, a part of first fit's
+    tuple, whose sum the read checked, and a part of a summable tuple sums.
 
     The loop takes the integer breakpoints and track lists as they are,
     so Fractions are built only to word an error: a window that fails to
@@ -451,17 +453,16 @@ def _segment_tracks(units, c, m, k):
 
     ``units`` come from the read of the window (c - k, c + k) that serves
     this segment; each clipped end moves with the centre, so the keys at
-    m are the read's own when m is c.  A unit at the basepoint at m is
-    there on the whole segment and leaves no track.
+    m are the read's own when m is c.  A unit is evaluated once, at m, its
+    branch giving the slope (see ``alpha_trace``); one at the basepoint at
+    m is there on the whole segment and leaves no track.
     """
     a, b, d = c - k, c + k, m - c
     out = []
     for keys, label in units:
-        val = _unit_value(_moved(keys, a, b, d) if d else keys, m, k)
-        if val == k:
-            continue
-        c1 = _unit_value(_moved(keys, a, b, d + 1), m + 1, k) - val
-        out.append((c1, val - c1 * m, label))
+        val, c1 = _unit_track(_moved(keys, a, b, d) if d else keys, m, k)
+        if val != k:
+            out.append((c1, val - c1 * m, label))
     return out
 
 

@@ -5,12 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
+import pamscan.fibers as fibers
 from pamscan import (
     BMElement,
     CLOSED,
     DomainError,
     Interval,
     OPEN,
+    UndecidedError,
     base_homotopy,
     bm_canon,
     cap_project,
@@ -123,6 +125,18 @@ def test_retract_far_frozen(m3):
 def test_retract_rejects_non_member(m3):
     with pytest.raises(DomainError, match="not a fiber member"):
         retract_r(((I(0, 1, CLOSED, OPEN), "c"),), Z_C, m3)
+
+
+def test_retract_round_bound_is_undecided(m3, monkeypatch):
+    # the far pair needs four rounds, three maps and the check after them:
+    # one round fewer is no verdict on the member, so the error is
+    # UndecidedError, still a DomainError, and it names the bound
+    monkeypatch.setattr(fibers, "RETRACT_ROUNDS", 3)
+    with pytest.raises(UndecidedError, match="RETRACT_ROUNDS = 3 ran out") as info:
+        retract_r(ETA_F_FAR, Z_A, m3)
+    assert isinstance(info.value, DomainError)
+    monkeypatch.setattr(fibers, "RETRACT_ROUNDS", 4)
+    assert classify_fiber(retract_r(ETA_F_FAR, Z_A, m3), Z_A, m3).verdict == "in-H"
 
 
 def test_glue_frozen(m3):

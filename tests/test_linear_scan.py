@@ -18,6 +18,7 @@ back to Fractions cannot return without a failing test.
 
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import accumulate
@@ -541,6 +542,38 @@ def test_reads_match_a_fresh_read_at_every_centre(carrier, decompose_reads):
     assert min(kinds.values()) >= 100, kinds
 
 
+def test_read_centres_are_the_first_centre_of_each_state(carrier):
+    # 500 draws per carrier, eps over every denominator from 1 to 7: the
+    # centres ``is_admissible`` reads, taken from the change points alone,
+    # are the first sweep centre of each run of equal states
+    # (#{x <= t - e}, #{x < t + e}), the centres ``_reads`` reads, on the
+    # sweep's scale.  The draws include the empty configuration and single
+    # degenerate points
+    rng = random.Random("read-centres-" + carrier.name)
+    labels = [m for m in carrier.elements if m != "0"]
+    seen = Counter()
+    for n in range(500):
+        d = rng.randint(1, 7)
+        eps = F(rng.randint(1, 3 * d), d)
+        if n % 10 == 0:
+            xi, kind = [], "empty"
+        elif n % 10 == 1:
+            x, p = _q(rng, -3, 3), rng.choice((OPEN, CLOSED))
+            xi, kind = [(Interval(x, x, p, -p), rng.choice(labels))], "point"
+        else:
+            xi, _ = rand_sweep_input(rng, n, carrier, labels)
+            xi, kind = [(j, m if m in carrier.elements else labels[0]) for j, m in xi], "pieces"
+        windows = WindowIndex(xi, carrier)
+        k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, eps)
+        ends = [x * (k // windows.scale) for key, _ in windows._keys for x in key[:2]]
+        states = [_window_state(ends, t - e, t + e) for t in centres]
+        firsts = [t for i, t in enumerate(centres) if not i or states[i] != states[i - 1]]
+        assert labeled._read_centres(windows, eps) == (k, e, firsts), (xi, eps)
+        seen[kind] += 1
+        seen[d] += 1
+    assert seen["empty"] == seen["point"] == 50 and all(seen[d] >= 30 for d in range(1, 8)), seen
+
+
 def test_window_index_matches_restrict(m3):
     # ``WindowIndex.clip`` keys, turned back into Intervals, are ``restrict``
     rng = random.Random(7)
@@ -763,13 +796,24 @@ def test_trace_builds_each_segment_and_intercept_once(m3, monkeypatch):
     assert from_segments == len(intercepts), (from_segments, len(intercepts))
 
 
+def _layout(loop):
+    """A loop's scale, integer breakpoints and tracks, and which neighbouring segments share one list."""
+    return loop._k, loop._points, loop._tracks, [a is b for a, b in zip(loop._tracks, loop._tracks[1:])]
+
+
 def test_window_content_reads_match_segment_reads(m3, z2, monkeypatch):
     # 2,400 traces: every segment's tracks, moved from its window content's
-    # read, are the read at its own midpoint, and at every inner breakpoint
-    # the trace's verdict (equal sorted sides, or else equal circle sums)
-    # is the verdict of bm_canon on the two sides' tracks
-    made, segments = [], []
-    scaled, segment_tracks = scanning.MooreLoop._scaled, scanning._segment_tracks
+    # read and each unit evaluated once, its branch giving the slope, are
+    # ``oracle_segment_tracks``, a read at the segment's own midpoint m
+    # evaluated at m and m + 1.  A trace with that oracle in place of
+    # ``_segment_tracks`` builds the same loops (``_layout``) and gives the
+    # same text or error.  At every inner breakpoint the trace's verdict
+    # (equal sorted sides, or else equal circle sums) is the verdict of
+    # bm_canon on the two sides' tracks.  The draws hold pieces of every
+    # parity pair and degenerate points, and cut pairs, crossing tracks
+    # and failing traces come up
+    made, segments, cover = [], [], Counter()
+    scaled, segment_tracks, crossings = scanning.MooreLoop._scaled, scanning._segment_tracks, scanning._crossings
 
     def capturing_loop(*args):
         made.append(scaled(*args))
@@ -777,10 +821,17 @@ def test_window_content_reads_match_segment_reads(m3, z2, monkeypatch):
 
     def recording_tracks(units, m0, m, k):
         segments.append((m0, m, k, segment_tracks(units, m0, m, k)))
+        cover["cut pair"] += any(len(keys) == 2 for keys, _ in units)
         return segments[-1][3]
+
+    def counting_crossings(*args):
+        out = crossings(*args)
+        cover["crossing"] += bool(out)
+        return out
 
     monkeypatch.setattr(scanning.MooreLoop, "_scaled", capturing_loop)
     monkeypatch.setattr(scanning, "_segment_tracks", recording_tracks)
+    monkeypatch.setattr(scanning, "_crossings", counting_crossings)
     seen = dict.fromkeys(("moved", "sides equal", "sides differ, sums equal", "discontinuity"), 0)
     for pam in (m3, z2, cyclic_pam(5), truncated_pam(6)):
         rng = random.Random("content-" + pam.name)
@@ -799,6 +850,15 @@ def test_window_content_reads_match_segment_reads(m3, z2, monkeypatch):
             for m0, m, k, tracks in segments:
                 assert tracks == oracle_segment_tracks(windows, pam, k, m), (xi, s, pam.name, F(m, k))
                 seen["moved"] += m != m0
+            traced = len(made)
+            with monkeypatch.context() as mp:
+                mp.setattr(scanning, "_segment_tracks", lambda units, c, m, k: oracle_segment_tracks(windows, pam, k, m))
+                assert _trace_text(alpha_trace, xi, s, pam) == text, (xi, s, pam.name)
+            assert [_layout(x) for x in made[traced:]] == [_layout(x) for x in made[:traced]], (xi, s, pam.name)
+            del made[traced:]
+            cover["failing"] += "Error: " in text
+            cover["degenerate"] += any(j.u == j.v for j, _ in xi)
+            cover.update({(j.p, j.q) for j, _ in xi if j.u < j.v})
             if not made:
                 continue
             loop, k = made[0], 4 * lcm(2 * windows.scale, F(s).denominator)
@@ -825,6 +885,7 @@ def test_window_content_reads_match_segment_reads(m3, z2, monkeypatch):
             else:
                 assert "not the empty element" in text, (xi, s, text)
     assert min(seen.values()) >= 10, seen
+    assert min(cover.values()) >= 100 and len(cover) == 8, cover
 
 
 def test_circle_sums_match_bm_canon():

@@ -255,6 +255,73 @@ def test_sweep_matches_the_all_cliques_oracle(m3, z2):
     assert tally["Z2", True] == tally["Z5", True] == 1600, tally
 
 
+def oracle_four_sets(xi, pam):
+    """The witness of the sweep, its four sets built afresh at each endpoint.
+
+    Over the pieces in key order, at each endpoint x of a nondegenerate
+    piece in increasing order: TH+E_c+E_o, TH+S_c+S_o, TH+E_c+S_c and
+    TH+E_o+S_o, each summed whole.  Returns None, or the input indices of
+    ``_minimal_unsummable`` of the first set of two or more pieces whose
+    labels do not sum, taken over ascending positions.
+    """
+    order = [i for i in sorted(range(len(xi)), key=lambda i: xi[i][0].sort_key()) if xi[i][0].u < xi[i][0].v]
+    pieces = [xi[i] for i in order]
+
+    def sums(idx):
+        return pam.sum_tuple([pieces[i][1] for i in idx])
+
+    def at(x, side, parity):
+        # side 0: the pieces that end at x with that parity; side 1: those that start there
+        return [i for i, (j, _) in enumerate(pieces) if ((j.v, j.q), (j.u, j.p))[side] == (x, parity)]
+
+    for x in sorted({y for j, _ in pieces for y in (j.u, j.v)}):
+        th = [i for i, (j, _) in enumerate(pieces) if j.u < x < j.v]
+        ec, eo, sc, so = at(x, 0, CLOSED), at(x, 0, OPEN), at(x, 1, CLOSED), at(x, 1, OPEN)
+        for part in (ec + eo, sc + so, ec + sc, eo + so):
+            clique = sorted(th + part)
+            if len(clique) > 1 and sums(clique) is None:
+                return sorted(order[i] for i in _minimal_unsummable(sums, clique))
+    return None
+
+
+def test_sweep_matches_the_four_sets_afresh(carrier):
+    # 1,000 draws per carrier of 1-9 pieces, nested, touching, degenerate
+    # and zero-labelled ones among them: the running total of TH changes
+    # neither the verdict, which is the all-cliques oracle's on
+    # ``ConfigCarrier``, nor the witness, which is ``oracle_four_sets``'s
+    # and a clique of pairwise conflicting pieces there
+    rng = random.Random("four-sets-" + carrier.name)
+    cc, failing = ConfigCarrier(), 0
+    for _ in range(1000):
+        xi = [(_rand_interval(rng), rng.choice(carrier.elements)) for _ in range(rng.randint(1, 9))]
+        ok, wit = in_T_labeled(xi, carrier, witness=True)
+        assert ok == oracle_in_T(cc, PamCarrier(carrier), [((j,), m) for j, m in xi]), xi
+        want = oracle_four_sets(xi, carrier)
+        assert wit == (None if want is None else ("first", want)), (xi, wit, want)
+        if not ok:
+            failing += 1
+            assert all(cc.pair_sum(xi[i][0], xi[k][0]) is None for i, k in itertools.combinations(want, 2))
+    # over the groups Z2 and Z/5 every label sum exists
+    assert failing >= 300 if carrier.name in ("M3", "T6") else failing == 0, failing
+
+
+def _nested(n):
+    """n nested pieces [-1-k/n, 1+k/n) over Z/5, labelled g1 to g4 in turn."""
+    return [(Interval(-1 - F(k, n), 1 + F(k, n), CLOSED, OPEN), "g%d" % (k % 4 + 1)) for k in range(n)]
+
+
+def test_nested_pieces_pass_linearly_many_labels(tuple_sums):
+    # each start adds its label to TH's running total, and nothing is
+    # summed where pieces only end: at most 4n labels reach sum_tuple,
+    # where summing TH afresh at each start passed 2,079, 32,895 and
+    # 524,799 labels at n = 64, 256 and 1,024
+    z5 = cyclic_pam(5)
+    for n in (64, 256, 1024):
+        tuple_sums.clear()
+        assert in_T_labeled(_nested(n), z5)
+        assert sum(tuple_sums) <= 4 * n, (n, sum(tuple_sums))
+
+
 def test_sweep_pinned_cases(m3):
     def pieces(text):
         return parse_config(text, m3)
