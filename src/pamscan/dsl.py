@@ -86,19 +86,38 @@ def _parse_interval_body(body, line, col):
     return Interval(u, v, p, q)
 
 
+def _items(text):
+    """The tokens of ``text``, none when the empty-set sign stands alone.
+
+    A generator: an empty-set sign among other tokens raises only when it
+    is reached, so an error in an earlier token is reported first.
+    """
+    toks = _tokens(text)
+    if len(toks) == 1 and toks[0][0] == EMPTY_MARK:
+        return
+    for tok, line, col in toks:
+        if tok == EMPTY_MARK:
+            raise ParseError("empty-set sign must stand alone", line, col)
+        yield tok, line, col
+
+
+def _label(label, pam, line, col):
+    """``label``, checked against the grammar and, when given, the carrier."""
+    if not _NAME.match(label):
+        raise ParseError("bad label %r" % label, line, col)
+    if pam is not None and label not in pam.elements:
+        raise ParseError("unknown label %r" % label, line, col)
+    return label
+
+
 def parse_config(text, pam=None, default_label=None):
     """Parse whitespace-separated `interval:label` items into a configuration.
 
     The empty configuration is written as the empty-set sign (or no tokens
     at all).  Labels are validated against the carrier when one is given.
     """
-    toks = _tokens(text)
-    if len(toks) == 1 and toks[0][0] == EMPTY_MARK:
-        return ()
     pairs = []
-    for tok, line, col in toks:
-        if tok == EMPTY_MARK:
-            raise ParseError("empty-set sign must stand alone", line, col)
+    for tok, line, col in _items(text):
         end = max(tok.rfind("]"), tok.rfind(")"))
         if end < 0:
             raise ParseError("missing interval close in %r" % tok, line, col)
@@ -112,11 +131,7 @@ def parse_config(text, pam=None, default_label=None):
             label = rest[1:]
         else:
             raise ParseError("expected ':label' after interval in %r" % tok, line, col)
-        if not _NAME.match(label):
-            raise ParseError("bad label %r" % label, line, col)
-        if pam is not None and label not in pam.elements:
-            raise ParseError("unknown label %r" % label, line, col)
-        pairs.append((j, label))
+        pairs.append((j, _label(label, pam, line, col)))
     return tuple(pairs)
 
 
@@ -177,20 +192,12 @@ def parse_bm_pairs(text, pam=None):
 
     A coordinate must lie in the fundamental domain (-1, 1]; `*` is 1.
     """
-    toks = _tokens(text)
-    if len(toks) == 1 and toks[0][0] == EMPTY_MARK:
-        return []
     pairs = []
-    for tok, line, col in toks:
-        if tok == EMPTY_MARK:
-            raise ParseError("empty-set sign must stand alone", line, col)
+    for tok, line, col in _items(text):
         if ":" not in tok:
             raise ParseError("expected 't:label', got %r" % tok, line, col)
         ts, label = tok.split(":", 1)
-        if not _NAME.match(label):
-            raise ParseError("bad label %r" % label, line, col)
-        if pam is not None and label not in pam.elements:
-            raise ParseError("unknown label %r" % label, line, col)
+        _label(label, pam, line, col)
         if ts == "*":
             t = BASEPOINT
         else:
@@ -220,12 +227,7 @@ def parse_alpha(text, pam=None):
         ts, rest = tok.split(":")
         a, b = rest.split(",")
         t = parse_rational(ts, line, col)
-        for label in (a, b):
-            if not _NAME.match(label):
-                raise ParseError("bad label %r" % label, line, col)
-            if pam is not None and label not in pam.elements:
-                raise ParseError("unknown label %r" % label, line, col)
-        out.append((t, (a, b)))
+        out.append((t, (_label(a, pam, line, col), _label(b, pam, line, col))))
     return out
 
 

@@ -311,7 +311,7 @@ def _tau(x):
     return 3 * x - 1
 
 
-# rounds of outward pushing before retract_r gives up on a member
+# maps of outward pushing before retract_r gives up on a member
 RETRACT_ROUNDS = 8
 
 
@@ -321,17 +321,25 @@ def retract_r(eta, z, pam):
     Members already in the standard pattern are returned unchanged, which
     makes the map a genuine retraction.  Otherwise central and near content
     is fixed while everything else is pushed outward until the wide window
-    shows only the standard shape.  A member still outside the standard
-    pattern after ``RETRACT_ROUNDS`` rounds raises UndecidedError.
+    shows only the standard shape.  Each map's result is classified; a
+    member still outside the standard pattern after ``RETRACT_ROUNDS`` maps
+    raises UndecidedError.
     """
     half = Fraction(1, 2)
     current = labeled_normalize(eta, pam)
-    for _ in range(RETRACT_ROUNDS):
+    maps = 0
+    while True:
         cls = classify_fiber(current, z, pam)
         if cls.verdict == "in-H":
             return current
         if cls.verdict != "in-F":
             raise DomainError("not a fiber member: %s" % cls.reason)
+        if maps == RETRACT_ROUNDS:
+            raise UndecidedError(
+                "the round bound RETRACT_ROUNDS = %d ran out before the retraction "
+                "stabilized onto the standard pattern" % RETRACT_ROUNDS
+            )
+        maps += 1
         mapped = []
         for j, m in current:
             if j.u < 0 < j.v:
@@ -345,10 +353,6 @@ def retract_r(eta, z, pam):
             if nj is not None:
                 mapped.append((nj, m))
         current = labeled_normalize(mapped, pam)
-    raise UndecidedError(
-        "the round bound RETRACT_ROUNDS = %d ran out before the retraction "
-        "stabilized onto the standard pattern" % RETRACT_ROUNDS
-    )
 
 
 def glue_g(eta, alpha, z, pam):

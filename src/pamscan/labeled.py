@@ -38,12 +38,11 @@ def lc_sorted(pairs):
 def in_T_labeled(xi, pam, witness=False):
     """Tensor membership of a labeled configuration.
 
-    The labels are checked in input order and ``_tensor_sweep`` decides on
-    the sorted keys; its witness, on the "first" side, names indices of xi.
+    ``_tensor_sweep`` decides on the sorted keys; its witness, on the
+    "first" side, names indices of xi.
     """
-    xi = list(xi)
-    for _, m in xi:
-        pam.check_element(m)
+    xi = tuple(xi)
+    _check_labels(xi, pam)
     _, keyed = _endpoint_keys(xi)
     order = sorted(range(len(keyed)), key=lambda i: keyed[i][0])
     bad = _tensor_sweep([keyed[i] for i in order], pam)
@@ -52,36 +51,35 @@ def in_T_labeled(xi, pam, witness=False):
     return (True, None) if bad is None else (False, ("first", sorted(order[k] for k in bad)))
 
 
-def _endpoint_keys(pieces):
+def _check_labels(pieces, pam):
+    """Check each distinct label of ``pieces`` against ``pam`` once, in input order.
+
+    Every labeled entry point calls this before any other work, so the
+    first unknown label in input order raises, whatever the entry point.
+    Below it the labels are read unchecked: a search node's labels are
+    start labels or sums and parts that ``pam`` returned.
+    """
+    for m in dict.fromkeys(m for _, m in pieces):
+        pam.check_element(m)
+
+
+def _endpoint_keys(pieces, *extra):
     """The common scale S of ``pieces`` and each piece under its integer key.
 
     Each endpoint is read once, as its integer ratio a/b.  S is the lcm of
-    every b, so the endpoint is the integer a * (S // b) over S.  Scaling by
-    S > 0 keeps order and equality, so the key (u*S, v*S, p, q) sorts,
-    groups and compares exactly as ``Interval.sort_key`` does, on integers
-    alone.  Returns S and a list of (key, label, interval) in input order;
-    sorted, that list is in ``lc_sorted`` order, and entries that tie on
-    key and label are equal.  ``pieces`` is read twice, so it must not be
-    an iterator.
+    every b and of the denominators of the rationals ``extra`` (window
+    ends, cuts), which ``_num`` then reads as integers over S.  The
+    endpoint is the integer a * (S // b) over S.  Scaling by S > 0 keeps
+    order and equality, so the key (u*S, v*S, p, q) sorts, groups and
+    compares exactly as ``Interval.sort_key`` does, on integers alone.
+    Returns S and a list of (key, label, interval) in input order; sorted,
+    that list is in ``lc_sorted`` order, and entries that tie on key and
+    label are equal.  ``pieces`` is read twice, so it must not be an
+    iterator.
     """
-    ends = _ratios(pieces)
-    scale = lcm(*{d for _, b, _, d in ends for d in (b, d)})
-    return scale, _keys_over(pieces, scale, ends)
-
-
-def _ratios(pieces):
-    """(a, b, c, d) for each piece, its endpoints u = a/b and v = c/d in lowest terms."""
-    return [j.u.as_integer_ratio() + j.v.as_integer_ratio() for j, _ in pieces]
-
-
-def _keys_over(pieces, scale, ends=None):
-    """(key, label, interval) for each piece, endpoints as integers over ``scale``.
-
-    ``ends`` are the pieces' ``_ratios``, read here when not given.
-    """
-    if ends is None:
-        ends = _ratios(pieces)
-    return [
+    ends = [j.u.as_integer_ratio() + j.v.as_integer_ratio() for j, _ in pieces]
+    scale = lcm(*{x for _, b, _, d in ends for x in (b, d)}, *{x.denominator for x in extra})
+    return scale, [
         ((a * (scale // b), c * (scale // d), j.p, j.q), m, j)
         for (j, m), (a, b, c, d) in zip(pieces, ends)
     ]
@@ -91,7 +89,7 @@ def _num(x, scale):
     """One rational x, such as eps or a window end, as an integer over ``scale``.
 
     The denominator of x must divide ``scale``.  Pieces are keyed by
-    ``_endpoint_keys`` and ``_keys_over`` instead.
+    ``_endpoint_keys`` instead.
     """
     return x.numerator * (scale // x.denominator)
 
@@ -130,23 +128,14 @@ def labeled_normalize(xi, pam):
     [0,1):g1 [1/2,1):g1 [1,2):g1 over Z/5, where either g1 piece ending at
     1 may take the paste) gets the one this order reaches.
     """
-    scale, keyed = _endpoint_keys(tuple(xi))
+    xi = tuple(xi)
+    _check_labels(xi, pam)
+    scale, keyed = _endpoint_keys(xi)
+    keyed.sort()
     return tuple(
         (j or Interval._trusted(Fraction(u, scale), Fraction(v, scale), p, q), m)
-        for (u, v, p, q), m, j in _normal_form(keyed, pam, scale)
+        for (u, v, p, q), m, j in _normal_keys(keyed, pam, scale)
     )
-
-
-def _normal_form(keyed, pam, scale):
-    """``_normal_keys`` of (key, label, interval) triples given in input order.
-
-    Checks each distinct label once, in input order, so the first unknown
-    label raises, then sorts ``keyed`` in place.
-    """
-    for m in dict.fromkeys(m for _, m, _ in keyed):
-        pam.check_element(m)
-    keyed.sort()
-    return _normal_keys(keyed, pam, scale)
 
 
 def _normal_keys(keyed, pam, scale):
@@ -353,12 +342,15 @@ def config_eq(x1, x2, pam, method="nf", depth=6):
     ``labeled_normalize``).  ``search`` runs a bounded bidirectional walk
     over one-step rewrites and answers UNKNOWN once it is out of bounds.
 
-    Both methods run on integer keys.  S is the lcm of the endpoint
-    denominators of x1 and x2, each endpoint keyed once over S.  ``nf``
-    puts each side through the steps of ``labeled_normalize``, x1 first,
-    and compares the (key, label) lists: the normal form reads keys only
-    by order and equality, which a common scale keeps, so it builds no
-    Interval and raises what ``labeled_normalize`` raises, in that order.
+    Both methods check the labels of x1 and x2 first, in input order, x1's
+    before x2's, so an unknown label raises at any depth and before any
+    merge fails.  Both then run on integer keys.  S is the lcm of the
+    endpoint denominators of x1 and x2, each endpoint keyed once over S.
+    ``nf`` puts each side through the steps of ``labeled_normalize``, x1
+    first, and compares the (key, label) lists: the normal form reads keys
+    only by order and equality, which a common scale keeps, so it builds
+    no Interval and raises the merge error ``labeled_normalize`` raises,
+    x1's before x2's.
 
     In the search the endpoints of x1 and x2 are the extra cuts.  A node
     is (e, items): the pieces as sorted ((u, v, p, q), label) keys over
@@ -375,19 +367,16 @@ def config_eq(x1, x2, pam, method="nf", depth=6):
     if method not in ("nf", "search"):
         raise ValueError("unknown method %r" % method)
     x1, x2 = tuple(x1), tuple(x2)
+    _check_labels(x1 + x2, pam)
     scale, keyed = _endpoint_keys(x1 + x2)
-    n = len(x1)
+    parts = [sorted(keyed[: len(x1)]), sorted(keyed[len(x1) :])]
     if method == "nf":
-        w1, w2 = (
-            [(key, m) for key, m, _ in _normal_form(part, pam, scale)]
-            for part in (keyed[:n], keyed[n:])
-        )
+        w1, w2 = ([(key, m) for key, m, _ in _normal_keys(part, pam, scale)] for part in parts)
         return EqVerdict.EQUAL if w1 == w2 else EqVerdict.DISTINCT
     cuts = sorted({x for key, _, _ in keyed for x in key[:2]})
-    starts = [(0, tuple(sorted((key, m) for key, m, _ in part))) for part in (keyed[:n], keyed[n:])]
+    starts = [(0, tuple((key, m) for key, m, _ in part)) for part in parts]
     verdict = _bidirectional_search(*starts, lambda node: _rewrite_keys(node, pam, cuts, scale), depth)
-    # both starts were expanded, so their labels are known
-    if verdict is EqVerdict.DISTINCT and not (in_T_labeled(x1, pam) and in_T_labeled(x2, pam)):
+    if verdict is EqVerdict.DISTINCT and any(_tensor_sweep(items, pam) is not None for _, items in starts):
         return EqVerdict.UNKNOWN
     return verdict
 
@@ -435,15 +424,11 @@ def labeled_rewrite_neighbors(xi, pam, extra_cuts=()):
       a degenerate point at the cut.  A degenerate j1 or j2 makes the
       paste the drop of that piece.
     """
-    items = list(xi)
-    # The keyed check reads the labels in key order; reading them here in
-    # input order, items[0] last, raises on the unknown label that the
-    # first per-candidate check would.
-    for _, m in items[1:] + items[:1]:
-        pam.check_element(m)
+    xi = tuple(xi)
+    _check_labels(xi, pam)
     cuts = [_frac(w) for w in extra_cuts]
-    scale = lcm(*{x.denominator for j, _ in items for x in (j.u, j.v)}, *{w.denominator for w in cuts})
-    node = (0, tuple(sorted((key, m) for key, m, _ in _keys_over(items, scale))))
+    scale, keyed = _endpoint_keys(xi, *cuts)
+    node = (0, tuple(sorted((key, m) for key, m, _ in keyed)))
     out = _rewrite_keys(node, pam, sorted({_num(w, scale) for w in cuts}), scale)
     return {tuple((_interval(key, scale << e), m) for key, m in cand) for e, cand in out}
 
@@ -453,7 +438,8 @@ def _rewrite_keys(node, pam, cuts, scale):
 
     ``node`` is (e, items), sorted ((u, v, p, q), label) keys over
     scale * 2**e with e canonical (see ``config_eq``), and ``cuts`` are
-    sorted integers over ``scale``.  Membership in T is checked once, by
+    sorted integers over ``scale``.  Labels are not checked here (see
+    ``_check_labels``).  Membership in T is checked once, by
     ``_tensor_sweep`` on the node's keys; a node outside T checks each
     candidate too (see ``labeled_rewrite_neighbors``).  Each
     candidate is the node's sorted rest with at most two keys inserted,
@@ -461,10 +447,6 @@ def _rewrite_keys(node, pam, cuts, scale):
     drop removes an odd endpoint.
     """
     e, items = node
-    # Reading items[0] last names, of two unknown labels, the one a check
-    # of the first candidate would meet first.
-    for _, m in items[1:] + items[:1]:
-        pam.check_element(m)
     inside = _tensor_sweep(items, pam) is None
     out = set()
 
@@ -560,20 +542,19 @@ class WindowIndex:
     that can meet it; every piece outside that slice has v <= lo or
     u >= hi and clips to nothing.  ``clip`` cuts the slice to the window
     without building a Fraction or an Interval, so a scan or admissibility
-    read stays on integers from the index to its value.  Every label is
-    checked against ``pam`` once, in key order, here: a read does not
+    read stays on integers from the index to its value.  The labels are
+    checked once, in input order, when the index is built: a read does not
     check the labels of its window again, and a label that no window
     meets is still checked.
     """
 
-    __slots__ = ("pieces", "scale", "_keys", "_lefts", "_reach")
+    __slots__ = ("scale", "_keys", "_lefts", "_reach")
 
     def __init__(self, xi, pam):
-        self.scale, keyed = _endpoint_keys(tuple(xi))
+        xi = tuple(xi)
+        _check_labels(xi, pam)
+        self.scale, keyed = _endpoint_keys(xi)
         keyed.sort()
-        for _, m, _ in keyed:
-            pam.check_element(m)
-        self.pieces = tuple((j, m) for _, m, j in keyed)
         self._keys = [(key, m) for key, m, _ in keyed]
         self._lefts = [key[0] for key, _, _ in keyed]
         self._reach = list(accumulate((key[1] for key, _, _ in keyed), max))
@@ -760,11 +741,9 @@ def decompose_window(xi_t, a, b, pam):
     """
     a, b = _frac(a), _frac(b)
     xi_t = tuple(xi_t)
-    scale = lcm(a.denominator, b.denominator, *(x.denominator for j, _ in xi_t for x in (j.u, j.v)))
-    keyed = _keys_over(xi_t, scale)
+    _check_labels(xi_t, pam)
+    scale, keyed = _endpoint_keys(xi_t, a, b)
     keyed.sort()
-    for _, m, _ in keyed:
-        pam.check_element(m)
     items = _decompose_keys(keyed, scale, _num(a, scale), _num(b, scale), pam)
     return _decomp_result(items, scale, pam)
 
@@ -1142,7 +1121,7 @@ def is_admissible(xi, eps, support, pam):
     raising.  One WindowIndex serves all three checks.  The labels are
     checked once, by the index, and ``_tensor_sweep`` decides tensor
     membership on its keys; they are in ``lc_sorted`` order, so a witness
-    names positions in ``windows.pieces``.  The windows are read on the
+    names positions in ``lc_sorted(xi)``.  The windows are read on the
     keys at the centres of ``_read_centres``, each content once, and the
     support check clips on them too.  ``restrict`` to the inner window
     keeps the configuration exactly when every piece clips to itself, and

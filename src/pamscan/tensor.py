@@ -300,9 +300,6 @@ class BMElement:
         return out
 
 
-BM_EMPTY = BMElement(None, ())
-
-
 def bm_canon(pam, pairs):
     """Canonical form of a circle/label pair multiset.
 

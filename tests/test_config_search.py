@@ -43,12 +43,7 @@ from genutil import cyclic_pam, truncated_pam
 
 
 def oracle_moves(xi, pam, extra_cuts=()):
-    """Every one-step move of ``xi``, unfiltered, in the library's order.
-
-    A generator: each candidate is built only once the previous one has
-    been consumed, so a filter that checks candidates as they come meets
-    an unknown label where the per-candidate library did.
-    """
+    """Every one-step move of ``xi``, unfiltered, in the library's order."""
     items = list(xi)
     for i, (j, m) in enumerate(items):
         rest = items[:i] + items[i + 1 :]
@@ -80,29 +75,34 @@ def oracle_moves(xi, pam, extra_cuts=()):
                     yield rest + [(Interval(j2.u, j1.v, j2.p, j1.q), m1)]
 
 
+def check_labels(xi, pam):
+    """Check every label of ``xi`` in input order, as each entry point does first."""
+    for _, m in xi:
+        pam.check_element(m)
+
+
 def oracle_rewrite_neighbors(xi, pam, extra_cuts=()):
     """The moves of ``xi`` that pass ``in_T_labeled``, each checked on its own."""
+    check_labels(xi, pam)
     return {lc_sorted(c) for c in oracle_moves(xi, pam, extra_cuts) if in_T_labeled(c, pam)}
 
 
 def fraction_rewrite_neighbors(xi, pam, extra_cuts=()):
-    """The moves of ``xi`` as ``lc_sorted`` tuples, membership checked once.
-
-    Membership reads the labels in order, so checking items[0] last raises
-    on the unknown label that the first candidate check would.
-    """
+    """The moves of ``xi`` as ``lc_sorted`` tuples, membership checked once."""
     items = list(xi)
-    inside = in_T_labeled(items[1:] + items[:1], pam)
+    inside = in_T_labeled(items, pam)
     return {lc_sorted(c) for c in oracle_moves(items, pam, extra_cuts) if inside or in_T_labeled(c, pam)}
 
 
 def oracle_search(x1, x2, pam, depth):
     """The search on ``lc_sorted`` Fraction nodes, every endpoint a cut.
 
-    Returns its verdict as it was, DISTINCT from a start outside T
-    included; the comparison applies the outside-T rule itself.
+    The labels of x1 and x2 are checked first, so an unknown one raises at
+    any depth.  Returns its verdict as it was, DISTINCT from a start
+    outside T included; the comparison applies the outside-T rule itself.
     """
     x1, x2 = list(x1), list(x2)
+    check_labels(x1 + x2, pam)
     cuts = sorted({x for j, _ in x1 + x2 for x in (j.u, j.v)})
     return _bidirectional_search(
         lc_sorted(x1), lc_sorted(x2), lambda node: fraction_rewrite_neighbors(node, pam, cuts), depth

@@ -21,7 +21,6 @@ stop at the same first error.
 import random
 from bisect import bisect_right
 from fractions import Fraction as F
-from math import lcm
 
 import pytest
 
@@ -50,7 +49,6 @@ from pamscan.labeled import (
     _classify,
     _endpoint_keys,
     _interval,
-    _keys_over,
     _normal_keys,
     _num,
     _sweep_centres,
@@ -374,8 +372,8 @@ def oracle_keyed_window(xi_t, a, b, pam):
     xi_t = tuple(xi_t)
     for _, m in xi_t:
         pam.check_element(m)
-    scale = lcm(a.denominator, b.denominator, *(x.denominator for j, _ in xi_t for x in (j.u, j.v)))
-    keyed = sorted(_keys_over(xi_t, scale))
+    scale, keyed = _endpoint_keys(xi_t, a, b)
+    keyed.sort()
     return oracle_result(*oracle_decompose_keys(keyed, scale, _num(a, scale), _num(b, scale), pam), scale)
 
 

@@ -83,6 +83,29 @@ def test_config_parse_errors(m3):
     assert xi == ((I(0, 1, CLOSED, OPEN), "a"),)
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_config, "[0,1):a ∅", "1:9: empty-set sign must stand alone"),
+        (parse_config, "[0,1 ∅", "1:1: missing interval close in '[0,1'"),
+        (parse_config, "[0,1):a\n [1,2):b$", "2:2: bad label 'b$'"),
+        (parse_config, "[0,1):q ∅", "1:1: unknown label 'q'"),
+        (parse_bm_pairs, "1/2:a ∅", "1:7: empty-set sign must stand alone"),
+        (parse_bm_pairs, "1/2 ∅", "1:1: expected 't:label', got '1/2'"),
+        (parse_bm_pairs, "1/2:a$", "1:1: bad label 'a$'"),
+        (parse_bm_pairs, "9:q", "1:1: unknown label 'q'"),
+        (parse_alpha, "1/2:a,b 1/2:a$,q", "1:9: bad label 'a$'"),
+        (parse_alpha, "1/2:a,q", "1:1: unknown label 'q'"),
+        (parse_alpha, "x:q,a", "1:1: expected a rational, got 'x'"),
+    ],
+)
+def test_label_and_empty_set_errors(parse, text, message, m3):
+    # the first error in token order is reported, with its line:col
+    with pytest.raises(ParseError) as info:
+        parse(text, m3)
+    assert str(info.value) == message
+
+
 def test_pam_round_trip():
     pam = parse_pam_text(PAM_TEXT)
     assert pam.name == "M3"

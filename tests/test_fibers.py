@@ -128,14 +128,14 @@ def test_retract_rejects_non_member(m3):
 
 
 def test_retract_round_bound_is_undecided(m3, monkeypatch):
-    # the far pair needs four rounds, three maps and the check after them:
-    # one round fewer is no verdict on the member, so the error is
+    # the far pair needs three maps, the third one classified: a bound of
+    # two maps is no verdict on the member, so the error is
     # UndecidedError, still a DomainError, and it names the bound
-    monkeypatch.setattr(fibers, "RETRACT_ROUNDS", 3)
-    with pytest.raises(UndecidedError, match="RETRACT_ROUNDS = 3 ran out") as info:
+    monkeypatch.setattr(fibers, "RETRACT_ROUNDS", 2)
+    with pytest.raises(UndecidedError, match="RETRACT_ROUNDS = 2 ran out") as info:
         retract_r(ETA_F_FAR, Z_A, m3)
     assert isinstance(info.value, DomainError)
-    monkeypatch.setattr(fibers, "RETRACT_ROUNDS", 4)
+    monkeypatch.setattr(fibers, "RETRACT_ROUNDS", 3)
     assert classify_fiber(retract_r(ETA_F_FAR, Z_A, m3), Z_A, m3).verdict == "in-H"
 
 

@@ -714,7 +714,7 @@ def test_chain_fold_matches_the_heap_and_the_oracle(carrier, monkeypatch):
 
 
 def oracle_keys_over(pieces, scale):
-    """Keys by two property reads per endpoint, as ``_keys_over`` made them."""
+    """Keys over ``scale`` by two property reads per endpoint."""
 
     def num(x):
         return x.numerator * (scale // x.denominator)
@@ -731,9 +731,15 @@ def oracle_endpoint_keys(pieces):
 def oracle_eq_outcome(x1, x2, pam):
     """``config_eq(x1, x2, pam)`` by comparing two Interval normal forms.
 
-    Returns ("ok", verdict), or ("raised", side, type, text) for the first
-    of the two ``labeled_normalize`` calls that raised, x1 being side 1.
+    The labels of x1 and then x2 are checked first, in input order, and an
+    unknown one gives ("raised", 0, type, text).  Otherwise returns ("ok",
+    verdict), or ("raised", side, type, text) for the first of the two
+    ``labeled_normalize`` calls that raised, x1 being side 1.
     """
+    for _, m in x1 + x2:
+        out = _outcome(pam.check_element, m)
+        if out[0] == "raised":
+            return ("raised", 0) + out[1:]
     nfs = []
     for side, x in enumerate((x1, x2), 1):
         out = _outcome(labeled_normalize, x, pam)
@@ -782,26 +788,28 @@ def _eq_pair(rng, pam):
 
 
 def test_config_eq_and_keys_match_the_fraction_paths(carrier, monkeypatch):
-    # 500 seeded pairs per carrier: the keys and scale of _endpoint_keys
-    # and _keys_over equal those of the two-read keying, and config_eq by
-    # normal form gives the verdict, or raises the error from the same
-    # side, that comparing two labeled_normalize results gives
+    # 500 seeded pairs per carrier: the keys and scale of _endpoint_keys,
+    # alone and with an extra rational, equal those of the two-read keying,
+    # and config_eq by normal form gives the verdict, or raises the error
+    # from the same side, that checking the labels of both sides and then
+    # comparing two labeled_normalize results gives; a label error comes
+    # before either side is normalized
     sides = []
-    normal_form = labeled._normal_form
+    normal_keys = labeled._normal_keys
 
     def counting(keyed, pam, scale):
         sides.append(None)
-        return normal_form(keyed, pam, scale)
+        return normal_keys(keyed, pam, scale)
 
-    monkeypatch.setattr(labeled, "_normal_form", counting)
+    monkeypatch.setattr(labeled, "_normal_keys", counting)
     rng = random.Random("config-eq-keys-" + carrier.name)
-    seen = dict.fromkeys(("equal", "distinct", "raised", "raised on side 2", "mixed below zero"), 0)
+    seen = dict.fromkeys(("equal", "distinct", "raised", "raised on x2", "mixed below zero"), 0)
     for _ in range(500):
         x1, x2 = _eq_pair(rng, carrier)
         pieces = x1 + x2
         scale, keyed = labeled._endpoint_keys(pieces)
         assert (scale, keyed) == oracle_endpoint_keys(pieces), pieces
-        assert labeled._keys_over(x1, 6 * scale) == oracle_keys_over(x1, 6 * scale), x1
+        assert labeled._endpoint_keys(x1, F(1, 6 * scale)) == (6 * scale, oracle_keys_over(x1, 6 * scale)), x1
         del sides[:]
         fast = _outcome(config_eq, x1, x2, carrier)
         if fast[0] == "raised":
@@ -812,7 +820,8 @@ def test_config_eq_and_keys_match_the_fraction_paths(carrier, monkeypatch):
         seen["mixed below zero"] += len({x.denominator for x in ends}) > 1 and min(ends, default=0) < 0
         if want[0] == "raised":
             seen["raised"] += 1
-            seen["raised on side 2"] += want[1] == 2
+            # x2's merge, or x2's unknown label zz2 with none in x1
+            seen["raised on x2"] += want[1] == 2 or "zz2" in want[3]
         else:
             seen["equal" if want[1] is EqVerdict.EQUAL else "distinct"] += 1
     assert seen["mixed below zero"] >= 150 and seen["raised"] >= 25, seen
@@ -875,8 +884,9 @@ def test_each_distinct_label_is_checked_once(m3, monkeypatch):
     nf = labeled_normalize(xi, m3)
     assert len(nf) == 286 and calls == labels
     calls.clear()
+    # config_eq checks the labels of both sides once, together
     assert config_eq(xi, nf, m3) == EqVerdict.EQUAL
-    assert calls == labels + ["c", "b", "a"]
+    assert calls == labels
     # the first unknown label in input order still raises, on either path
     bad = xi[:5] + [(Interval(500, 501, CLOSED, OPEN), "zz"), (Interval(-2, -1, CLOSED, OPEN), "yy")] + xi
     for run in (lambda: labeled_normalize(bad, m3), lambda: config_eq(xi, bad, m3)):

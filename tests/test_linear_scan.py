@@ -376,8 +376,8 @@ def oracle_every_centre(xi, eps, support, pam, read):
     """is_admissible as (ok, reason, window), reading every centre of the sweep
     on keys with ``read`` until the first that fails."""
     eps, a, b = F(eps), F(support[0]), F(support[1])
-    windows = WindowIndex(xi, pam)
-    ok, wit = in_T_labeled(windows.pieces, pam, witness=True)
+    windows, pieces = WindowIndex(xi, pam), lc_sorted(xi)
+    ok, wit = in_T_labeled(pieces, pam, witness=True)
     if not ok:
         return False, "not in the tensor region: %r" % (wit,), None
     k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, eps)
@@ -388,7 +388,7 @@ def oracle_every_centre(xi, eps, support, pam, read):
             return False, str(err), (F(t - e, k), F(t + e, k))
         except DomainError as err:
             return False, str(err), None
-    if restrict(windows.pieces, a + eps / 2, b - eps / 2) != windows.pieces:
+    if restrict(pieces, a + eps / 2, b - eps / 2) != pieces:
         return False, "support leaks outside (%s, %s)" % (a + eps / 2, b - eps / 2), None
     return True, None, None
 
@@ -638,7 +638,7 @@ def test_integer_bisection_matches_fraction_bisection(m3):
     draws = 0
     while draws < 20000:
         xi = [(_mixed_piece(rng), rng.choice("abc")) for _ in range(rng.randint(0, 10))]
-        windows = WindowIndex(xi, m3)
+        windows, pieces = WindowIndex(xi, m3), lc_sorted(xi)
         ends = [x for j, _ in xi for x in (j.u, j.v)] or [F(0)]
         for _ in range(20):
             a = _window_end(rng, ends, windows.scale)
@@ -648,7 +648,7 @@ def test_integer_bisection_matches_fraction_bisection(m3):
             # the window over a multiple of S, as a scan read gives it
             k = lcm(windows.scale, a.denominator, b.denominator)
             got = windows._bounds(k, a.numerator * (k // a.denominator), b.numerator * (k // b.denominator))
-            assert got == oracle_bounds(windows.pieces, a, b), (xi, a, b)
+            assert got == oracle_bounds(pieces, a, b), (xi, a, b)
             draws += 1
 
 
