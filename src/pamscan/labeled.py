@@ -167,10 +167,11 @@ def _normal_keys(keyed, pam, scale):
     are those of x on its left and of y on its right: each paste removes
     one joint and makes none.  Every order of moves therefore ends at the
     chain with every joint removed, which is what one left-to-right fold
-    over the sorted keys builds.  The fold's output stays in key order,
-    and a piece it pasted carries no interval, as ``_paste``'s do.  Keys
-    that do not chain go to ``_paste``, the one path that follows the
-    leftmost-first move order where that order decides the answer.
+    over the sorted keys (``_fold_chain``) builds.  The fold's output
+    stays in key order, and a piece it pasted carries no interval, as
+    ``_paste``'s do.  Keys that do not chain go to ``_paste``, the one
+    path that follows the leftmost-first move order where that order
+    decides the answer.
     """
     items = []
     i, n = 0, len(keyed)
@@ -193,6 +194,18 @@ def _normal_keys(keyed, pam, scale):
         return items
     if not _is_chain(items):
         return _paste(items, pam, scale)
+    return _fold_chain(items)
+
+
+def _fold_chain(items):
+    """The normal form of a chain of distinct, labeled, nondegenerate ``items``.
+
+    ``items`` are sorted (key, label, interval) triples that chain
+    (``_is_chain``).  One left-to-right pass pastes each piece onto the
+    last output piece when the two touch and share a label; a pasted
+    piece carries no interval.  ``_normal_keys`` proves that this is the
+    fixpoint of the moves.
+    """
     out = items[:1]
     for item in items[1:]:
         key, m, _ = item
@@ -541,14 +554,22 @@ class WindowIndex:
     integers over a multiple K of S, bisects both to the slice of pieces
     that can meet it; every piece outside that slice has v <= lo or
     u >= hi and clips to nothing.  ``clip`` cuts the slice to the window
-    without building a Fraction or an Interval, so a scan or admissibility
-    read stays on integers from the index to its value.  The labels are
-    checked once, in input order, when the index is built: a read does not
-    check the labels of its window again, and a label that no window
-    meets is still checked.
+    without building a Fraction or an Interval.  The labels are checked
+    once, in input order, when the index is built: a read does not check
+    the labels of its window again, and a label that no window meets is
+    still checked.
+
+    ``read`` is the one window read of the scan and admissibility paths:
+    first fit of the window, as ``_decompose_keys`` finds it on the
+    clipped content.  When the pieces left after dropping degenerate keys
+    and zero labels chain (``_is_chain``), the index also stores their
+    normal form, pasted once by ``_fold_chain``, and a read slices it: two
+    bisections and one pass over the pieces that meet the window, with no
+    normal form and no sort per read.  Other configurations are read
+    through ``clip`` and ``_decompose_keys``.
     """
 
-    __slots__ = ("scale", "_keys", "_lefts", "_reach")
+    __slots__ = ("scale", "_keys", "_lefts", "_reach", "_chain", "_chain_lefts", "_chain_rights")
 
     def __init__(self, xi, pam):
         xi = tuple(xi)
@@ -558,6 +579,11 @@ class WindowIndex:
         self._keys = [(key, m) for key, m, _ in keyed]
         self._lefts = [key[0] for key, _, _ in keyed]
         self._reach = list(accumulate((key[1] for key, _, _ in keyed), max))
+        kept = [(key, m, None) for key, m in self._keys if key[0] < key[1] and m != UNIT]
+        self._chain = _fold_chain(kept) if _is_chain(kept) else None
+        if self._chain is not None:
+            self._chain_lefts = [key[0] for key, _, _ in self._chain]
+            self._chain_rights = [key[1] for key, _, _ in self._chain]
 
     def _bounds(self, scale, lo, hi):
         """The slice (first, stop) of pieces that can meet the window (lo, hi).
@@ -595,6 +621,87 @@ class WindowIndex:
                 out.append(((u, v, p, q), m, None))
         out.sort()
         return out
+
+    def read(self, scale, lo, hi, pam):
+        """First fit of the window (lo, hi): ``_decompose_keys`` of its ``clip``.
+
+        ``scale`` is a multiple of S and ``lo``, ``hi`` are integers over
+        it; the items, and the DecomposeError of a window that fails, are
+        those of ``_decompose_keys(self.clip(scale, lo, hi), ...)``.  An
+        index with no stored chain reads exactly that way.  On a stored
+        chain the read bisects the chain's ends to the slice of pieces that
+        meet the window and finds first fit in one pass over the slice, with
+        no normal form and no sort.  A window that the pass finds failing is
+        handed to ``_first_fit`` as the clipped slice, which is the normal
+        form of its content, so the error is worded as the general read
+        words it, with no second clip of the index and no normal form.
+
+        The read rests on NF(clip(C, W)) = clip(NF(C), W) for a chain C
+        with no degenerate or zero-label piece.  The pieces of the general
+        read's ``clip`` that C leaves out are degenerate or zero-labeled,
+        and ``_normal_keys`` drops them (a zero label coincident with a
+        kept piece adds nothing to its merge).  Clipping a chain keeps a
+        chain: a piece that meets W keeps its ends inside W and the
+        parities there, and ends cut at lo or hi open.  A joint of C (one
+        piece ending where the next starts) at x survives the clip exactly
+        when lo < x < hi, since a piece that ends at or before lo, or starts
+        at or after hi, clips to nothing; a joint at or outside a window
+        end loses one of its two pieces.  The clipped pieces are distinct
+        and nondegenerate, so the normal form of clip(C, W) only pastes the
+        surviving equal-label joints.  Pasting a joint at x inside W and
+        then clipping gives the paste of the two clipped pieces, and
+        pasting one at x <= lo (x >= hi) and then clipping gives the clip
+        of the piece on the far side of x alone.  So both sides paste the
+        same joints, and the clip of a normal chain is sorted and normal.
+
+        The chain's left ends and right ends both increase, so bisecting
+        them, as ``_bounds`` does, finds the slice of pieces that meet W.
+        Only the first piece of the slice can start at or before lo, and
+        only the last can end at or after hi: every other piece starts at
+        or after its left neighbour's right end, which exceeds lo, and ends
+        at or before its right neighbour's left end, which lies below hi.
+        So ``_classify`` needs no comparisons here: a piece cut on both
+        sides is the whole window, one cut on one side is anchored there,
+        and an uncut piece lies strictly inside W and is elementary exactly
+        when p + q = 0.  The left-cut piece and the right-cut piece are the
+        only anchored ones, so first fit is one test (``_pairs``) between
+        them, and the items come out in sort order: the anchored single
+        pieces at the ends of the slice and a cut pair last.
+        """
+        if self._chain is None:
+            return _decompose_keys(self.clip(scale, lo, hi), scale, lo, hi, pam)
+        f = scale // self.scale
+        first = bisect_right(self._chain_rights, lo // f)
+        stop = bisect_left(self._chain_lefts, -(-hi // f))
+        inner, left, right = [], None, None
+        for (u, v, p, q), m, _ in self._chain[first:stop]:
+            u, v = u * f, v * f
+            if lo < u and v < hi:
+                if p + q:
+                    break
+                inner.append((0, (u, v, p, q), m, E1_INTERIOR))
+            elif u > lo:
+                right = (u, hi, p, OPEN), m
+            elif v < hi:
+                left = (lo, v, OPEN, q), m
+            else:
+                inner.append((0, (lo, hi, OPEN, OPEN), m, E1_WHOLE))
+        else:
+            if left and right and left[1] == right[1] and _pairs(left[0], right[0]):
+                items = inner + [(1, left[0], right[0], left[1])]
+            else:
+                items = ([(0, *left, E1_LEFT)] if left else []) + inner + ([(0, *right, E1_RIGHT)] if right else [])
+            if _sums(items, pam):
+                return items
+        # a failing window: first fit on the clipped slice words the error
+        w = [((u * f, v * f, p, q), m, None) for (u, v, p, q), m, _ in self._chain[first:stop]]
+        (u, v, p, q), m, _ = w[0]
+        if u <= lo:
+            w[0] = (lo, v, OPEN, q), m, None
+        (u, v, p, q), m, _ = w[-1]
+        if v >= hi:
+            w[-1] = (u, hi, p, OPEN), m, None
+        return _first_fit(w, scale, lo, hi, pam)
 
 
 def mirror_config(xi):
@@ -764,12 +871,22 @@ def _decompose_keys(keyed, scale, lo, hi, pam):
 
     ``keyed`` holds the window content as sorted (key, label, interval)
     triples, its labels checked, and (lo, hi) is the window, all integers
-    over ``scale``.
-    Returns the elementary items of first fit.  An item is (0, key, label,
-    kind) for a single piece and (1, left key, right key, label) for a cut
-    pair; items sort as the ``sort_key`` of Elem1 and Elem2 sorts them.
+    over ``scale``.  A read is the normal form of the content
+    (``_normal_keys``) and ``_first_fit`` on it.
+    """
+    return _first_fit(_normal_keys(keyed, pam, scale), scale, lo, hi, pam)
 
-    A read is four steps: normal form, classify, first fit, and one sum of
+
+def _first_fit(w, scale, lo, hi, pam):
+    """First fit of the window (lo, hi) on the normal form ``w`` of its content.
+
+    ``w`` holds sorted (key, label, interval) triples in normal form, all
+    integers over ``scale``.  Returns the elementary items of first fit.
+    An item is (0, key, label, kind) for a single piece and (1, left key,
+    right key, label) for a cut pair; items sort as the ``sort_key`` of
+    Elem1 and Elem2 sorts them.
+
+    A read is three steps on ``w``: classify, first fit, and one sum of
     first fit's labels, a cut pair's label once.  Some matching is valid
     exactly when that sum is defined (see ``decompose_window``), and then
     the window is in the tensor region: the two pieces of a cut pair chain
@@ -778,7 +895,6 @@ def _decompose_keys(keyed, scale, lo, hi, pam):
     label side then holds too, by the proof of ``_tensor_sweep``.  So only
     a failing read runs the sweep, and a tensor failure's error wins.
     """
-    w = _normal_keys(keyed, pam, scale)
     items, lefts, rights = [], [], []
     for key, m, _ in w:
         kind = _classify(key, lo, hi)
@@ -793,15 +909,14 @@ def _decompose_keys(keyed, scale, lo, hi, pam):
         else:
             items.append((0, key, m, kind))
     for kl, ml in lefts:
-        kr = next((kr for kr, mr in rights if mr == ml and kl[1] < kr[0] and kl[3] + kr[2] == 0), None)
+        kr = next((kr for kr, mr in rights if mr == ml and _pairs(kl, kr)), None)
         if kr is None:
             items.append((0, kl, ml, E1_LEFT))
         else:
             rights.remove((kr, ml))
             items.append((1, kl, kr, ml))
     items.extend([(0, kr, mr, E1_RIGHT) for kr, mr in rights])
-    # one checked label sums to itself, so only two or more are summed
-    if len(items) > 1 and pam.sum_tuple([e[3] if e[0] else e[2] for e in items]) is None:
+    if not _sums(items, pam):
         raise _read_error(
             w, scale, lo, hi, pam,
             "no matching makes the label multiset summable (content %r)"
@@ -809,6 +924,22 @@ def _decompose_keys(keyed, scale, lo, hi, pam):
         )
     items.sort()
     return items
+
+
+def _pairs(kl, kr):
+    """Whether a left-anchored piece keyed ``kl`` and a right-anchored ``kr`` make a cut pair.
+
+    The pair needs one label too, which the caller compares.  The left
+    piece must end before the right one starts, with complementary
+    parities there.
+    """
+    return kl[1] < kr[0] and kl[3] + kr[2] == 0
+
+
+def _sums(items, pam):
+    """Whether the labels of first fit's keyed ``items`` sum, a cut pair's once."""
+    # one checked label sums to itself, so only two or more are summed
+    return len(items) < 2 or pam.sum_tuple([e[3] if e[0] else e[2] for e in items]) is not None
 
 
 def _read_error(w, scale, lo, hi, pam, reason):
@@ -917,10 +1048,13 @@ def _reads(windows, k, e, centres, pam):
 
     ``windows`` is a WindowIndex, ``k`` a multiple of its scale, and the
     window at a centre t is (t - e, t + e), all integers over k.  Yields,
-    for each t, (c, items): the centre c at which ``_decompose_keys`` read
-    first fit's keyed ``items``, not moved; ``_moved_items(items, c - e,
-    c + e, t - c)`` are the items at t.  A read that fails raises at its
-    own centre.
+    for each t, (c, items): the centre c at which ``WindowIndex.read``
+    read first fit's keyed ``items``, not moved; ``_moved_items(items,
+    c - e, c + e, t - c)`` are the items at t.  A read that fails raises
+    at its own centre.  A read of a chain slices the normal form the
+    index built once, so it costs two bisections and a pass over the
+    pieces it meets; other configurations are clipped and normalized per
+    read (see ``WindowIndex``).
 
     The state of a centre t is the pair (#{x <= t - e}, #{x < t + e}) over
     the endpoints x, and t is read exactly when its state differs from the
@@ -957,7 +1091,7 @@ def _reads(windows, k, e, centres, pam):
     for t in centres:
         if c is None or i < n and changes[i] <= t:
             i = bisect_right(changes, t, i)
-            c, items = t, _decompose_keys(windows.clip(k, t - e, t + e), k, t - e, t + e, pam)
+            c, items = t, windows.read(k, t - e, t + e, pam)
         yield c, items
 
 
@@ -1076,9 +1210,18 @@ def _tensor_sweep(items, pam):
     as TH+E_o+S_o is unless E_o and S_o do.  Only the sets left are summed,
     so the first failing set is the one the full order finds.  Each set is
     summed from TH's total, which exists, as TH is a part of the last
-    TH+S_c+S_o summed: that sum while pieces only start, or TH summed
-    afresh at the first start after a piece ends.  So nested pieces pass
-    O(n) labels in all; sorting the 2n ends costs O(n log n).
+    TH+S_c+S_o summed: that sum while pieces only start, or, at the first
+    start after a piece ends, the root of a tree of partial sums over the
+    start order of the pieces (``_PartialSums``), where each piece that
+    ended since became UNIT.  Until TH holds ``_TREE_MIN`` pieces at such
+    a start, TH is summed afresh there instead, fewer than ``_TREE_MIN``
+    labels each time; the tree is built from TH at the first such start
+    where it holds that many, so small sweeps and sweeps whose pieces only
+    start build none.  Every node of the tree sums a part of TH, so every node
+    sums, and each piece that starts or ends costs O(log n) ``pair_sum``
+    calls, once, when the tree is next read.  Nested pieces pass O(n)
+    labels in all, and pieces that end and start under a wide TH
+    O(n log n); sorting the 2n ends costs O(n log n).
     """
     if _is_chain(items):
         return None
@@ -1092,26 +1235,81 @@ def _tensor_sweep(items, pam):
     def sums(indices, *total):
         return pam.sum_tuple([*total, *(items[i][1] for i in indices)])
 
-    through, total = {}, UNIT
+    through, total, tree = {}, UNIT, None
     for _, group in groupby(ends, lambda end: end[0]):
         at = {(side, parity): [] for side in (0, 1) for parity in (CLOSED, OPEN)}
         for _, side, parity, i in group:
             at[side, parity].append(i)
         ec, eo, sc, so = at[0, CLOSED], at[0, OPEN], at[1, CLOSED], at[1, OPEN]
         for i in ec + eo:
-            del through[i]
+            leaf = through.pop(i)
+            if tree is not None:
+                tree[leaf] = UNIT
             total = None
         if sc or so:
             if total is None:
-                total = sums(through) if through else UNIT
+                if tree is None and len(through) >= _TREE_MIN:
+                    tree = _PartialSums(len(ends) // 2, pam)
+                    through = {i: tree.append(items[i][1]) for i in through}
+                if tree is None:
+                    total = sums(through) if through else UNIT
+                else:
+                    total = tree.total()
             opened = sc + so
             new = sums(opened, total) if len(through) + len(opened) > 1 else items[opened[0]][1]
             for part in (opened, ec and sc and ec + sc, eo and so and eo + so):
                 if part and (new if part is opened else sums(part, total)) is None:
                     return _minimal_unsummable(sums, sorted([*through, *part]))
-            through.update(dict.fromkeys(opened))
+            for i in opened:
+                through[i] = None if tree is None else tree.append(items[i][1])
             total = new
     return None
+
+
+# the least TH, in pieces, that _tensor_sweep keeps in a tree of partial
+# sums rather than summing afresh; on small overlapping inputs (2 to 9
+# pieces) the tree cost more than the sums it saves
+_TREE_MIN = 8
+
+
+class _PartialSums:
+    """A tree of partial sums over up to n labels, appended in order.
+
+    Leaf i is the i-th label appended, or UNIT once it is set so; a node
+    is the sum of its two children.  A changed leaf marks its node stale,
+    and ``total`` sums the stale nodes level by level, so each change
+    costs O(log n) ``pair_sum`` calls once, and only when the total is
+    read.  Every part of the leaves must sum.
+    """
+
+    __slots__ = ("nodes", "size", "count", "stale", "pam")
+
+    def __init__(self, n, pam):
+        self.size = 1 << n.bit_length()
+        self.nodes = [UNIT] * (2 * self.size)
+        self.count, self.stale, self.pam = 0, set(), pam
+
+    def append(self, label):
+        """Put ``label`` at the next leaf; returns the leaf."""
+        leaf = self.size + self.count
+        self.count += 1
+        self[leaf] = label
+        return leaf
+
+    def __setitem__(self, leaf, label):
+        self.nodes[leaf] = label
+        self.stale.add(leaf >> 1)
+
+    def total(self):
+        """The sum of every leaf."""
+        nodes, stale = self.nodes, self.stale
+        while stale:
+            for i in stale:
+                a, b = nodes[2 * i], nodes[2 * i + 1]
+                nodes[i] = a if b == UNIT else b if a == UNIT else self.pam.pair_sum(a, b)
+            stale = {i >> 1 for i in stale if i > 1}
+        self.stale = set()
+        return nodes[1]
 
 
 def is_admissible(xi, eps, support, pam):
@@ -1121,13 +1319,14 @@ def is_admissible(xi, eps, support, pam):
     raising.  One WindowIndex serves all three checks.  The labels are
     checked once, by the index, and ``_tensor_sweep`` decides tensor
     membership on its keys; they are in ``lc_sorted`` order, so a witness
-    names positions in ``lc_sorted(xi)``.  The windows are read on the
-    keys at the centres of ``_read_centres``, each content once, and the
-    support check clips on them too.  ``restrict`` to the inner window
-    keeps the configuration exactly when every piece clips to itself, and
-    ``WindowIndex.clip`` clips as ``clip_interval`` does, so the support
-    holds exactly when the clipped keys are the index's keys scaled to the
-    window's scale.
+    names positions in ``lc_sorted(xi)``.  The windows are read by
+    ``WindowIndex.read`` at the centres of ``_read_centres``, each content
+    once; on a chain a read slices the normal form the index built once,
+    with no normalization and no sort.  The support check clips on the
+    keys too.  ``restrict`` to the inner window keeps the configuration
+    exactly when every piece clips to itself, and ``WindowIndex.clip``
+    clips as ``clip_interval`` does, so the support holds exactly when the
+    clipped keys are the index's keys scaled to the window's scale.
     """
     eps = _positive(eps, "eps")
     a, b = _frac(support[0]), _frac(support[1])
@@ -1144,7 +1343,7 @@ def is_admissible(xi, eps, support, pam):
         # tuple holds each nonzero label at most once, which forces the
         # matching, so the count ``admissibility_sweep`` reports is 1 there.
         for t in centres:
-            _decompose_keys(windows.clip(k, t - e, t + e), k, t - e, t + e, pam)
+            windows.read(k, t - e, t + e, pam)
     except DecomposeError as err:
         return AdmissibilityReport(False, str(err), err.window)
     except DomainError as err:

@@ -5,9 +5,12 @@ elementary configurations; each elementary piece contributes one circle
 point, linearly interpolating between the basepoint and the window center.
 Values live in the fundamental domain (-1, 1] with 1 the basepoint.
 
-A window read is exact integer arithmetic: the window is clipped,
-decomposed and evaluated on endpoint keys over one common scale (see
-``scan_core``), and each value becomes a Fraction only when it is emitted.
+A window read is exact integer arithmetic: ``WindowIndex.read`` finds
+first fit of the window on endpoint keys over one common scale, and each
+value becomes a Fraction only when it is emitted (see ``scan_core``).  On
+a configuration whose pieces chain the index builds the normal form once,
+and a read slices it: two bisections and one pass over the pieces that
+meet the window, with no normal form and no sort per read.
 A trace runs on one integer scale too (see ``alpha_trace``): its
 breakpoints, the affine tracks of each segment, their crossings and the
 continuity check are integers.  The segments of a window content share
@@ -35,7 +38,6 @@ from .labeled import (
     E1_LEFT,
     E1_RIGHT,
     WindowIndex,
-    _decompose_keys,
     _interval,
     _moved,
     _num,
@@ -127,9 +129,10 @@ def scan_core(windows, pam, u, t):
 
     ``windows`` is the WindowIndex of the configuration being scanned.  The
     read runs on integers over K = lcm(2S, u.denominator, t.denominator),
-    with S the scale of the index: the window (t - 1, t + 1) is clipped and
-    decomposed on endpoint keys, and each unit is evaluated there, so the
-    only Fraction built is its value.  Replacing an elementary piece
+    with S the scale of the index: ``WindowIndex.read`` finds first fit of
+    the window (t - 1, t + 1) on endpoint keys, slicing the index's normal
+    form when the configuration chains, and each unit is evaluated there,
+    so the only Fraction built is its value.  Replacing an elementary piece
     closes the outer ends that keep adjacent windows consistent (see
     ``_units``).
     """
@@ -137,7 +140,7 @@ def scan_core(windows, pam, u, t):
     k = lcm(2 * windows.scale, u.denominator, t.denominator)
     s, c = _num(u, k), _num(t, k)
     lo, hi = c - k, c + k
-    items = _decompose_keys(windows.clip(k, lo, hi), k, lo, hi, pam)
+    items = windows.read(k, lo, hi, pam)
     return [(Fraction(_unit_value(keys, s, k), k), m) for keys, m in _units(items)]
 
 
@@ -338,6 +341,8 @@ def alpha_trace(xi, s, pam):
     ``labeled._reads``: a segment is read only when some endpoint has
     changed side of a window end since the last read, which happens at
     the first segment and at each segment that starts at an endpoint +-1.
+    Each read is one ``WindowIndex.read``; on a chain it slices the normal
+    form the index built once, with no normalization per read.
     Every other segment takes the last read, centred at c, with each
     clipped end moved by m - c (``_reads`` proves that the content, its
     normal form, first fit and its one sum agree), and units are built

@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
 import pamscan.labeled as labeled
+import pamscan.scanning as scanning
 from pamscan import FinitePam
 
 from genutil import cyclic_pam, truncated_pam
@@ -28,19 +31,21 @@ def carrier(request):
 
 @pytest.fixture
 def decompose_reads(monkeypatch):
-    """The (lo, hi, k) window of every call to ``labeled._decompose_keys``.
+    """The (lo, hi, k) window of every call to ``labeled.WindowIndex.read``.
 
-    The reads of ``labeled._reads``, and so of the sweep and the trace, are
-    recorded in call order; ``scanning.scan_core`` calls its own import and
-    is not.  The list holds integers only, so a test that counts built
-    Fractions is not disturbed.
+    The reads of ``labeled._reads``, and so of the sweep and the trace, and
+    those of ``is_admissible`` are recorded in call order; the reads that
+    ``scanning.scan_core`` makes are not.  The list holds integers only, so
+    a test that counts built Fractions is not disturbed.
     """
     reads = []
-    decompose = labeled._decompose_keys
+    read = labeled.WindowIndex.read
+    scan_core = scanning.scan_core.__code__
 
-    def counting_decompose(keyed, k, lo, hi, pam):
-        reads.append((lo, hi, k))
-        return decompose(keyed, k, lo, hi, pam)
+    def counting_read(self, k, lo, hi, pam):
+        if sys._getframe(1).f_code is not scan_core:
+            reads.append((lo, hi, k))
+        return read(self, k, lo, hi, pam)
 
-    monkeypatch.setattr(labeled, "_decompose_keys", counting_decompose)
+    monkeypatch.setattr(labeled.WindowIndex, "read", counting_read)
     return reads

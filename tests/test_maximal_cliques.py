@@ -21,10 +21,12 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import groupby
 
 import pytest
 
-from pamscan import CLOSED, OPEN, FinitePam, Interval, in_T_labeled, is_compatible
+import pamscan.labeled as labeled
+from pamscan import CLOSED, OPEN, UNIT, FinitePam, Interval, in_T_labeled, is_compatible
 from pamscan.tensor import (
     CircleCarrier,
     PamCarrier,
@@ -320,6 +322,127 @@ def test_nested_pieces_pass_linearly_many_labels(tuple_sums):
         tuple_sums.clear()
         assert in_T_labeled(_nested(n), z5)
         assert sum(tuple_sums) <= 4 * n, (n, sum(tuple_sums))
+
+
+def oracle_running_sweep(items, pam):
+    """The sweep with TH's running total summed afresh at each start after an end.
+
+    ``labeled._tensor_sweep`` as it was before the tree of partial sums:
+    the same sets in the same order, so the same verdict and witness.
+    """
+    if labeled._is_chain(items):
+        return None
+    ends = []
+    for i, item in enumerate(items):
+        u, v, p, q = item[0]
+        if u < v:
+            ends += ((u, 1, p, i), (v, 0, q, i))
+    ends.sort()
+
+    def sums(indices, *total):
+        return pam.sum_tuple([*total, *(items[i][1] for i in indices)])
+
+    through, total = {}, UNIT
+    for _, group in groupby(ends, lambda end: end[0]):
+        at = {(side, parity): [] for side in (0, 1) for parity in (CLOSED, OPEN)}
+        for _, side, parity, i in group:
+            at[side, parity].append(i)
+        ec, eo, sc, so = at[0, CLOSED], at[0, OPEN], at[1, CLOSED], at[1, OPEN]
+        for i in ec + eo:
+            del through[i]
+            total = None
+        if sc or so:
+            if total is None:
+                total = sums(through) if through else UNIT
+            opened = sc + so
+            new = sums(opened, total) if len(through) + len(opened) > 1 else items[opened[0]][1]
+            for part in (opened, ec and sc and ec + sc, eo and so and eo + so):
+                if part and (new if part is opened else sums(part, total)) is None:
+                    return _minimal_unsummable(sums, sorted([*through, *part]))
+            through.update(dict.fromkeys(opened))
+            total = new
+    return None
+
+
+def _wide_and_ending(rng, pam):
+    """Six to twelve wide pieces over a run of short ones that end and start under them.
+
+    Half the short pieces are labelled 0, so TH often sums when they end,
+    and so are seven in eight of the wide pieces past the first, so a TH
+    wide enough for the tree of partial sums (``_TREE_MIN``) often sums
+    too.
+    """
+    labels = [m for m in pam.elements if m != UNIT]
+    xi = [
+        (Interval(-F(rng.randint(1, 8), 4), 12 + F(rng.randint(0, 8), 4), rng.choice((OPEN, CLOSED)), rng.choice((OPEN, CLOSED))), rng.choice(labels) if k == 0 else rng.choice((UNIT,) * 7 + (rng.choice(labels),)))
+        for k in range(rng.randint(6, 12))
+    ]
+    x = F(rng.randint(0, 4), 4)
+    for _ in range(rng.randint(1, 12)):
+        v = x + F(rng.randint(0, 4), 4)
+        p = rng.choice((OPEN, CLOSED))
+        xi.append((Interval(x, v, p, -p if x == v else rng.choice((OPEN, CLOSED))), rng.choice((UNIT, rng.choice(labels)))))
+        x = v + F(rng.randint(0, 2), 4)
+    rng.shuffle(xi)
+    return xi
+
+
+def test_partial_sums_match_the_running_sweep(carrier, monkeypatch):
+    # 2,000 draws per carrier, half of them pieces that end and start
+    # under a wide TH, half ``_rand_interval`` pieces: the tree of partial
+    # sums gives the verdict and the witness of the running-total sweep.
+    # At least 100 draws per carrier read the total of a nonempty tree
+    rng = random.Random("partial-sums-" + carrier.name)
+    failing = resummed = 0
+    totals = []
+    total = labeled._PartialSums.total
+
+    def reading(tree):
+        totals.append(sum(m != UNIT for m in tree.nodes[tree.size :]))
+        return total(tree)
+
+    monkeypatch.setattr(labeled._PartialSums, "total", reading)
+    for n in range(2000):
+        if n % 2:
+            xi = _wide_and_ending(rng, carrier)
+        else:
+            xi = [(_rand_interval(rng), rng.choice(carrier.elements)) for _ in range(rng.randint(1, 9))]
+        _, keyed = labeled._endpoint_keys(xi)
+        keyed.sort()
+        want = oracle_running_sweep(keyed, carrier)
+        del totals[:]
+        assert labeled._tensor_sweep(keyed, carrier) == want, xi
+        failing += want is not None
+        resummed += any(totals)
+    assert resummed >= 100, resummed
+    assert failing >= 200 if carrier.name in ("M3", "T6") else failing == 0, failing
+
+
+def _wide_over_units(n):
+    """n nested pieces [-1-k/n, 2n+1+k/n) over n unit pieces [2i, 2i+1), labels g1 to g4 in turn."""
+    wide = [(Interval(-1 - F(k, n), 2 * n + 1 + F(k, n), CLOSED, OPEN), "g%d" % (k % 4 + 1)) for k in range(n)]
+    return wide + [(Interval(2 * i, 2 * i + 1, CLOSED, OPEN), "g%d" % (i % 4 + 1)) for i in range(n)]
+
+
+def test_pieces_ending_under_a_wide_th_sum_in_n_log_n(tuple_sums, monkeypatch):
+    # each unit piece starts after the last one ended, under all n wide
+    # pieces.  Summing TH afresh there passed 4,286, 66,302 and 1,051,646
+    # labels to sum_tuple at n = 64, 256 and 1,024; the tree of partial
+    # sums re-sums only the leaves that changed
+    pairs = []
+    pair_sum = FinitePam.pair_sum
+
+    def counting(self, a, b):
+        pairs.append((a, b))
+        return pair_sum(self, a, b)
+
+    monkeypatch.setattr(FinitePam, "pair_sum", counting)
+    z5 = cyclic_pam(5)
+    for n, labels, sums in ((64, 254, 48), (256, 1022, 192), (1024, 4094, 768)):
+        tuple_sums.clear()
+        del pairs[:]
+        assert in_T_labeled(_wide_over_units(n), z5)
+        assert (sum(tuple_sums), len(pairs)) == (labels, sums), n
 
 
 def test_sweep_pinned_cases(m3):
