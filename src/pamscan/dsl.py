@@ -219,15 +219,23 @@ def fmt_bm(z: BMElement):
 
 
 def parse_alpha(text, pam=None):
-    """Parse `t:a,b` partition choices, one per base point."""
-    out = []
+    """Parse `t:a,b` partition choices, one per base point.
+
+    A point given twice, by value (`2/4` repeats `1/2`), is a ParseError
+    at its second token, once that token's own labels have been read.
+    """
+    out, seen = [], set()
     for tok, line, col in _tokens(text):
         if tok.count(":") != 1 or tok.count(",") != 1:
             raise ParseError("expected 't:a,b', got %r" % tok, line, col)
         ts, rest = tok.split(":")
         a, b = rest.split(",")
         t = parse_rational(ts, line, col)
-        out.append((t, (_label(a, pam, line, col), _label(b, pam, line, col))))
+        ab = _label(a, pam, line, col), _label(b, pam, line, col)
+        if t in seen:
+            raise ParseError("alpha gives the point %s twice" % fmt_rational(t), line, col)
+        seen.add(t)
+        out.append((t, ab))
     return out
 
 

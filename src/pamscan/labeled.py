@@ -121,12 +121,14 @@ def labeled_normalize(xi, pam):
     one starts, or touches it with the opposite parity) pastes in one
     sorted pass, as any order of its pastes reaches one fixpoint
     (``_normal_keys`` gives the proof).  Other inputs replay the moves in
-    the order above through an index of left ends (``_paste``), so the
-    cost is O(n log n) for n pieces rather than a re-sort and rescan per
-    move.  The result is canonical only where the moves converge to one
-    answer: a configuration with two irreducible presentations (such as
-    [0,1):g1 [1/2,1):g1 [1,2):g1 over Z/5, where either g1 piece ending at
-    1 may take the paste) gets the one this order reaches.
+    the order above (``_paste``): a queue in key order yields the lowest
+    piece, an index of left ends its lowest partner, and each paste's
+    result is queued like an input piece, so the cost is O(n log n) for n
+    pieces rather than a re-sort and rescan per move.  The result is
+    canonical only where the moves converge to one answer: a configuration
+    with two irreducible presentations (such as [0,1):g1 [1/2,1):g1
+    [1,2):g1 over Z/5, where either g1 piece ending at 1 may take the
+    paste) gets the one this order reaches.
     """
     xi = tuple(xi)
     _check_labels(xi, pam)
@@ -268,29 +270,19 @@ def _paste(items, pam, scale):
     decide the answer; it works on any distinct keys, and the tests
     compare it with the one-pass fold on chains.  Pastes create no
     endpoint, so those integers cover every piece that appears; a key
-    sorts as its interval does and names the
-    piece in ``live``.  A pasted piece is a key and a label only, and
-    leaves with no interval.  Pieces leave ``todo`` in key order.  One
-    with no live partner waits under the left end a partner would have and
-    is queued again when a piece with that left end is added.  Only a merge
-    adds a new left end, by putting a new label on it, and that is the one
-    move that reaches behind the cursor.  Dead pieces are skipped when they
-    surface.  Sorted ``items`` are already a heap, both as ``todo`` and
-    under each left end, so they are loaded by appending.
+    sorts as its interval does and names the piece in ``live``.  A pasted
+    piece is a key and a label only, and leaves with no interval.
 
-    A popped piece that pastes is walked: the paste's result is pasted
-    again at once, with no ``_Piece`` and no round trip through ``todo``,
-    for as long as it has a live partner, coincides with no live piece
-    and sorts below the top live entry of ``todo``.  The walk makes the
-    moves the queue would, in the same order.  Queued, the result would
-    be the next piece popped, as it sorts below every live entry; it
-    needs no ``lefts`` or ``live`` entry meanwhile, as nothing else moves
-    until the walk stops.  And queuing it would release no waiting piece,
-    as its left end is the popped piece's, which stayed live from its own
-    queuing to its pop, so nothing began to wait under that end since.
-    The walk stops at a coincident merge, at a result with no live
-    partner, and at a result that a queued piece sorts below; the result,
-    or the merged piece, is then queued through ``add``.
+    Pieces leave ``todo`` in key order, and the lowest live one pastes
+    onto its lowest partner.  The result merges with the live piece it
+    coincides with, if any, and is otherwise queued through ``add`` like
+    any other piece.  A piece with no live partner waits under the left
+    end a partner would have and is queued again when a piece with that
+    left end is added.  Only a merge adds a new left end, by putting a new
+    label on it, and that is the one move that reaches behind the cursor.
+    Dead pieces are skipped when they surface.  Sorted ``items`` are
+    already a heap, both as ``todo`` and under each left end, so they are
+    loaded by appending.
     """
     order = count()
     live = {}  # key -> piece
@@ -322,28 +314,18 @@ def _paste(items, pam, scale):
         if not partners:
             waiting.setdefault(right, []).append(a)
             continue
-        a.live = False
-        del live[a.key]
-        while True:
-            b = heappop(partners)[-1]
-            if not partners:
-                del lefts[right]
-            b.live = False
-            del live[b.key]
-            _, v, _, q = b.key
-            key = (u, v, p, q)
-            x = live.pop(key, None)
-            if x is not None:
-                x.live = False
-                s = _coincident_sum(key, scale, *sorted((m, x.m), key=pam.index), pam)
-                if s != UNIT:
-                    add(x.j, s, key)
-                break
-            right = (v, -q, m)
-            partners = _prune(lefts.get(right, []))
-            if not partners or _prune(todo) and todo[0][0] < key:
-                add(None, m, key)
-                break
+        b = heappop(partners)[-1]
+        a.live = b.live = False
+        del live[a.key], live[b.key]
+        key = (u, b.key[1], p, b.key[3])
+        x = live.pop(key, None)
+        if x is None:
+            add(None, m, key)
+            continue
+        x.live = False
+        s = _coincident_sum(key, scale, *sorted((m, x.m), key=pam.index), pam)
+        if s != UNIT:
+            add(x.j, s, key)
     return [(key, live[key].m, live[key].j) for key in sorted(live)]
 
 
@@ -565,8 +547,8 @@ class WindowIndex:
     and zero labels chain (``_is_chain``), the index also stores their
     normal form, pasted once by ``_fold_chain``, and a read slices it: two
     bisections and one pass over the pieces that meet the window, with no
-    normal form and no sort per read.  Other configurations are read
-    through ``clip`` and ``_decompose_keys``.
+    normal form and no sort per read.  Other configurations, and a window
+    that fails, are read through ``clip`` and ``_decompose_keys``.
     """
 
     __slots__ = ("scale", "_keys", "_lefts", "_reach", "_chain", "_chain_lefts", "_chain_rights")
@@ -631,10 +613,9 @@ class WindowIndex:
         index with no stored chain reads exactly that way.  On a stored
         chain the read bisects the chain's ends to the slice of pieces that
         meet the window and finds first fit in one pass over the slice, with
-        no normal form and no sort.  A window that the pass finds failing is
-        handed to ``_first_fit`` as the clipped slice, which is the normal
-        form of its content, so the error is worded as the general read
-        words it, with no second clip of the index and no normal form.
+        no normal form and no sort.  A window that the pass finds failing
+        falls through to the general read, which words its error, so
+        ``clip`` alone writes how a piece is clipped.
 
         The read rests on NF(clip(C, W)) = clip(NF(C), W) for a chain C
         with no degenerate or zero-label piece.  The pieces of the general
@@ -668,40 +649,32 @@ class WindowIndex:
         them, and the items come out in sort order: the anchored single
         pieces at the ends of the slice and a cut pair last.
         """
-        if self._chain is None:
-            return _decompose_keys(self.clip(scale, lo, hi), scale, lo, hi, pam)
-        f = scale // self.scale
-        first = bisect_right(self._chain_rights, lo // f)
-        stop = bisect_left(self._chain_lefts, -(-hi // f))
-        inner, left, right = [], None, None
-        for (u, v, p, q), m, _ in self._chain[first:stop]:
-            u, v = u * f, v * f
-            if lo < u and v < hi:
-                if p + q:
-                    break
-                inner.append((0, (u, v, p, q), m, E1_INTERIOR))
-            elif u > lo:
-                right = (u, hi, p, OPEN), m
-            elif v < hi:
-                left = (lo, v, OPEN, q), m
+        if self._chain is not None:
+            f = scale // self.scale
+            first = bisect_right(self._chain_rights, lo // f)
+            stop = bisect_left(self._chain_lefts, -(-hi // f))
+            inner, left, right = [], None, None
+            for (u, v, p, q), m, _ in self._chain[first:stop]:
+                u, v = u * f, v * f
+                if lo < u and v < hi:
+                    if p + q:
+                        break
+                    inner.append((0, (u, v, p, q), m, E1_INTERIOR))
+                elif u > lo:
+                    right = (u, hi, p, OPEN), m
+                elif v < hi:
+                    left = (lo, v, OPEN, q), m
+                else:
+                    inner.append((0, (lo, hi, OPEN, OPEN), m, E1_WHOLE))
             else:
-                inner.append((0, (lo, hi, OPEN, OPEN), m, E1_WHOLE))
-        else:
-            if left and right and left[1] == right[1] and _pairs(left[0], right[0]):
-                items = inner + [(1, left[0], right[0], left[1])]
-            else:
-                items = ([(0, *left, E1_LEFT)] if left else []) + inner + ([(0, *right, E1_RIGHT)] if right else [])
-            if _sums(items, pam):
-                return items
-        # a failing window: first fit on the clipped slice words the error
-        w = [((u * f, v * f, p, q), m, None) for (u, v, p, q), m, _ in self._chain[first:stop]]
-        (u, v, p, q), m, _ = w[0]
-        if u <= lo:
-            w[0] = (lo, v, OPEN, q), m, None
-        (u, v, p, q), m, _ = w[-1]
-        if v >= hi:
-            w[-1] = (u, hi, p, OPEN), m, None
-        return _first_fit(w, scale, lo, hi, pam)
+                if left and right and left[1] == right[1] and _pairs(left[0], right[0]):
+                    items = inner + [(1, left[0], right[0], left[1])]
+                else:
+                    items = ([(0, *left, E1_LEFT)] if left else []) + inner
+                    items += [(0, *right, E1_RIGHT)] if right else []
+                if _sums(items, pam):
+                    return items
+        return _decompose_keys(self.clip(scale, lo, hi), scale, lo, hi, pam)
 
 
 def mirror_config(xi):
@@ -763,10 +736,13 @@ def positive_part(eta, pam):
 
     Zero-crossing pieces (-w, w) become [0, w) with the right parity kept;
     the positive pieces are kept as they are.  The negative side must be
-    exactly the mirror of the positive side.
+    exactly the mirror of the positive side.  The normal form is taken
+    once: it is a fixpoint of the moves, and the condition of every move
+    is mirror-symmetric, so its mirror is a fixpoint too and is compared
+    as it is.
     """
     nf = labeled_normalize(eta, pam)
-    if labeled_normalize(mirror_config(nf), pam) != nf:
+    if mirror_config(nf) != nf:
         raise DomainError("configuration is not mirror-invariant")
     s_zero, s_plus = _mirror_split(nf)
     folded = [(Interval(0, j.v, CLOSED, j.q), m) for j, m in s_zero]
@@ -871,30 +847,22 @@ def _decompose_keys(keyed, scale, lo, hi, pam):
 
     ``keyed`` holds the window content as sorted (key, label, interval)
     triples, its labels checked, and (lo, hi) is the window, all integers
-    over ``scale``.  A read is the normal form of the content
-    (``_normal_keys``) and ``_first_fit`` on it.
+    over ``scale``.  Returns the elementary items of first fit.  An item
+    is (0, key, label, kind) for a single piece and (1, left key, right
+    key, label) for a cut pair; items sort as the ``sort_key`` of Elem1
+    and Elem2 sorts them.
+
+    A read is four steps: the normal form w of the content
+    (``_normal_keys``), classify, first fit, and one sum of first fit's
+    labels, a cut pair's label once.  Some matching is valid exactly when
+    that sum is defined (see ``decompose_window``), and then the window is
+    in the tensor region: the two pieces of a cut pair chain (kl ends
+    before kr starts), so a clique of overlapping pieces holds at most one
+    of them, and its labels, a part of the summed tuple, sum.  The label
+    side then holds too, by the proof of ``_tensor_sweep``.  So only a
+    failing read runs the sweep, and a tensor failure's error wins.
     """
-    return _first_fit(_normal_keys(keyed, pam, scale), scale, lo, hi, pam)
-
-
-def _first_fit(w, scale, lo, hi, pam):
-    """First fit of the window (lo, hi) on the normal form ``w`` of its content.
-
-    ``w`` holds sorted (key, label, interval) triples in normal form, all
-    integers over ``scale``.  Returns the elementary items of first fit.
-    An item is (0, key, label, kind) for a single piece and (1, left key,
-    right key, label) for a cut pair; items sort as the ``sort_key`` of
-    Elem1 and Elem2 sorts them.
-
-    A read is three steps on ``w``: classify, first fit, and one sum of
-    first fit's labels, a cut pair's label once.  Some matching is valid
-    exactly when that sum is defined (see ``decompose_window``), and then
-    the window is in the tensor region: the two pieces of a cut pair chain
-    (kl ends before kr starts), so a clique of overlapping pieces holds at
-    most one of them, and its labels, a part of the summed tuple, sum.  The
-    label side then holds too, by the proof of ``_tensor_sweep``.  So only
-    a failing read runs the sweep, and a tensor failure's error wins.
-    """
+    w = _normal_keys(keyed, pam, scale)
     items, lefts, rights = [], [], []
     for key, m, _ in w:
         kind = _classify(key, lo, hi)
@@ -1049,12 +1017,10 @@ def _reads(windows, k, e, centres, pam):
     ``windows`` is a WindowIndex, ``k`` a multiple of its scale, and the
     window at a centre t is (t - e, t + e), all integers over k.  Yields,
     for each t, (c, items): the centre c at which ``WindowIndex.read``
-    read first fit's keyed ``items``, not moved; ``_moved_items(items,
-    c - e, c + e, t - c)`` are the items at t.  A read that fails raises
-    at its own centre.  A read of a chain slices the normal form the
-    index built once, so it costs two bisections and a pass over the
-    pieces it meets; other configurations are clipped and normalized per
-    read (see ``WindowIndex``).
+    read first fit's keyed ``items``, not moved; with each key end on
+    c - e or c + e moved by t - c (``_moved``) they are the items at t.
+    A read that fails raises at its own centre.  Its one caller is
+    ``scanning.alpha_trace``, which moves only the keys it evaluates.
 
     The state of a centre t is the pair (#{x <= t - e}, #{x < t + e}) over
     the endpoints x, and t is read exactly when its state differs from the
@@ -1124,29 +1090,18 @@ def _moved(keys, a, b, d):
     return tuple([(u + d if u == a else u, v + d if v == b else v, p, q) for u, v, p, q in keys])
 
 
-def _moved_items(items, a, b, d):
-    """Keyed elementary ``items`` with each end on a or b moved by d."""
-    out = []
-    for e in items:
-        n = 2 + e[0]  # a cut pair holds two keys
-        out.append(e[:1] + _moved(e[1:n], a, b, d) + e[n:])
-    return out
-
-
 def admissibility_sweep(xi, eps, pam):
     """Decompose every combinatorially distinct window; yields (t, result).
 
-    One result per centre of ``window_sweep_points``, each counted; a
-    window content shared by neighbouring centres is read once (see
-    ``_reads``), and the first failing window raises its DecomposeError.
+    One result per centre of ``window_sweep_points``, each read by
+    ``WindowIndex.read`` and counted; the first failing window raises its
+    DecomposeError.
     """
     eps = _positive(eps, "eps")
     windows = WindowIndex(xi, pam)
     k, e, centres = _sweep_centres([key for key, _ in windows._keys], windows.scale, eps)
-    for t, (c, items) in zip(centres, _reads(windows, k, e, centres, pam)):
-        if c != t:
-            items = _moved_items(items, c - e, c + e, t - c)
-        yield Fraction(t, k), _decomp_result(items, k, pam)
+    for t in centres:
+        yield Fraction(t, k), _decomp_result(windows.read(k, t - e, t + e, pam), k, pam)
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,9 @@ def carrier(request):
 def decompose_reads(monkeypatch):
     """The (lo, hi, k) window of every call to ``labeled.WindowIndex.read``.
 
-    The reads of ``labeled._reads``, and so of the sweep and the trace, and
-    those of ``is_admissible`` are recorded in call order; the reads that
-    ``scanning.scan_core`` makes are not.  The list holds integers only, so
+    The reads of ``labeled._reads`` (so of the trace), of
+    ``admissibility_sweep`` and of ``is_admissible`` are recorded in call
+    order; the reads that ``scanning.scan_core`` makes are not.  The list holds integers only, so
     a test that counts built Fractions is not disturbed.
     """
     reads = []

@@ -284,6 +284,11 @@ CASES = [
      "error: (a, a) is not a partition of the label c at 1/2\n"),
     (2, ["fiber", "glue", "--pam", "{m3}", "--z", "1/2:c", "--alpha", "1/4:a,b", "∅"], None,
      "parse error: alpha gives no partition for the point 1/2\n"),
+    # a point given twice is refused at its second token, in either order
+    (2, ["fiber", "glue", "--pam", "{m3}", "--z", "1/2:c", "--alpha", "1/2:a,a 1/2:a,b", WIDE], None,
+     "parse error: 1:9: alpha gives the point 1/2 twice\n"),
+    (2, ["fiber", "glue", "--pam", "{m3}", "--z", "1/2:c", "--alpha", "1/2:a,b 1/2:a,a", WIDE], None,
+     "parse error: 1:9: alpha gives the point 1/2 twice\n"),
 ]
 
 

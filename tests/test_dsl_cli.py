@@ -97,6 +97,7 @@ def test_config_parse_errors(m3):
         (parse_alpha, "1/2:a,b 1/2:a$,q", "1:9: bad label 'a$'"),
         (parse_alpha, "1/2:a,q", "1:1: unknown label 'q'"),
         (parse_alpha, "x:q,a", "1:1: expected a rational, got 'x'"),
+        (parse_alpha, "1/2:a,b 2/4:b,a", "1:9: alpha gives the point 1/2 twice"),
     ],
 )
 def test_label_and_empty_set_errors(parse, text, message, m3):

@@ -6,12 +6,15 @@ messages must agree exactly, over carriers beyond M3 and Z2 too, and on
 endpoints over mixed and very large denominators.  The keyed normal form
 that every window read runs is compared with the groupby pass it replaced,
 and the keys and equality by normal form with the two-read keying and the
-comparison of two Interval normal forms they replaced.
+comparison of two Interval normal forms they replaced.  ``positive_part``,
+which takes one normal form, is compared with the version that normalized
+its mirror again.
 The work guard counts integer endpoint keys, so a quadratic normal form
 cannot return without a failing test.
 """
 
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from itertools import groupby
@@ -32,7 +35,10 @@ from pamscan import (
     interval_leq,
     is_admissible,
     labeled_normalize,
+    lc_sorted,
+    mirror_config,
     normalize_config,
+    positive_part,
 )
 from pamscan.dsl import fmt_interval, parse_config
 from pamscan.pam import UNIT
@@ -310,9 +316,8 @@ def _cut_chain(k, parts=4):
 def test_work_grows_linearly(m3, monkeypatch):
     # integer endpoint keys count the sorting and grouping, so a normal form
     # that keyed its pieces again after each of the 6k pastes would fail;
-    # heap pushes count the indexed paste loop, which a walked paste skips,
-    # and heap prunes count every paste, walked or not.  One b piece over
-    # the first a run keeps the keys from chaining, so they take the walk
+    # heap pushes and prunes count the indexed paste loop.  One b piece
+    # over the first a run keeps the keys from chaining, so they take it
     calls = {"keys": 0, "heappush": 0, "prune": 0}
     endpoint_keys, push, prune = labeled._endpoint_keys, labeled.heappush, labeled._prune
 
@@ -393,22 +398,19 @@ def _count_heap_work(monkeypatch):
     return made, pushes
 
 
-def test_a_run_pastes_in_one_walk(m3, monkeypatch):
+def test_a_run_pastes_in_linear_heap_work(m3, monkeypatch):
     # k touching a pieces paste into [0,k):a; the b piece over the first
-    # two keeps the keys from chaining, so they take the walk.  Each
-    # paste's result is pasted again at once, so past the k + 1 pieces
-    # loaded, the queue and the index see one piece and its two entries,
-    # whatever k is
+    # two keeps the keys from chaining, so they take the indexed paste
+    # loop.  Past the k + 1 pieces loaded, each of the k - 1 pastes makes
+    # one piece and pushes it onto the queue and the index of left ends
     made, pushes = _count_heap_work(monkeypatch)
     b = (Interval(F(1, 2), F(3, 2), CLOSED, OPEN), "b")
-    extra = {}
     for k in (64, 512):
         xi = [(Interval(i, i + 1, CLOSED, OPEN), "a") for i in range(k)] + [b]
         random.Random(k).shuffle(xi)
         del made[:], pushes[:]
         assert labeled_normalize(xi, m3) == ((Interval(0, k, CLOSED, OPEN), "a"), b)
-        extra[k] = (len(made) - (k + 1), len(pushes))
-    assert extra[64] == extra[512] == (1, 2), extra
+        assert len(made) - (k + 1) <= k and len(pushes) <= 2 * k, (k, len(made), len(pushes))
 
 
 def test_a_chain_pastes_in_one_pass(m3, monkeypatch):
@@ -422,62 +424,54 @@ def test_a_chain_pastes_in_one_pass(m3, monkeypatch):
     assert (len(made), len(pushes)) == (0, 0)
 
 
-class _WalkStops:
-    """Counts the stops of the paste walk by kind, as the queue sees them.
+class _PasteCases:
+    """Counts what becomes of the pieces that ``_paste`` makes.
 
-    A walk stops at a merge when ``_paste`` sums two labels.  Otherwise
-    its result is queued as a new piece, and the next live piece popped
-    off the queue tells why the walk stopped there: the result itself
-    when it had no partner, another piece when that one sorts below it.
+    A paste's result merges when ``_paste`` sums its label with that of
+    the live piece it coincides with.  A made piece that is still live
+    when ``_paste`` returns was queued, popped and found no live partner.
     """
 
     def __init__(self, monkeypatch):
-        self.counts = dict.fromkeys(("merge", "no partner", "queued lower"), 0)
-        self.loading = self.result = None
+        self.counts = dict.fromkeys(("merge", "no partner"), 0)
+        self.loading, self.made = None, []
         self.base = {}
-        for name in ("_paste", "_Piece", "_coincident_sum", "heappop"):
+        for name in ("_paste", "_Piece", "_coincident_sum"):
             self.base[name] = getattr(labeled, name)
             monkeypatch.setattr(labeled, name, getattr(self, name.lstrip("_")))
 
     def paste(self, items, pam, scale):
-        self.loading, self.result = len(items), None
+        self.loading, self.made = len(items), []
         try:
-            return self.base["_paste"](items, pam, scale)
+            out = self.base["_paste"](items, pam, scale)
         finally:
             self.loading = None
+        self.counts["no partner"] += sum(piece.live for piece in self.made)
+        return out
 
     def Piece(self, *args):
-        made = self.base["_Piece"](*args)
+        piece = self.base["_Piece"](*args)
         if self.loading:
             self.loading -= 1
-        elif self.result is None:
-            self.result = made
-        return made
+        else:
+            self.made.append(piece)
+        return piece
 
     def coincident_sum(self, *args):
         if self.loading is not None:
             self.counts["merge"] += 1
-            self.result = False
         return self.base["_coincident_sum"](*args)
 
-    def heappop(self, heap):
-        entry = self.base["heappop"](heap)
-        if self.loading is not None and len(entry) == 3 and entry[-1].live:
-            if self.result:
-                self.counts["no partner" if entry[-1] is self.result else "queued lower"] += 1
-            self.result = None
-        return entry
 
+def _paste_config(rng, pam):
+    """Interleaved runs of touching equal-label pieces, for the paste queue.
 
-def _walk_config(rng, pam):
-    """Interleaved runs of touching equal-label pieces, built to stop the walk.
-
-    Runs share a few left ends, so a shorter piece queued at the walk's
-    left end sorts below its result.  A run may get a piece on the hull of
-    one of its prefixes, a coincident partner for the walk; a second piece
-    ending where one of its pieces ends with its label, a contended right
-    end; or a piece ending at its left end, which waits for a partner that
-    only a merge may give it.
+    Runs share a few left ends, so their pieces interleave in the queue.
+    A run may get a piece on the hull of one of its prefixes, a coincident
+    piece for a paste's result to merge with; a second piece ending where
+    one of its pieces ends with its label, a contended right end; or a
+    piece ending at its left end, which waits for a partner that only a
+    merge may give it.
     """
     labels = pam.elements[1:]
     xi = []
@@ -503,22 +497,22 @@ def _walk_config(rng, pam):
     return xi
 
 
-def test_walk_stops_match_oracle(m3, z2, monkeypatch):
-    # the walk replaces the queue round trip of each paste and stops where
-    # a queued piece could move next; tuples and errors match the oracle
-    # where it stops at a merge, with no partner and behind a queued piece
-    stops = _WalkStops(monkeypatch)
+def test_paste_cases_match_oracle(m3, z2, monkeypatch):
+    # every paste's result is queued like an input piece or merged at
+    # once; tuples and errors match the oracle where results merge and
+    # where they are left with no partner
+    cases = _PasteCases(monkeypatch)
     draws = raised = 0
     for pam in (m3, z2, Z5, TRUNC6):
         rng = random.Random("walk-" + pam.name)
         for _ in range(800):
-            xi = _walk_config(rng, pam)
+            xi = _paste_config(rng, pam)
             fast = _outcome(labeled_normalize, xi, pam)
             assert fast == _outcome(oracle_normalize, xi, pam), (pam.name, xi)
             draws += 1
             raised += fast[0] == "raised"
     assert draws >= 3000 and 0 < raised < draws / 2, (draws, raised)
-    assert min(stops.counts.values()) >= 100, stops.counts
+    assert min(cases.counts.values()) >= 100, cases.counts
 
 
 def _rand_intervals(rng):
@@ -892,3 +886,64 @@ def test_each_distinct_label_is_checked_once(m3, monkeypatch):
     for run in (lambda: labeled_normalize(bad, m3), lambda: config_eq(xi, bad, m3)):
         with pytest.raises(DomainError, match="^unknown element 'zz' of pam 'M3'$"):
             run()
+
+
+def oracle_positive_part(eta, pam):
+    """``positive_part`` that normalizes the mirror of the normal form again."""
+    nf = labeled_normalize(eta, pam)
+    if labeled_normalize(mirror_config(nf), pam) != nf:
+        raise DomainError("configuration is not mirror-invariant")
+    s_zero, s_plus = labeled._mirror_split(nf)
+    folded = [(Interval(0, j.v, CLOSED, j.q), m) for j, m in s_zero]
+    return lc_sorted(folded + list(s_plus))
+
+
+def _mirror_draw(rng, pam):
+    """One to seven pieces on a quarter grid, most of them with their mirror images.
+
+    A half of one to three pieces, which may overlap, touch 0 or cross
+    it, comes with its mirror image, and one draw in three adds a piece
+    (-w, w) that is its own mirror.  One draw in five then drops a piece
+    or moves one by a quarter, and one in ten keeps the half alone.
+    Labels may be 0 and pieces may be degenerate.
+    """
+    labels = pam.elements
+    half = []
+    for _ in range(rng.randint(1, 3)):
+        u = F(rng.randint(-4, 8), 4)
+        p = rng.choice((OPEN, CLOSED))
+        if rng.random() < 0.1:
+            j = Interval(u, u, p, -p)
+        else:
+            j = Interval(u, u + F(rng.randint(1, 8), 4), p, rng.choice((OPEN, CLOSED)))
+        half.append((j, UNIT if rng.random() < 0.1 else rng.choice(labels[1:])))
+    roll = rng.random()
+    xi = half if roll < 0.1 else half + list(mirror_config(half))
+    if rng.random() < 1 / 3:
+        w, p = F(rng.randint(1, 8), 4), rng.choice((OPEN, CLOSED))
+        xi.append((Interval(-w, w, p, -p), rng.choice(labels[1:])))
+    if 0.1 <= roll < 0.3:
+        i = rng.randrange(len(xi))
+        j, m = xi.pop(i)
+        if roll < 0.2:
+            xi.insert(i, (j.translate(F(1, 4)), m))
+    rng.shuffle(xi)
+    return xi
+
+
+def test_positive_part_normalizes_once(carrier):
+    # 1,100 seeded draws per carrier: comparing the mirror of the normal
+    # form with the normal form itself gives the tuple, or the error text,
+    # of normalizing that mirror again.  Draws fold with and without a
+    # piece at 0, and fail the mirror check or the mirror shape
+    rng = random.Random("positive-part-" + carrier.name)
+    seen = Counter()
+    for _ in range(1100):
+        xi = _mirror_draw(rng, carrier)
+        got = _outcome(positive_part, xi, carrier)
+        assert got == _outcome(oracle_positive_part, xi, carrier), (carrier.name, xi)
+        if got[0] == "ok":
+            seen["starts at 0" if got[1] and got[1][0][0].u == 0 else "folded"] += 1
+        else:
+            seen[next((r for r in ("mirror-invariant", "mirror-shaped") if r in got[2]), "other")] += 1
+    assert min(seen[r] for r in ("starts at 0", "folded", "mirror-invariant", "mirror-shaped")) >= 150, seen

@@ -55,7 +55,7 @@ from pamscan import (
     restrict,
 )
 from pamscan.dsl import fmt_loop, parse_config
-from pamscan.labeled import E1_LEFT, E1_RIGHT, _decompose_keys, _interval, _moved_items, _num, _sweep_centres
+from pamscan.labeled import E1_LEFT, E1_RIGHT, _decompose_keys, _interval, _moved, _num, _sweep_centres
 from pamscan.scanning import merged_strand_value
 
 from genutil import cyclic_pam, odd_primes, rand_admissible, rand_frac, truncated_pam
@@ -485,6 +485,15 @@ def test_is_admissible_reads_each_window_content_once(m3, decompose_reads):
 def _window_state(ends, lo, hi):
     """The endpoints on or below the window end lo, and those below hi."""
     return sum(x <= lo for x in ends), sum(x < hi for x in ends)
+
+
+def _moved_items(items, a, b, d):
+    """Keyed elementary ``items`` with each end on a or b moved by d."""
+    out = []
+    for e in items:
+        n = 2 + e[0]  # a cut pair holds two keys
+        out.append(e[:1] + _moved(e[1:n], a, b, d) + e[n:])
+    return out
 
 
 def test_reads_match_a_fresh_read_at_every_centre(carrier, decompose_reads):
