@@ -739,12 +739,15 @@ def positive_part(eta, pam):
     exactly the mirror of the positive side.  The normal form is taken
     once: it is a fixpoint of the moves, and the condition of every move
     is mirror-symmetric, so its mirror is a fixpoint too and is compared
-    as it is.
+    as it is.  A normal form holds no degenerate piece, so the mirror maps
+    the pieces with u >= 0 onto those with v <= 0, and once the two forms
+    agree the negative side is the positive side's mirror:
+    ``split_sides`` alone checks the shape.
     """
     nf = labeled_normalize(eta, pam)
     if mirror_config(nf) != nf:
         raise DomainError("configuration is not mirror-invariant")
-    s_zero, s_plus = _mirror_split(nf)
+    _, s_zero, s_plus = split_sides(nf)
     folded = [(Interval(0, j.v, CLOSED, j.q), m) for j, m in s_zero]
     return lc_sorted(folded + list(s_plus))
 
@@ -1070,8 +1073,9 @@ def _change_points(windows, k, e):
 def _read_centres(windows, eps):
     """(K, e, centres): the centres of ``_sweep_centres`` that ``_reads`` reads.
 
-    Those are crit[0] - K and the first centre at or past each change
-    point.  Over K every end and e are even, so a change point x + e is a
+    One centre per window content; ``is_admissible`` decides its windows
+    at them (``_centres_to_read``).  Those are crit[0] - K and the first
+    centre at or past each change point.  Over K every end and e are even, so a change point x + e is a
     critical point, its own centre, and one x - e + 1 lies just past the
     critical point x - e, below the largest.  Its centre is the midpoint of
     x - e and the next critical point, which is the next change point
@@ -1083,6 +1087,58 @@ def _read_centres(windows, eps):
     centres = [changes[0] - 1 - k] if changes else [0]
     centres += [(t - 1 + changes[i + 1]) // 2 if t % 2 else t for i, t in enumerate(changes)]
     return k, e, centres
+
+
+def _centres_to_read(windows, k, e, centres, pam):
+    """The increasing ``centres`` at which ``is_admissible`` reads its window.
+
+    Every centre, unless ``windows`` stores a chain; then, with no window
+    read, those at which the chain read of ``WindowIndex.read`` finds no
+    first fit, where the general read fails too and words the error.  At
+    a centre that read slices the chain to the pieces [first, stop) that
+    meet the window (lo, hi), and as the window moves right both ends only
+    move forward.  Only the first piece can start at or before lo and only
+    the last can end at or after hi; with l and r telling whether they do,
+    the strictly inner pieces are [first + l, stop - r), or none when one
+    piece is cut on both sides (then stop - r = first + l - 1).  The read
+    breaks exactly when one of them has p + q != 0, which a prefix count
+    of such pieces tells.  Otherwise its items are the pieces of the
+    slice, except that the left-cut and right-cut pieces, two of one
+    label, make a cut pair with that label when ``_pairs`` accepts them.
+    A cut keeps the uncut end and its parity, all that ``_pairs``
+    compares, so it is asked of the chain keys.  So the items' labels are
+    those of [first, stop - paired), and the read succeeds exactly when
+    fewer than two remain or they sum (``_sums``); ``FinitePam.sum_tuple``
+    is order-free, so each range is summed once.
+    """
+    chain = windows._chain
+    if chain is None:
+        yield from centres
+        return
+    f = k // windows.scale
+    lefts = [u * f for u in windows._chain_lefts]
+    rights = [v * f for v in windows._chain_rights]
+    labels = [m for _, m, _ in chain]
+    flagged = [0, *accumulate(key[2] + key[3] != 0 for key, _, _ in chain)]
+    sums, first, stop = {}, 0, 0
+    for t in centres:
+        lo, hi = t - e, t + e
+        first = bisect_right(rights, lo, first)
+        stop = bisect_left(lefts, hi, stop)
+        if first == stop:
+            continue
+        cut_l, cut_r = lefts[first] <= lo, rights[stop - 1] >= hi
+        if flagged[stop - cut_r] > flagged[first + cut_l]:
+            yield t
+            continue
+        paired = (cut_l and cut_r and stop - first > 1 and labels[first] == labels[stop - 1]
+                  and _pairs(chain[first][0], chain[stop - 1][0]))
+        j = stop - paired
+        if j - first > 1:
+            if (first, j) not in sums:
+                sums[first, j] = pam.sum_tuple(labels[first:j]) is not None
+            if not sums[first, j]:
+                yield t
 
 
 def _moved(keys, a, b, d):
@@ -1274,14 +1330,16 @@ def is_admissible(xi, eps, support, pam):
     raising.  One WindowIndex serves all three checks.  The labels are
     checked once, by the index, and ``_tensor_sweep`` decides tensor
     membership on its keys; they are in ``lc_sorted`` order, so a witness
-    names positions in ``lc_sorted(xi)``.  The windows are read by
-    ``WindowIndex.read`` at the centres of ``_read_centres``, each content
-    once; on a chain a read slices the normal form the index built once,
-    with no normalization and no sort.  The support check clips on the
-    keys too.  ``restrict`` to the inner window keeps the configuration
-    exactly when every piece clips to itself, and ``WindowIndex.clip``
-    clips as ``clip_interval`` does, so the support holds exactly when the
-    clipped keys are the index's keys scaled to the window's scale.
+    names positions in ``lc_sorted(xi)``.  The windows are decided at the
+    centres of ``_read_centres``, one per content.  On a stored chain one
+    pass (``_centres_to_read``) decides them with no window read, and only
+    the first failing window is read, by ``WindowIndex.read``, to word its
+    error; other configurations read each of them.  The support check
+    clips on the keys too.  ``restrict`` to the inner window keeps the
+    configuration exactly when every piece clips to itself, and
+    ``WindowIndex.clip`` clips as ``clip_interval`` does, so the support
+    holds exactly when the clipped keys are the index's keys scaled to the
+    window's scale.
     """
     eps = _positive(eps, "eps")
     a, b = _frac(support[0]), _frac(support[1])
@@ -1297,7 +1355,7 @@ def is_admissible(xi, eps, support, pam):
         # sum and counts nothing.  Over a self-insummable pam a summable
         # tuple holds each nonzero label at most once, which forces the
         # matching, so the count ``admissibility_sweep`` reports is 1 there.
-        for t in centres:
+        for t in _centres_to_read(windows, k, e, centres, pam):
             windows.read(k, t - e, t + e, pam)
     except DecomposeError as err:
         return AdmissibilityReport(False, str(err), err.window)

@@ -186,13 +186,16 @@ class FinitePam:
         ordering folds like the given one, and one left fold decides the sum.
         """
         elems = tuple(elems)
+        index = self._index
         for x in elems:
-            self.check_element(x)
+            if x not in index:
+                self.check_element(x)
         if not elems:
             return UNIT
+        add = self._pairs.get
         acc = elems[0]
         for x in elems[1:]:
-            acc = self._add(acc, x)
+            acc = add((acc, x))
             if acc is None:
                 return None
         return acc

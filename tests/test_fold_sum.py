@@ -49,16 +49,28 @@ def test_fold_matches_permutation_oracle(carrier):
             assert carrier.sum_tuple(elems[::-1]) == want, elems
 
 
+class Counted(dict):
+    """A copy of a carrier's table that records each lookup and each membership test."""
+
+    def __init__(self, table, calls):
+        super().__init__(table)
+        self.calls = calls
+
+    def get(self, key, default=None):
+        self.calls.append(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.calls.append(key)
+        return super().__contains__(key)
+
+
 def test_fold_makes_at_most_n_minus_1_pair_sums(monkeypatch):
-    # the fold looks its steps up unchecked, so the lookup is what is counted
+    # the fold looks its steps up unchecked in the table of summable
+    # pairs, so the lookup is what is counted
     calls = []
-    add = FinitePam._add
-
-    def counting(self, a, b):
-        calls.append((a, b))
-        return add(self, a, b)
-
-    monkeypatch.setattr(FinitePam, "_add", counting)
+    monkeypatch.setattr(Z5, "_pairs", Counted(Z5._pairs, calls))
+    monkeypatch.setattr(TRUNC6, "_pairs", Counted(TRUNC6._pairs, calls))
     for n in (1, 9, 40, 200):
         for elems in (("g1",) * n, ("g2", "g3") * n):
             calls.clear()
@@ -70,7 +82,9 @@ def test_fold_makes_at_most_n_minus_1_pair_sums(monkeypatch):
 
 
 def test_each_element_is_checked_once(monkeypatch):
-    calls = []
+    # the fold tests each element once against the carrier's index and
+    # calls ``check_element`` only to raise, on the first unknown element
+    calls, tests = [], []
     check = FinitePam.check_element
 
     def counting(self, x):
@@ -78,16 +92,18 @@ def test_each_element_is_checked_once(monkeypatch):
         return check(self, x)
 
     monkeypatch.setattr(FinitePam, "check_element", counting)
+    monkeypatch.setattr(Z5, "_index", Counted(Z5._index, tests))
     assert Z5.sum_tuple(("g1",) * 12) == "g2"
-    assert len(calls) == 12
-    calls.clear()
+    assert len(tests) == 12 and calls == []
     t24 = truncated_pam(24)
     assert len(calls) <= len(t24.elements)
     # the public pair sum still checks, with the same message
     with pytest.raises(DomainError, match="unknown element 'q' of pam 'Z5'"):
         Z5.pair_sum("g1", "q")
+    calls.clear()
     with pytest.raises(DomainError, match="unknown element 'q' of pam 'Z5'"):
-        Z5.sum_tuple(("g1", "g2", "q"))
+        Z5.sum_tuple(("g1", "q", "g2", "r"))
+    assert calls == ["q"]
 
 
 def test_nine_half_open_pieces_in_one_window_are_admissible():

@@ -11,7 +11,9 @@ decomposes and evaluates on integer keys over one scale per read, traces
 on one integer scale with one read per window content, and must agree
 with the oracles byte for byte, error texts included.  The index bisects
 integer endpoints, and the Fraction bisection it replaced must find the
-same slices.  The work guards count clipped pieces, built Intervals, window
+same slices.  The pass that decides a chain's windows without reading
+them must give the verdicts of the every-centre oracle and of the read
+loop it replaced.  The work guards count clipped pieces, built Intervals, window
 decompositions and Fractions, so a quadratic scan or a scan that falls
 back to Fractions cannot return without a failing test.
 """
@@ -59,7 +61,7 @@ from pamscan.labeled import E1_LEFT, E1_RIGHT, _decompose_keys, _interval, _move
 from pamscan.scanning import merged_strand_value
 
 from genutil import cyclic_pam, odd_primes, rand_admissible, rand_frac, truncated_pam
-from test_count_matchings import centre_sides, oracle_decompose, rand_sweep_input
+from test_count_matchings import EPSILONS, PARITIES, centre_sides, oracle_decompose, rand_sweep_input
 
 
 class FullScan:
@@ -393,6 +395,29 @@ def oracle_every_centre(xi, eps, support, pam, read):
     return True, None, None
 
 
+def oracle_read_loop(xi, eps, support, pam):
+    """is_admissible as (ok, reason, window) with its loop before the chain pass:
+    ``WindowIndex.read`` at each centre of ``_read_centres`` until the first
+    that fails."""
+    eps, a, b = F(eps), F(support[0]), F(support[1])
+    windows = WindowIndex(xi, pam)
+    bad = labeled._tensor_sweep(windows._keys, pam)
+    if bad is not None:
+        return False, "not in the tensor region: %r" % (("first", bad),), None
+    k, e, centres = labeled._read_centres(windows, eps)
+    for t in centres:
+        try:
+            windows.read(k, t - e, t + e, pam)
+        except DecomposeError as err:
+            return False, str(err), err.window
+        except DomainError as err:
+            return False, str(err), None
+    pieces = lc_sorted(xi)
+    if restrict(pieces, a + eps / 2, b - eps / 2) != pieces:
+        return False, "support leaks outside (%s, %s)" % (a + eps / 2, b - eps / 2), None
+    return True, None, None
+
+
 def _admissibility(xi, eps, support, pam):
     try:
         report = is_admissible(xi, eps, support, pam)
@@ -425,15 +450,21 @@ def content_starts(sides):
     ]
 
 
+def _assert_chain_reads(reads, got):
+    """A stored chain reads no window, or only the failing one."""
+    assert reads == ([sum(got[2]) / 2] if got[0] is False and got[2] else [])
+
+
 def test_admissible_reasons_match_the_every_centre_oracle(m3, z2, decompose_reads):
     # 2,000 draws over four carriers and four radii (``rand_sweep_input``):
     # the verdict, the reason and the failing window are the oracle's,
-    # which reads every centre and stops at the first that fails.  The
-    # sweep reads the first centre of each window content, as many as
-    # the centres whose window ends agree, up to the first failure and no
-    # further, so a first failing centre with an endpoint on its left
-    # window end only is read once, as its own window
-    seen = dict.fromkeys(("admissible", "window", "left-only failure", "other"), 0)
+    # which reads every centre and stops at the first that fails.  An
+    # input that does not chain reads the first centre of each window
+    # content, as many as the centres whose window ends agree, up to the
+    # first failure and no further, so a first failing centre with an
+    # endpoint on its left window end only is read once, as its own
+    # window.  A chain reads only its failing window
+    seen = dict.fromkeys(("admissible", "window", "left-only failure", "other", "chain"), 0)
     for pam in (m3, z2, cyclic_pam(5), truncated_pam(6)):
         rng = random.Random("reasons-" + pam.name)
         labels = [m for m in pam.elements if m != "0"]
@@ -448,6 +479,10 @@ def test_admissible_reasons_match_the_every_centre_oracle(m3, z2, decompose_read
             except DomainError as e:
                 want = type(e).__name__, str(e)
             assert got == want, (xi, eps, support, pam.name)
+            if _stores_chain(xi, pam):
+                seen["chain"] += 1
+                _assert_chain_reads(reads, got)
+                continue
             sides = centre_sides(xi, eps)
             starts = content_starts(sides)
             assert len(starts) == sum(left == right for _, (left, right) in sides)
@@ -465,14 +500,23 @@ def test_admissible_reasons_match_the_every_centre_oracle(m3, z2, decompose_read
 
 
 def test_is_admissible_reads_each_window_content_once(m3, decompose_reads):
-    # on admissible chains of 8 and 64 clusters, one keyed read at the
-    # first centre of each window content, as many as the midpoints, the
-    # outer centres and the centres with endpoints on both window ends;
-    # every other centre has an endpoint on one window end only and takes
-    # a neighbour's read, which is about half of them
+    # admissible chains of 8 and 64 clusters read no window.  With one
+    # piece split in two coincident ones, so that the input does not
+    # chain but is as admissible, there is one keyed read at the first
+    # centre of each window content, as many as the midpoints, the outer
+    # centres and the centres with endpoints on both window ends; every
+    # other centre has an endpoint on one window end only and takes a
+    # neighbour's read, which is about half of them
     rng = random.Random("chain-reads")
     for clusters in (8, 64):
         xi, s = rand_admissible(rng, clusters=clusters)
+        del decompose_reads[:]
+        assert is_admissible(xi, 1, (0, s), m3)
+        assert decompose_reads == []
+        # split a c-labeled piece into coincident a and b: one normal form
+        i = next(i for i, (_, m) in enumerate(xi) if m == "c")
+        xi = [*xi[:i], (xi[i][0], "a"), (xi[i][0], "b"), *xi[i + 1 :]]
+        assert not _stores_chain(xi, m3)
         del decompose_reads[:]
         assert is_admissible(xi, 1, (0, s), m3)
         sides = centre_sides(xi, 1)
@@ -480,6 +524,72 @@ def test_is_admissible_reads_each_window_content_once(m3, decompose_reads):
         assert reads == content_starts(sides)
         assert len(reads) == sum(left == right for _, (left, right) in sides)
         assert 2 * len(reads) < 1.2 * len(sides), (len(reads), len(sides))
+
+
+def _stores_chain(xi, pam):
+    try:
+        return WindowIndex(xi, pam)._chain is not None
+    except DomainError:
+        return False
+
+
+def rand_chain(rng, labels, eps):
+    """A chain of 1 to 7 pieces that ``WindowIndex`` stores, with what it leaves out.
+
+    Pieces touch with opposite parities or sit 0 to 2 eps apart, so that
+    one window may cut the pieces on both sides of a gap: a cut pair, or
+    one that breaks on the label or on the parity.  Half the pieces are shorter than 2 eps, and a third are
+    co-parity (p = q), which fails inside a window.  A gap may hold a
+    degenerate point or a zero-label piece.
+    """
+    x, q, xi = F(rng.randint(-8, 8), 4), None, []
+    for _ in range(rng.randint(1, 7)):
+        gap = F(rng.randint(0, 8), 4) * eps if xi and rng.random() < 0.6 else 0
+        p = rng.choice(PARITIES) if q is None or gap else -q
+        if gap and rng.random() < 0.4:
+            y = x + F(rng.randint(1, 7), 8) * gap
+            if rng.random() < 0.5:
+                r = rng.choice(PARITIES)
+                xi.append((Interval(y, y, r, -r), rng.choice(labels)))
+            else:
+                xi.append((Interval(x, y, *rng.sample(PARITIES, 2)), "0"))
+        u = x + gap
+        x = u + (F(rng.randint(1, 15), 8) if rng.random() < 0.5 else 2 + F(rng.randint(0, 16), 8)) * eps
+        q = p if rng.random() < 0.33 else -p
+        m = xi[-1][1] if xi and xi[-1][1] != "0" and rng.random() < 0.5 else rng.choice(labels)
+        xi.append((Interval(u, x, p, q), m))
+    return xi
+
+
+def test_chain_pass_matches_both_oracles(carrier, decompose_reads):
+    # 1,000 chain draws per carrier (``rand_chain``), the radius cycling
+    # through ``EPSILONS``: (ok, reason, window) is the every-centre
+    # oracle's and the read loop's, and the pass reads no window of an
+    # admissible chain and only the failing one of a failing chain
+    rng = random.Random("chain-pass-" + carrier.name)
+    labels = [m for m in carrier.elements if m != "0"]
+    seen = Counter()
+    for n in range(1000):
+        eps = EPSILONS[n % 4]
+        xi = rand_chain(rng, labels, eps)
+        assert _stores_chain(xi, carrier), xi
+        support = rand_support(rng, xi, eps)
+        del decompose_reads[:]
+        got = _admissibility(xi, eps, support, carrier)
+        reads = [F(lo + hi, 2 * k) for lo, hi, k in decompose_reads]
+        assert got == oracle_every_centre(xi, eps, support, carrier, _decompose_keys), (xi, eps, support)
+        del decompose_reads[:]
+        assert got == oracle_read_loop(xi, eps, support, carrier), (xi, eps, support)
+        _assert_chain_reads(reads, got)
+        if got[0]:
+            seen["admissible"] += 1
+        elif got[2]:
+            seen[next(r for r in ("is not elementary", "no matching makes", "collide but") if r in got[1])] += 1
+        else:
+            seen["other"] += 1
+    assert seen["admissible"] >= 100 and sum(seen.values()) - seen["admissible"] >= 250, seen
+    if carrier.name not in ("Z2", "Z5"):
+        assert seen["no matching makes"] >= 50, seen
 
 
 def _window_state(ends, lo, hi):
