@@ -6,13 +6,13 @@ errors to stderr.
 
 Each command is one row of ``COMMANDS``: verb, action (None for a verb
 without actions), help line, arguments in order, handler.  ``build_parser``
-makes the top-level parser and every verb parser, whose names and help
-lines print at the top level, but adds a verb's action parsers, and a
-command's arguments, only when that name is a token of argv.  This is
-exact: argparse enters a subparser only through an argv token equal to its
-name (an exact lookup, with no abbreviation), so every parser that a parse
-reaches, for help, a usage error or a value, is complete.  Nothing is
-cached between calls.
+builds a parser, with its arguments, only for the top level and for a verb
+or action whose name is a token of argv; a built parser lists each of its
+other verbs or actions by name and help line alone.  This is exact:
+argparse enters a subparser only through an argv token equal to its name
+(an exact lookup, with no abbreviation), and prints choices and help lines
+without entering one, so every parser that a parse reaches, for help, a
+usage error or a value, is complete.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -285,13 +285,20 @@ COMMANDS = (
 
 
 def build_parser(argv):
-    """The parser for ``argv``: every verb, and below a verb only the
-    parsers and arguments that argv names (see the module docstring)."""
+    """The parser for ``argv``: a verb or action gets a parser only when
+    argv names it, and is otherwise a name and help line in its parent's
+    choices (see the module docstring)."""
     named = set(argv)
+
+    def parser_class(**kwargs):
+        # argparse passes the prog "<parent prog> <name>"
+        name = kwargs["prog"].rpartition(" ")[2]
+        return argparse.ArgumentParser(**kwargs) if name in named else None
+
     ap = argparse.ArgumentParser(
         prog="pamscan", description="exact configuration spaces of labeled parity intervals"
     )
-    verbs = ap.add_subparsers(dest="verb", required=True)
+    verbs = ap.add_subparsers(dest="verb", required=True, parser_class=parser_class)
     actions = {}
     for verb, action, text, arguments, fn in COMMANDS:
         if action is None:
@@ -300,12 +307,14 @@ def build_parser(argv):
             if verb not in actions:
                 group_help, dest = GROUPS[verb]
                 p = verbs.add_parser(verb, help=group_help)
-                actions[verb] = p.add_subparsers(dest=dest, required=True) if verb in named else None
+                actions[verb] = p and p.add_subparsers(
+                    dest=dest, required=True, parser_class=parser_class
+                )
             if actions[verb] is None:
                 continue
             # a help line, even an empty one, would list the action under -h
             p = actions[verb].add_parser(action, **({} if text is None else {"help": text}))
-        if (action or verb) in named:
+        if p is not None:
             for name, kwargs in arguments:
                 p.add_argument(name, **kwargs)
             p.set_defaults(fn=fn)

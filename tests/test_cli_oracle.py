@@ -2,21 +2,28 @@
 
 ``oracle_build_parser`` is the parser the CLI used to build on every call:
 all 26 parsers (the top level, 9 verbs and 16 actions) with every argument.
-``pamscan.cli.build_parser(argv)`` builds only the parsers and arguments
-that argv names.  On help at every level, on a missing action or argument
-at every level, on an unknown option under every command, and on every
-argv of ``test_cli_total``, both must exit with the same code and print
-the same stdout and stderr, or parse to the same values.  ``COLUMNS`` is
-fixed so that argparse wraps help text the same way on any terminal; the
-expected text comes from the oracle, so no Python version's help text is
-pinned.
+``pamscan.cli.build_parser(argv)`` builds a parser, with its arguments,
+only for the top level and for a verb or action whose name is a token of
+argv, and lists the others by name and help line alone: three parsers for
+``config normalize``, as counted here.  On help at every level, on a
+missing action or argument at every level, on an unknown option under
+every command, on names the parse does not enter, on every argv of
+``test_cli_total`` and on drawn argvs, both must exit with the same code
+and print the same stdout and stderr, or parse to the same values.
+``COLUMNS`` is fixed so that argparse wraps help text the same way on any
+terminal; the expected text comes from the oracle, so no Python version's
+help text is pinned.
 """
 
 import argparse
+import contextlib
+import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pamscan.cli import _int, build_parser
+from pamscan.cli import COMMANDS, _int, build_parser
 
 from test_cli_total import CASES
 
@@ -161,23 +168,39 @@ LEVELS = list(_levels(oracle_build_parser()))
 LEAVES = [
     level for level in LEVELS if not any(other[: len(level)] == level != other for other in LEVELS)
 ]
+# names that argv holds but the parse does not enter: a verb after an
+# unknown verb or after help, an abbreviation, an action under another
+# verb, and a verb name as an operand
+UNENTERED = [
+    ["bogus", "config"],
+    ["-h", "config", "normalize"],
+    ["conf", "normalize"],
+    ["config", "norm"],
+    ["alpha", "normalize"],
+    ["config", "trace"],
+    ["config", "normalize", "pam", "--pam", "FILE"],
+    ["mirror", "config"],
+    ["--he"],
+]
 ARGVS = (
     [level + ["-h"] for level in LEVELS]
     + LEVELS
     + [leaf + ["--bogus"] for leaf in LEAVES]
+    + UNENTERED
     + [argv for _, argv, _, _ in CASES]
 )
 
 
-def _parse(parser, argv, capsys):
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as e:
-        result = ("exit", e.code)
-    else:
-        result = ("parsed", {k: v for k, v in vars(ns).items() if k != "fn"})
-    out, err = capsys.readouterr()
-    return result, out, err
+def _parse(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = parser.parse_args(argv)
+        except SystemExit as e:
+            result = ("exit", e.code)
+        else:
+            result = ("parsed", {k: v for k, v in vars(ns).items() if k != "fn"})
+    return result, out.getvalue(), err.getvalue()
 
 
 def test_the_oracle_has_every_level():
@@ -186,7 +209,68 @@ def test_the_oracle_has_every_level():
 
 
 @pytest.mark.parametrize("argv", ARGVS, ids=[" ".join(argv)[:70] or "(none)" for argv in ARGVS])
-def test_parser_built_along_argv_matches_the_full_parser(argv, capsys, monkeypatch):
+def test_parser_built_along_argv_matches_the_full_parser(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    expected = _parse(oracle_build_parser(), argv, capsys)
-    assert _parse(build_parser(argv), argv, capsys) == expected
+    assert _parse(build_parser(argv), argv) == _parse(oracle_build_parser(), argv)
+
+
+def _options(parser):
+    for action in parser._actions:
+        yield from action.option_strings
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _options(child)
+
+
+TOKENS = sorted(
+    {level[-1] for level in LEVELS if level}
+    | set(_options(oracle_build_parser()))
+    | {"bogus", "conf", "norm", "--bogus", "--he", "--de", "-x"}
+    | {"[0,1):a", "FILE", "1/2", "-1", "nf", "7", "∅"}
+)
+TAILS = st.lists(st.sampled_from(TOKENS), max_size=6)
+DRAWN = st.one_of(
+    TAILS,
+    st.builds(lambda level, tail: level + tail, st.sampled_from(LEVELS), TAILS),
+)
+
+
+def test_drawn_argvs_match_the_full_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    oracle, drawn = oracle_build_parser(), []
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(DRAWN)
+    def check(argv):
+        drawn.append(argv)
+        assert _parse(build_parser(argv), argv) == _parse(oracle, argv)
+
+    check()
+    assert len(drawn) >= 300
+
+
+def _argvs_by_parsers_built():
+    """Argvs with the number of parsers ``build_parser`` makes for them:
+    the top level, plus one per verb or action that the argv names."""
+    yield [], 1
+    yield ["-h"], 1
+    yield ["bogus"], 1
+    yield ["config"], 2
+    for verb, action, *_ in COMMANDS:
+        if action is None:
+            yield [verb, "X"], 2
+        else:
+            yield [verb, action], 3
+
+
+@pytest.mark.parametrize("argv, built", list(_argvs_by_parsers_built()))
+def test_parsers_built_per_call(argv, built, monkeypatch):
+    count, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        count.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser(argv)
+    assert len(count) == built, count

@@ -12,6 +12,7 @@ from pamscan import (
     DomainError,
     Interval,
     OPEN,
+    SymmetricConfig,
     UndecidedError,
     base_homotopy,
     bm_canon,
@@ -19,9 +20,11 @@ from pamscan import (
     classify_fiber,
     contract,
     cover_homotopy,
+    double,
     glue_g,
     is_in_O,
     labeled_normalize,
+    lc_sorted,
     mirror_config,
     path_eval_at_zero,
     positive_part,
@@ -31,7 +34,13 @@ from pamscan import (
     translate_config,
 )
 
-from genutil import rand_admissible
+from genutil import (
+    cyclic_pam,
+    rand_admissible,
+    rand_bm_pairs,
+    rand_symmetric,
+    truncated_pam,
+)
 
 
 def I(u, v, p, q):
@@ -315,3 +324,75 @@ def test_cover_homotopy_guards(m3):
     lop = ((I("-1/8", "1/8", *HO), "a"), (I(1, 3, *HO), "b"))
     with pytest.raises(DomainError, match="mirror-invariant"):
         cover_homotopy(lop, F(1, 2), F(3), m3)
+
+
+# Acceptance criteria 8-10 beyond M3: the generators draw labels a, b, c
+# with a + b = c, and each carrier below names them by elements with the
+# same sum.  Every sum of M3 holds there too, so a draw stays admissible.
+BEYOND_M3 = {
+    "z5": (cyclic_pam(5), {"a": "g1", "b": "g2", "c": "g3"}),
+    "trunc6": (truncated_pam(6), {"a": "1", "b": "2", "c": "3"}),
+}
+DRAWS = 300
+
+
+def _relabel(xi, names):
+    return lc_sorted([(j, names[m]) for j, m in xi])
+
+
+def _admissible_draw(rng, names):
+    while True:
+        xi, s = rand_admissible(rng, 3)
+        if s <= 20:
+            return _relabel(xi, names), s
+
+
+@pytest.mark.parametrize("carrier_name, seed", [("z5", 145), ("trunc6", 245)])
+def test_positive_part_inverts_double_beyond_m3(carrier_name, seed):
+    pam, names = BEYOND_M3[carrier_name]
+    rng = random.Random(seed)
+    for _ in range(DRAWS):
+        xi, _ = _admissible_draw(rng, names)
+        assert mirror_config(mirror_config(xi)) == xi
+        back = positive_part(double(xi), pam)
+        assert labeled_normalize(back, pam) == labeled_normalize(xi, pam)
+
+
+@pytest.mark.parametrize("carrier_name, seed", [("z5", 146), ("trunc6", 246)])
+def test_contract_beyond_m3(carrier_name, seed):
+    pam, names = BEYOND_M3[carrier_name]
+    rng = random.Random(seed)
+    for _ in range(DRAWS):
+        pieces, s = rand_symmetric(rng)
+        pieces = _relabel(pieces, names)
+        assert contract(pieces, 0, s, pam) == labeled_normalize(pieces, pam)
+        assert contract(pieces, 1, s, pam) == ()
+        for k in range(9):
+            SymmetricConfig(contract(pieces, F(k, 8), s, pam), s).validate(pam)
+
+
+@pytest.mark.parametrize("carrier_name, seed", [("z5", 147), ("trunc6", 247)])
+def test_standard_lift_beyond_m3(carrier_name, seed):
+    pam, names = BEYOND_M3[carrier_name]
+    rng = random.Random(seed)
+    for _ in range(DRAWS):
+        pairs = [(t, names[m]) for t, m in rand_bm_pairs(rng, pam, allow_zero_coord=False)]
+        z = bm_canon(pam, pairs)
+        xi, s = _admissible_draw(rng, names)
+        lifted, s2 = standard_lift(z, xi, s, pam)
+        assert s2 == s + 2
+        assert path_eval_at_zero(lifted, pam) == z
+
+
+@pytest.mark.parametrize("carrier_name, seed", [("z5", 148), ("trunc6", 248)])
+def test_cover_homotopy_covers_base_beyond_m3(carrier_name, seed):
+    pam, names = BEYOND_M3[carrier_name]
+    rng = random.Random(seed)
+    for _ in range(DRAWS):
+        pieces, s = rand_symmetric(rng, cover_safe=True)
+        pieces = _relabel(pieces, names)
+        t = F(rng.randint(0, 8), 8)
+        moved, s2 = cover_homotopy(pieces, t, s, pam)
+        assert s2 == s + F(3, 2) * t
+        want = base_homotopy(path_eval_at_zero(pieces, pam), t, pam)
+        assert path_eval_at_zero(moved, pam) == want
