@@ -3,7 +3,9 @@
 Contraction along the symmetric window, the cap construction and its
 standard-lift section, the base and covering homotopies that squeeze near
 points away, and the pattern classification of fiber members together with
-the retraction and gluing maps between the two pattern shapes.
+the retraction and gluing maps between the two pattern shapes.  The
+retraction has no round bound: ``retract_r`` proves that its loop ends, in
+the standard pattern or on a DomainError.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .pam import UNIT, DomainError, UndecidedError
+from .pam import UNIT, DomainError
 from .intervals import CLOSED, OPEN, Interval, _frac, _positive
 from .labeled import (
     _mirror_split,
@@ -311,36 +313,43 @@ def _tau(x):
     return 3 * x - 1
 
 
-# maps of outward pushing before retract_r gives up on a member
-RETRACT_ROUNDS = 8
-
-
 def retract_r(eta, z, pam):
     """Retract a fiber member onto the standard pattern.
 
     Members already in the standard pattern are returned unchanged, which
-    makes the map a genuine retraction.  Otherwise central and near content
-    is fixed while everything else is pushed outward until the wide window
-    shows only the standard shape.  Each map's result is classified; a
-    member still outside the standard pattern after ``RETRACT_ROUNDS`` maps
-    raises UndecidedError.
+    makes the map a genuine retraction.  Otherwise each round classifies
+    the member and maps it: central and near pieces by the odd σ, pieces
+    whose ends all have |x| >= 1/2 by the odd τ.  The loop ends on an in-H
+    member, on one that is not a fiber member (DomainError), or on a round
+    that moves no endpoint strictly inside the wide window (-3, 3): that
+    round raises DomainError, since the member never reaches the standard
+    pattern.
+
+    Proof that the loop ends, and that a stall is final.  σ fixes
+    [-1/2, 1/2] and triples any excess over 1/2; τ moves each point by at
+    least 1/2 and lies above σ on [1/2, ∞), so a τ round moves an endpoint
+    at least as far as a σ round would.  Both satisfy |f(x)| >= |x| and are
+    strictly increasing, so no piece collapses, no endpoint re-enters the
+    window, and the normal form makes no new endpoint.  So an endpoint with
+    |x| = 1/2 + d, d > 0, leaves the window after at most ⌈log₃(5/(2d))⌉
+    rounds that move it, one with |x| = 1/2 after at most 3 τ rounds, and
+    one with |x| < 1/2 never moves.  Every round but a stall moves one of
+    these finitely many endpoints, so the loop ends.  Both patterns read
+    only ``restrict(·, -3, 3)``, which a round moving no endpoint inside
+    the window leaves as it is, and each piece that meets the window keeps
+    its map.  So every later round is the same stall, and the verdict is
+    final.
     """
     half = Fraction(1, 2)
     current = labeled_normalize(eta, pam)
-    maps = 0
     while True:
         cls = classify_fiber(current, z, pam)
         if cls.verdict == "in-H":
             return current
         if cls.verdict != "in-F":
             raise DomainError("not a fiber member: %s" % cls.reason)
-        if maps == RETRACT_ROUNDS:
-            raise UndecidedError(
-                "the round bound RETRACT_ROUNDS = %d ran out before the retraction "
-                "stabilized onto the standard pattern" % RETRACT_ROUNDS
-            )
-        maps += 1
         mapped = []
+        moved = False
         for j, m in current:
             if j.u < 0 < j.v:
                 f = _odd(_sigma)
@@ -350,8 +359,13 @@ def retract_r(eta, z, pam):
                 cut = j.u if j.u >= 0 else -j.v
                 f = _odd(_sigma) if cut < half else _odd(_tau)
             nj = j.map_endpoints(f)
-            if nj is not None:
-                mapped.append((nj, m))
+            moved = moved or (nj.u != j.u and -3 < j.u < 3) or (nj.v != j.v and -3 < j.v < 3)
+            mapped.append((nj, m))
+        if not moved:
+            raise DomainError(
+                "retraction stalls off the standard pattern: %s"
+                % _match_pattern(current, z, pam, 3, far_allowed=False)
+            )
         current = labeled_normalize(mapped, pam)
 
 

@@ -880,12 +880,13 @@ def _decompose_keys(keyed, scale, lo, hi, pam):
         else:
             items.append((0, key, m, kind))
     for kl, ml in lefts:
-        kr = next((kr for kr, mr in rights if mr == ml and _pairs(kl, kr)), None)
-        if kr is None:
-            items.append((0, kl, ml, E1_LEFT))
+        for i, (kr, mr) in enumerate(rights):
+            if mr == ml and _pairs(kl, kr):
+                del rights[i]
+                items.append((1, kl, kr, ml))
+                break
         else:
-            rights.remove((kr, ml))
-            items.append((1, kl, kr, ml))
+            items.append((0, kl, ml, E1_LEFT))
     items.extend([(0, kr, mr, E1_RIGHT) for kr, mr in rights])
     if not _sums(items, pam):
         raise _read_error(

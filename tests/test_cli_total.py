@@ -273,11 +273,12 @@ CASES = [
     (3, ["fiber", "retract", "--pam", "{m3}", "--z", "1/2:c", "(1,3]:a"], None,
      "error: not a fiber member: point 1/2 carries (0, 0), not a partition of c\n"),
     # a central piece of radius 1/2 + 3^-7/2, whose excess over 1/2 triples
-    # each round, would clip the wide window only after the 8 rounds of
-    # RETRACT_ROUNDS are spent
-    (4, ["fiber", "retract", "--pam", "{m3}", "--z", "0:a", "(-1094/2187,1094/2187]:a"], "",
-     "undecided: the round bound RETRACT_ROUNDS = 8 ran out before the retraction stabilized "
-     "onto the standard pattern\n"),
+    # each round, clips the wide window after 9 maps
+    (0, ["fiber", "retract", "--pam", "{m3}", "--z", "0:a", "(-1094/2187,1094/2187]:a"], "(-5,5]:a\n", ""),
+    # σ fixes a central piece of radius exactly 1/2: the retraction stalls
+    (3, ["fiber", "retract", "--pam", "{m3}", "--z", "0:a", "(-1/2,1/2]:a"], "",
+     "error: retraction stalls off the standard pattern: central piece Interval(u=Fraction(-1, 2), "
+     "v=Fraction(1, 2), p=-1, q=1) has intermediate radius\n"),
     (3, ["fiber", "glue", "--pam", "{m3}", "--z", "1/2:c", "--alpha", "1/2:a,b", H], None,
      "error: gluing needs the standard pattern: in-F\n"),
     (3, ["fiber", "glue", "--pam", "{m3}", "--z", "1/2:c", "--alpha", "1/2:a,a", H], None,

@@ -136,16 +136,135 @@ def test_retract_rejects_non_member(m3):
         retract_r(((I(0, 1, CLOSED, OPEN), "c"),), Z_C, m3)
 
 
-def test_retract_round_bound_is_undecided(m3, monkeypatch):
-    # the far pair needs three maps, the third one classified: a bound of
-    # two maps is no verdict on the member, so the error is
-    # UndecidedError, still a DomainError, and it names the bound
-    monkeypatch.setattr(fibers, "RETRACT_ROUNDS", 2)
-    with pytest.raises(UndecidedError, match="RETRACT_ROUNDS = 2 ran out") as info:
-        retract_r(ETA_F_FAR, Z_A, m3)
-    assert isinstance(info.value, DomainError)
-    monkeypatch.setattr(fibers, "RETRACT_ROUNDS", 3)
-    assert classify_fiber(retract_r(ETA_F_FAR, Z_A, m3), Z_A, m3).verdict == "in-H"
+def oracle_retract(eta, z, pam, bound):
+    """The retraction as a loop of at most ``bound`` maps.
+
+    This is the loop ``retract_r`` ran before it stopped by proof.
+    Returns (result, maps); a member still in-F after ``bound`` maps
+    raises UndecidedError.
+    """
+    half = F(1, 2)
+    current = labeled_normalize(eta, pam)
+    maps = 0
+    while True:
+        cls = classify_fiber(current, z, pam)
+        if cls.verdict == "in-H":
+            return current, maps
+        if cls.verdict != "in-F":
+            raise DomainError("not a fiber member: %s" % cls.reason)
+        if maps == bound:
+            raise UndecidedError("no verdict within %d maps" % bound)
+        maps += 1
+        mapped = []
+        for j, m in current:
+            if j.u < 0 < j.v:
+                f = fibers._odd(fibers._sigma)
+            elif j.u >= 1 or j.v <= -1:
+                f = fibers._odd(fibers._tau)
+            else:
+                cut = j.u if j.u >= 0 else -j.v
+                f = fibers._odd(fibers._sigma) if cut < half else fibers._odd(fibers._tau)
+            nj = j.map_endpoints(f)
+            if nj is not None:
+                mapped.append((nj, m))
+        current = labeled_normalize(mapped, pam)
+
+
+def test_retract_late_success(m3):
+    # a central piece of radius 1/2 + 1/4374: its excess triples each
+    # round and clips the wide window after 9 maps
+    eta = ((I("-1094/2187", "1094/2187", *HO), "a"),)
+    z = BMElement("a", ())
+    want = ((I(-5, 5, *HO), "a"),)
+    assert oracle_retract(eta, z, m3, 64) == (want, 9)
+    assert retract_r(eta, z, m3) == want
+
+
+# denominators for member ends: powers of 2 and of 3, and their products
+MEMBER_DENS = (2, 4, 8, 3, 9, 27, 81, 243, 2187, 6, 12)
+
+
+def _rand_ratio(rng, hi):
+    """A rational in (0, hi] over a drawn denominator."""
+    d = rng.choice(MEMBER_DENS)
+    return F(rng.randint(1, hi * d), d)
+
+
+def _rand_radius(rng, hi):
+    """Exactly 1/2, 1/2 +- 3^-k/2 for k in 1..10, or a drawn ratio."""
+    x = rng.random()
+    if x < 0.25:
+        return F(1, 2)
+    if x < 0.5:
+        return F(1, 2) + rng.choice((1, -1)) * F(1, 2 * 3 ** rng.randint(1, 10))
+    return _rand_ratio(rng, hi)
+
+
+def _rand_member(rng, names):
+    """Maybe a central piece, 0-2 mirrored cut pairs, maybe one unmirrored piece."""
+    pieces = []
+    if rng.random() < 0.8:
+        r = _rand_radius(rng, 4)
+        p = rng.choice((OPEN, CLOSED))
+        pieces.append((I(-r, r, p, -p), names[rng.choice("abc")]))
+    for _ in range(rng.randint(0, 2)):
+        c = _rand_radius(rng, 3)
+        j = I(c, c + _rand_ratio(rng, 5), rng.choice((OPEN, CLOSED)), rng.choice((OPEN, CLOSED)))
+        m = names[rng.choice("abc")]
+        pieces += [(j, m), (j.mirror(), m)]
+    if rng.random() < 0.2:
+        # far content need not be mirrored, and a piece may reach into
+        # the wide window from one side only
+        u = _rand_ratio(rng, 8) - 5
+        j = I(u, u + _rand_ratio(rng, 5), rng.choice((OPEN, CLOSED)), rng.choice((OPEN, CLOSED)))
+        pieces.append((j, names[rng.choice("abc")]))
+    return lc_sorted(pieces)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except DomainError as e:
+        return type(e).__name__, str(e)
+
+
+RETRACT_DRAWS = 2000
+
+
+# per carrier: draws whose value does not evaluate, results within 8
+# maps, results after more than 8 (the old bound's undecided cases),
+# stalls, and other errors (not a fiber member, outside the tensor region)
+@pytest.mark.parametrize("carrier_name, counts", [
+    ("m3", {"invalid": 755, "early": 851, "late": 34, "stall": 189, "error": 171}),
+    ("z5", {"invalid": 53, "early": 1218, "late": 66, "stall": 302, "error": 361}),
+    ("trunc6", {"invalid": 152, "early": 1162, "late": 48, "stall": 311, "error": 327}),
+])
+def test_retract_matches_the_bounded_oracle(m3, carrier_name, counts):
+    # wherever 64 maps decide, the retraction gives the oracle's result or
+    # error text; where they do not, it stalls
+    pam, names = BEYOND_M3[carrier_name] if carrier_name != "m3" else (m3, {m: m for m in "abc"})
+    rng = random.Random("retract-" + carrier_name)
+    seen = dict.fromkeys(counts, 0)
+    for _ in range(RETRACT_DRAWS):
+        eta = _rand_member(rng, names)
+        try:
+            z = path_eval_at_zero(eta, pam) if rng.random() < 0.9 else bm_canon(pam, [])
+        except DomainError:
+            seen["invalid"] += 1
+            continue
+        got = _outcome(retract_r, eta, z, pam)
+        want = _outcome(oracle_retract, eta, z, pam, 64)
+        if want[0] == "UndecidedError":
+            assert got[0] == "DomainError", (eta, z, got)
+            assert got[1].startswith("retraction stalls off the standard pattern: "), (eta, z, got)
+            seen["stall"] += 1
+        elif want[0] == "ok":
+            assert got == ("ok", want[1][0]), (eta, z, got, want)
+            seen["late" if want[1][1] > 8 else "early"] += 1
+        else:
+            assert got == want, (eta, z, got)
+            seen["error"] += 1
+    assert seen == counts
 
 
 def test_glue_frozen(m3):
@@ -396,3 +515,32 @@ def test_cover_homotopy_covers_base_beyond_m3(carrier_name, seed):
         assert s2 == s + F(3, 2) * t
         want = base_homotopy(path_eval_at_zero(pieces, pam), t, pam)
         assert path_eval_at_zero(moved, pam) == want
+
+
+@pytest.mark.parametrize("carrier_name", ["z5", "trunc6"])
+def test_criterion_11_beyond_m3(carrier_name):
+    # acceptance criterion 11's partition loop, relabeled: every partition
+    # of c retracts to in-H with that alpha and glues back to in-F with it.
+    # A partition (m, m) is left out: its central piece pastes to its cut
+    # strands, so this shape cannot carry it.
+    pam, names = BEYOND_M3[carrier_name]
+    c = names["c"]
+    z_c = BMElement(None, ((F(1, 2), c),))
+    cases = [(a, b) for a, b in pam.partitions(c) if a != b]
+    assert cases == [("0", c), (names["a"], names["b"]), (names["b"], names["a"]), (c, "0")]
+    for a, b in cases:
+        xi = []
+        if a != "0":
+            xi.append((I("-1/4", "1/4", *HO), a))
+        if b != "0":
+            right = I("1/4", "3/2", *HO)
+            xi.extend([(right, b), (right.mirror(), b)])
+        xi = lc_sorted(xi)
+        assert path_eval_at_zero(xi, pam) == z_c
+        ret = retract_r(xi, z_c, pam)
+        cls = classify_fiber(ret, z_c, pam)
+        assert cls.verdict == "in-H" and cls.alpha == ((a, b),), (a, b)
+        glued = glue_g(ret, ((a, b),), z_c, pam)
+        cls2 = classify_fiber(glued, z_c, pam)
+        assert cls2.verdict == "in-F" and cls2.alpha == ((a, b),), (a, b)
+        assert path_eval_at_zero(glued, pam) == z_c
