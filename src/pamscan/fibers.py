@@ -376,6 +376,11 @@ def glue_g(eta, alpha, z, pam):
     out by two units and is mirrored; new central and cut-pair content for z
     with the prescribed partitions alpha sits at the origin, the cut strands
     reaching the payload seam.
+
+    A partition (a, a) with a nonzero at a base point u = +-1/2 is refused
+    (DomainError): the central piece (-1/4, 1/4) and the cut strand from
+    1/4 would share the label a and meet at 1/4 with complementary
+    parities, so they paste, and the output would not lie over z.
     """
     alpha = tuple(alpha)
     if len(alpha) != len(z.points):
@@ -384,6 +389,11 @@ def glue_g(eta, alpha, z, pam):
         if pam.pair_sum(a, b) != m:
             raise DomainError(
                 "(%s, %s) is not a partition of the label %s at %s" % (a, b, m, u)
+            )
+        if a == b != UNIT and abs(u) == Fraction(1, 2):
+            raise DomainError(
+                "partition (%s, %s) at %s would paste its central piece to its cut strand"
+                % (a, b, u)
             )
     p_eta = path_eval_at_zero(eta, pam)
     cls = classify_fiber(eta, p_eta, pam)

@@ -1023,16 +1023,18 @@ def _reads(windows, k, e, centres, pam):
     for each t, (c, items): the centre c at which ``WindowIndex.read``
     read first fit's keyed ``items``, not moved; with each key end on
     c - e or c + e moved by t - c (``_moved``) they are the items at t.
-    A read that fails raises at its own centre.  Its one caller is
-    ``scanning.alpha_trace``, which moves only the keys it evaluates.
+    A read that fails raises at its own centre.  Its one caller is the
+    per-segment path of ``scanning.alpha_trace`` (``_read_segments``),
+    which moves only the keys it evaluates.
 
     The state of a centre t is the pair (#{x <= t - e}, #{x < t + e}) over
     the endpoints x, and t is read exactly when its state differs from the
     state of the centre before it.  On integer centres the first count
     grows at t = x + e and the second at t = x - e + 1, so one sorted list
-    of those change points (``_change_points``) tells, by one comparison
-    per centre, whether the state has changed; ``_read_centres`` lists the
-    read centres of a sweep from them alone.
+    of those change points (``_change_points``) tells whether the state
+    has changed: ``_starts`` finds the centres where it has by one
+    bisection per change point, and ``_read_centres`` lists the read
+    centres of a sweep from the change points alone.
 
     Two centres c < t with one state have one content, up to the clipped
     ends.  ``WindowIndex.clip`` clips an end on lo like one below lo and an
@@ -1056,13 +1058,23 @@ def _reads(windows, k, e, centres, pam):
     centre takes the last read, moved, and the first centre of a failing
     content is read, so the first failing window words its own error.
     """
-    changes = _change_points(windows, k, e)
-    n, i, c = len(changes), 0, None
-    for t in centres:
-        if c is None or i < n and changes[i] <= t:
-            i = bisect_right(changes, t, i)
+    starts = set(_starts(_change_points(windows, k, e), centres))
+    for j, t in enumerate(centres):
+        if j in starts:
             c, items = t, windows.read(k, t - e, t + e, pam)
         yield c, items
+
+
+def _starts(changes, centres):
+    """The sorted indices of the increasing ``centres`` that start a window content.
+
+    The first centre does, and so does the first centre at or past each
+    of the ``changes`` (``_change_points``) beyond it: a later centre
+    starts one exactly when a change point lies between the centre before
+    it, exclusive, and itself, inclusive (see ``_reads``).
+    """
+    after = {bisect_left(centres, x) for x in changes if x > centres[0]}
+    return sorted({0, *after} - {len(centres)})
 
 
 def _change_points(windows, k, e):
@@ -1095,7 +1107,9 @@ def _centres_to_read(windows, k, e, centres, pam):
 
     Every centre, unless ``windows`` stores a chain; then, with no window
     read, those at which the chain read of ``WindowIndex.read`` finds no
-    first fit, where the general read fails too and words the error.  At
+    first fit, where the general read fails too and words the error.
+    ``scanning.alpha_trace`` asks it of the first centre of each window
+    content, and builds a chain's loop with no read when none fails.  At
     a centre that read slices the chain to the pieces [first, stop) that
     meet the window (lo, hi), and as the window moves right both ends only
     move forward.  Only the first piece can start at or before lo and only

@@ -13,9 +13,12 @@ and a read slices it: two bisections and one pass over the pieces that
 meet the window, with no normal form and no sort per read.
 A trace runs on one integer scale too (see ``alpha_trace``): its
 breakpoints, the affine tracks of each segment, their crossings and the
-continuity check are integers.  The segments of a window content share
-one keyed read (``labeled._reads`` proves they may), and a unit is
-evaluated once per segment, its ``_omega`` branch giving the slope.  A
+continuity check are integers.  On a stored chain whose windows all
+decompose the trace reads no window: one forward pass over the segments
+slices the chain and evaluates a piece again only where its branch of
+``_omega`` may change.  Other configurations give the segments of a
+window content one keyed read (``labeled._reads`` proves they may), and
+evaluate a unit once per segment, its branch giving the slope.  A
 successful trace builds no Fraction: the MooreLoop keeps the integers,
 its Fraction breakpoints and intercepts are built when first read, and
 ``loop_eval`` bisects and evaluates on integers, building Fractions only
@@ -25,7 +28,7 @@ key their arguments the same way and wrap the integer evaluators.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -38,10 +41,14 @@ from .labeled import (
     E1_LEFT,
     E1_RIGHT,
     WindowIndex,
+    _centres_to_read,
+    _change_points,
     _interval,
     _moved,
     _num,
+    _pairs,
     _reads,
+    _starts,
 )
 from .tensor import bm_canon
 
@@ -335,14 +342,14 @@ def alpha_trace(xi, s, pam):
     T / S is a multiple of 8, T / 2 a multiple of 4 and s * T a multiple
     of 4, so every initial breakpoint is a multiple of 4 over T, and the
     midpoint m of a segment is an even integer with m - 1 and m + 1 inside
-    it.
+    it.  Each initial segment gets its (c1, c0, label) tracks from one of
+    two paths below, and one loop splits, shares, builds and checks them.
 
-    The segments are read at their midpoints, window radius T, through
-    ``labeled._reads``: a segment is read only when some endpoint has
-    changed side of a window end since the last read, which happens at
-    the first segment and at each segment that starts at an endpoint +-1.
-    Each read is one ``WindowIndex.read``; on a chain it slices the normal
-    form the index built once, with no normalization per read.
+    The general path (``_read_segments``) reads the segments at their
+    midpoints, window radius T, through ``labeled._reads``: a segment is
+    read only when some endpoint has changed side of a window end since
+    the last read, which happens at the first segment and at each segment
+    that starts at an endpoint +-1.  Each read is one ``WindowIndex.read``.
     Every other segment takes the last read, centred at c, with each
     clipped end moved by m - c (``_reads`` proves that the content, its
     normal form, first fit and its one sum agree), and units are built
@@ -363,6 +370,51 @@ def alpha_trace(xi, s, pam):
     cannot fail: two reads inside one segment have the same labels, no
     track meets the basepoint inside unless it stays there, every slope is
     -1, 0 or 1, and the tracks are affine at m.
+
+    When the index stores a chain, the chain path (``_chain_segments``)
+    reads no window.  ``labeled._centres_to_read`` first decides, with no
+    read, the window at the first midpoint of each window content
+    (``labeled._starts``), where the general path would read; if one
+    fails, the general path runs and raises that window's error.  Else at
+    each midpoint m the chain read of (m - T, m + T) is the slice of the
+    chain's pieces that meet it, kept by hinted bisection as m grows, and
+    its units are those pieces, an end cut at m - T or m + T (where
+    ``_moved`` puts it) taking the parity opposite to the piece's other
+    end, as ``_units`` closes it (``_cut_key``), and the whole window open
+    at both.  Only the first piece can be cut on the left and only the
+    last on the right, and when both are, with one label, and ``_pairs``
+    accepts them, they make a cut pair, whose track goes last; the other
+    tracks come in chain order.  The slice and its cuts, and so the cut
+    pair, change only where m passes a chain endpoint +-T, a breakpoint,
+    so they are bisected again only at a segment that starts there.  The
+    tracks are evaluated at the first segment, at a segment that starts
+    at a chain endpoint +-T/2, and at one whose cut pair (two pieces, or
+    none) differs from the segment before; every other segment takes the
+    list before it.  That list is the one an evaluation would give:
+
+    - A piece changes branch only where m passes an uncut end +-T/2, a
+      breakpoint, and since m lies inside its segment, only at a segment
+      that starts there.  No cut end selects its own ramp (above), and its
+      length test changes where the other end passes m, where both
+      branches agree: a piece cut on the left at m - T gives 0 up to
+      v - T/2, the ramp of v up to v + T/2 and the basepoint beyond; one
+      cut on the right at m + T gives the basepoint up to u - T/2, the ramp
+      of u up to u + T/2 and 0 beyond; the whole window gives 0.
+      ``_merged_strand`` changes strand at its uncut inner ends +-T/2.
+    - A piece changing its cut keeps its track.  It enters the slice cut
+      on the right at m = u - T and leaves it cut on the left at
+      m = v + T, at the basepoint both times (m <= u - T/2, m > v + T/2),
+      so it leaves no track then.  It is cut on the left once m reaches
+      u + T, beyond u + T/2, where uncut it gives 0, the ramp of v or the
+      basepoint, as its left-cut form does; it stays cut on the right
+      until m passes v - T, below v - T/2, where uncut it gives the
+      basepoint, the ramp of u or 0, as its right-cut form does; and
+      where a piece turns into the whole window or out of it, both forms
+      give 0.
+    - So with the cut pair unchanged the same tracks come in the same
+      order: a piece that enters or leaves has none, the others keep
+      chain order and a pair's stays last, and on one branch a track's
+      slope and intercept do not change.
 
     Two tracks with slopes differing by 1 or 2 and even intercepts cross
     at an integer.  The parts of a split segment keep their parent's
@@ -404,25 +456,15 @@ def alpha_trace(xi, s, pam):
     windows = WindowIndex(xi, pam)
     k = 4 * lcm(2 * windows.scale, s.denominator)
     f, half, end = k // windows.scale, k // 2, _num(s, k)
-    grid = {0, end}
-    for (u, v, _, _), _ in windows._keys:
-        for x in (u * f, v * f):
-            grid.update(t for t in (x - k, x - half, x + half, x + k) if 0 < t < end)
-    grid = sorted(grid)
+    ends = {x * f for key, _ in windows._keys for x in key[:2]}
+    grid = sorted({0, end, *(t for x in ends for t in (x - k, x - half, x + half, x + k) if 0 < t < end)})
     mids = [(lo + hi) // 2 for lo, hi in zip(grid, grid[1:])]
 
-    reads = _reads(windows, k, k, mids, pam)
-    points, tracks, seg, c = [], [], None, None
-    for lo, hi, m in zip(grid, grid[1:], mids):
-        try:
-            at, items = next(reads)
-            if at != c:
-                c, units = at, list(_units(items))
-            new = _segment_tracks(units, c, m, k)
-        except DomainError:
-            u = Fraction(2 * lo + hi, 3 * k)
-            scan_core(windows, pam, u, u)
-            raise
+    segments = _chain_segments(windows, k, grid, mids, pam)
+    if segments is None:
+        segments = _read_segments(windows, k, grid, mids, pam)
+    points, tracks, seg = [], [], None
+    for lo, hi, new in zip(grid, grid[1:], segments):
         if new != seg:
             seg = new
         points.append(lo)
@@ -453,6 +495,27 @@ def alpha_trace(xi, s, pam):
     return loop
 
 
+def _read_segments(windows, k, grid, mids, pam):
+    """The tracks of each initial segment, read through ``labeled._reads``.
+
+    The general path of ``alpha_trace``.  A window that fails is read
+    again by ``scan_core`` a third of the way along the first segment
+    that meets it, which raises the error naming that window.
+    """
+    reads, c = _reads(windows, k, k, mids, pam), None
+    for lo, hi, m in zip(grid, grid[1:], mids):
+        try:
+            at, items = next(reads)
+            if at != c:
+                c, units = at, list(_units(items))
+            new = _segment_tracks(units, c, m, k)
+        except DomainError:
+            u = Fraction(2 * lo + hi, 3 * k)
+            scan_core(windows, pam, u, u)
+            raise
+        yield new
+
+
 def _segment_tracks(units, c, m, k):
     """The (c1, c0, label) tracks, c0 over k, of the segment with midpoint m.
 
@@ -469,6 +532,71 @@ def _segment_tracks(units, c, m, k):
         if val != k:
             out.append((c1, val - c1 * m, label))
     return out
+
+
+def _chain_segments(windows, k, grid, mids, pam):
+    """The tracks of each initial segment of a stored chain, or None.
+
+    The chain path of ``alpha_trace``, which proves it: None unless
+    ``windows`` stores a chain whose window contents all decompose, and
+    then one list per segment, a segment that needs no evaluation taking
+    the list before it.
+    """
+    chain = windows._chain
+    if chain is None:
+        return None
+    starts = [mids[j] for j in _starts(_change_points(windows, k, k), mids)]
+    for _ in _centres_to_read(windows, k, k, starts, pam):
+        return None
+    f = k // windows.scale
+    keys = [(u * f, v * f, p, q) for (u, v, p, q), _, _ in chain]
+    labels = [m for _, m, _ in chain]
+    lefts, rights = [key[0] for key in keys], [key[1] for key in keys]
+    ends = {x for key in keys for x in key[:2]}
+    # past the first segment, the slice and its cuts change only at one
+    # that starts at an endpoint +-1, a branch only at an endpoint +-1/2
+    moves = {0, *(x + d for x in ends for d in (-k, k))}
+    marks = {x + d for x in ends for d in (-k // 2, k // 2)}
+    out, tracks, pair, first, stop = [], None, None, 0, 0
+    for lo, m in zip(grid, mids):
+        a, b = m - k, m + k
+        new = lo in marks
+        if lo in moves:
+            first = bisect_right(rights, a, first)
+            stop = bisect_left(lefts, b, stop)
+            last = stop - 1
+            was, pair = pair, (
+                (first, last)
+                if last > first and lefts[first] <= a and rights[last] >= b
+                and labels[first] == labels[last] and _pairs(keys[first], keys[last])
+                else None
+            )
+            new = new or tracks is None or pair != was
+        if new:
+            tracks = []
+            for i in range(first + (pair is not None), stop - (pair is not None)):
+                val, c1 = _omega(_cut_key(keys[i], a, b), m, k)
+                if val != k:
+                    tracks.append((c1, val - c1 * m, labels[i]))
+            if pair is not None:
+                val, c1 = _merged_strand(_cut_key(keys[first], a, b), _cut_key(keys[last], a, b), m, k)
+                if val != k:
+                    tracks.append((c1, val - c1 * m, labels[first]))
+        out.append(tracks)
+    return out
+
+
+def _cut_key(key, a, b):
+    """A chain key as a unit of the window (a, b) it meets, closed as ``_units`` closes it.
+
+    An end at or beyond a window end is cut there and takes the parity
+    opposite to the other end; a key cut on both sides is the whole
+    window, open at both ends.
+    """
+    u, v, p, q = key
+    if u <= a:
+        return (a, b, OPEN, OPEN) if v >= b else (a, v, -q, q)
+    return (u, b, p, -p) if v >= b else key
 
 
 def _crossings(tracks, lo, hi):

@@ -33,10 +33,12 @@ def carrier(request):
 def decompose_reads(monkeypatch):
     """The (lo, hi, k) window of every call to ``labeled.WindowIndex.read``.
 
-    The reads of ``labeled._reads`` (so of the trace), of
-    ``admissibility_sweep`` and of ``is_admissible`` are recorded in call
-    order; the reads that ``scanning.scan_core`` makes are not.  The list holds integers only, so
-    a test that counts built Fractions is not disturbed.
+    The reads of ``labeled._reads`` (so of a trace on its per-segment
+    path; a trace of a stored chain whose windows decompose reads none),
+    of ``admissibility_sweep`` and of ``is_admissible`` are recorded in
+    call order; the reads that ``scanning.scan_core`` makes are not.  The
+    list holds integers only, so a test that counts built Fractions is not
+    disturbed.
     """
     reads = []
     read = labeled.WindowIndex.read

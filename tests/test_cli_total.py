@@ -285,6 +285,10 @@ CASES = [
      "error: (a, a) is not a partition of the label c at 1/2\n"),
     (2, ["fiber", "glue", "--pam", "{m3}", "--z", "1/2:c", "--alpha", "1/4:a,b", "∅"], None,
      "parse error: alpha gives no partition for the point 1/2\n"),
+    # a partition (m, m) at 1/2 would paste the central piece to its cut
+    # strands, and the glued configuration would lie over m at 0, not z
+    (3, ["fiber", "glue", "--pam", "{z5}", "--z", "1/2:g3", "--alpha", "1/2:g4,g4", "∅"], "",
+     "error: partition (g4, g4) at 1/2 would paste its central piece to its cut strand\n"),
     # a point given twice is refused at its second token, in either order
     (2, ["fiber", "glue", "--pam", "{m3}", "--z", "1/2:c", "--alpha", "1/2:a,a 1/2:a,b", WIDE], None,
      "parse error: 1:9: alpha gives the point 1/2 twice\n"),

@@ -521,13 +521,23 @@ def test_cover_homotopy_covers_base_beyond_m3(carrier_name, seed):
 def test_criterion_11_beyond_m3(carrier_name):
     # acceptance criterion 11's partition loop, relabeled: every partition
     # of c retracts to in-H with that alpha and glues back to in-F with it.
-    # A partition (m, m) is left out: its central piece pastes to its cut
-    # strands, so this shape cannot carry it.
+    # A partition (m, m) would paste the central piece to its cut strands,
+    # so this shape cannot carry it, and glue_g refuses it
     pam, names = BEYOND_M3[carrier_name]
     c = names["c"]
     z_c = BMElement(None, ((F(1, 2), c),))
     cases = [(a, b) for a, b in pam.partitions(c) if a != b]
     assert cases == [("0", c), (names["a"], names["b"]), (names["b"], names["a"]), (c, "0")]
+    # every partition (a, a) of a label m at +-1/2, (g4, g4) of g3 among them
+    doubles = [(a, m) for m in pam.elements for a, b in pam.partitions(m) if a == b != "0"]
+    assert doubles == {
+        "z5": [("g3", "g1"), ("g1", "g2"), ("g4", "g3"), ("g2", "g4")],
+        "trunc6": [("1", "2"), ("2", "4"), ("3", "6")],
+    }[carrier_name]
+    for a, m in doubles:
+        for u in (F(1, 2), F(-1, 2)):
+            with pytest.raises(DomainError, match=r"^partition \(%s, %s\) at %s would paste" % (a, a, u)):
+                glue_g((), ((a, a),), BMElement(None, ((u, m),)), pam)
     for a, b in cases:
         xi = []
         if a != "0":

@@ -34,6 +34,7 @@ import pamscan.scanning as scanning
 import pamscan.tensor as tensor
 from pamscan import (
     BASEPOINT,
+    UNIT,
     CLOSED,
     OPEN,
     DecomposeError,
@@ -514,8 +515,7 @@ def test_is_admissible_reads_each_window_content_once(m3, decompose_reads):
         assert is_admissible(xi, 1, (0, s), m3)
         assert decompose_reads == []
         # split a c-labeled piece into coincident a and b: one normal form
-        i = next(i for i, (_, m) in enumerate(xi) if m == "c")
-        xi = [*xi[:i], (xi[i][0], "a"), (xi[i][0], "b"), *xi[i + 1 :]]
+        xi = _unchained(xi)
         assert not _stores_chain(xi, m3)
         del decompose_reads[:]
         assert is_admissible(xi, 1, (0, s), m3)
@@ -814,6 +814,20 @@ def _stretch_reads(xi, s):
     return [(lo + hi) / 2 for lo, hi in zip(grid, grid[1:]) if lo in stretches]
 
 
+def _per_segment(monkeypatch):
+    """Send every trace down the per-segment path, as if no index stored a chain."""
+    monkeypatch.setattr(scanning, "_chain_segments", lambda *args: None)
+
+
+def _unchained(xi):
+    """``xi`` with its first c-labeled piece split into coincident a and b pieces.
+
+    The element is the same, but the index stores no chain.
+    """
+    i = next(i for i, (_, m) in enumerate(xi) if m == "c")
+    return [*xi[:i], (xi[i][0], "a"), (xi[i][0], "b"), *xi[i + 1 :]]
+
+
 def test_trace_reads_each_window_content_once(m3, monkeypatch, decompose_reads):
     xi, s = _pair_chain(8)
     # one pair whose facing tracks cross inside a segment
@@ -833,32 +847,48 @@ def test_trace_reads_each_window_content_once(m3, monkeypatch, decompose_reads):
         return new.__func__(cls, *args, **kwargs)
 
     monkeypatch.setattr(scanning, "scan_core", counting_scan)
-    F.__new__ = staticmethod(counting_new)
-    try:
-        loop = alpha_trace(xi, s, m3)
-    finally:
-        F.__new__ = new
-    windows = list(decompose_reads)
     grid = _initial_grid(xi, s)
-    # exactly one keyed decomposition per window content, the stretch
-    # between two consecutive points among 0, s and every endpoint +-1,
-    # at the midpoint of its first segment; the segments split there at
-    # an endpoint +-1/2, and the parts of a segment a crossing split,
-    # read nothing
-    assert len(loop.segments) > len(grid) - 1 > len(windows)
-    assert [F(lo + hi, 2 * k) for lo, hi, k in windows] == _stretch_reads(xi, s)
-    assert all(F(hi - lo, k) == 2 for lo, hi, k in windows)
+    # the pair chain is stored as a chain and traced with no read; on the
+    # per-segment path there is exactly one keyed decomposition per window
+    # content, the stretch between two consecutive points among 0, s and
+    # every endpoint +-1, at the midpoint of its first segment; the
+    # segments split there at an endpoint +-1/2, and the parts of a
+    # segment a crossing split, read nothing.  Both give one loop
+    loops = []
+    for chained in (True, False):
+        with monkeypatch.context() as mp:
+            if not chained:
+                _per_segment(mp)
+            del decompose_reads[:]
+            F.__new__ = staticmethod(counting_new)
+            try:
+                loops.append(alpha_trace(xi, s, m3))
+            finally:
+                F.__new__ = new
+        windows = list(decompose_reads)
+        if chained:
+            assert windows == []
+            continue
+        assert len(loops[-1].segments) > len(grid) - 1 > len(windows)
+        assert [F(lo + hi, 2 * k) for lo, hi, k in windows] == _stretch_reads(xi, s)
+        assert all(F(hi - lo, k) == 2 for lo, hi, k in windows)
+    assert _layout(loops[0]) == _layout(loops[1])
     assert scans == []
     # a successful trace builds no Fraction: none per read, and none for
     # the loop, whose views are built when first read
-    assert built == [], (len(built), len(windows))
-    # the same reads, in number and place, on admissible chains of 8 and
-    # 64 clusters
+    assert built == [], len(built)
+    # admissible chains of 8 and 64 clusters read no window either; with
+    # one piece split in two coincident ones, so that the input does not
+    # chain, the reads are the same in number and place as above
     rng = random.Random("trace-reads")
     for clusters in (8, 64):
         xi, s = rand_admissible(rng, clusters=clusters)
         del decompose_reads[:]
-        alpha_trace(xi, s, m3)
+        loop = alpha_trace(xi, s, m3)
+        assert decompose_reads == []
+        xi = _unchained(xi)
+        assert WindowIndex(xi, m3)._chain is None
+        assert alpha_trace(xi, s, m3) == loop
         assert [F(lo + hi, 2 * k) for lo, hi, k in decompose_reads] == _stretch_reads(xi, s)
 
 
@@ -930,7 +960,9 @@ def test_window_content_reads_match_segment_reads(m3, z2, monkeypatch):
     # (equal sorted sides, or else equal circle sums) is the verdict of
     # bm_canon on the two sides' tracks.  The draws hold pieces of every
     # parity pair and degenerate points, and cut pairs, crossing tracks
-    # and failing traces come up
+    # and failing traces come up.  Every trace takes the per-segment path,
+    # the chains among the draws included
+    _per_segment(monkeypatch)
     made, segments, cover = [], [], Counter()
     scaled, segment_tracks, crossings = scanning.MooreLoop._scaled, scanning._segment_tracks, scanning._crossings
 
@@ -1005,6 +1037,121 @@ def test_window_content_reads_match_segment_reads(m3, z2, monkeypatch):
                 assert "not the empty element" in text, (xi, s, text)
     assert min(seen.values()) >= 10, seen
     assert min(cover.values()) >= 100 and len(cover) == 8, cover
+
+
+LARGE_PRIMES = odd_primes(40)[4:]
+
+
+def rand_trace_chain(rng, labels):
+    """A configuration that chains, with what the chain leaves out, and a length to trace it over.
+
+    One to eight pieces a quarter to 4 long.  A piece touches the one
+    before it with the opposite parity, or sits a quarter to 3 beyond it,
+    often under the same label and facing it with the opposite parity,
+    so that a window cuts both and they pair, or with the same parity or
+    another label, so that they do not.  A gap may hold a degenerate
+    point or a zero-labelled piece.  Pieces with equal parities are
+    mostly long enough to fit no window, but not always, and nearby
+    labels need not sum, so windows fail.  One draw in five moves each
+    endpoint by 1/p^12 for its own prime p >= 11, joints together, so the
+    index's scale exceeds 2^80.  The length ends the loop before, on or past
+    the last piece's reach, so some ends are not empty.
+    """
+    x, q, m, xi = F(rng.randint(1, 8), 4), None, rng.choice(labels), []
+    for _ in range(rng.randint(1, 8)):
+        if q is not None and rng.random() < 0.35:
+            p = -q
+        else:
+            if q is not None:
+                gap = F(rng.randint(1, 12), 4)
+                if rng.random() < 0.3:
+                    y = x + gap * F(rng.randint(0, 4), 4)
+                    if rng.random() < 0.5:
+                        r = rng.choice(PARITIES)
+                        xi.append((Interval(y, y, r, -r), rng.choice(labels)))
+                    else:
+                        xi.append((Interval(y, y + F(rng.randint(1, 8), 4), *rng.sample(PARITIES, 2)), UNIT))
+                x += gap
+            p = -q if q is not None and rng.random() < 0.5 else rng.choice(PARITIES)
+        if rng.random() < 0.5:
+            m = rng.choice(labels)
+        v = x + F(rng.randint(1, 16), 4)
+        q = p if v - x >= 2 and rng.random() < 0.4 or rng.random() < 0.04 else -p
+        xi.append((Interval(x, v, p, q), m))
+        x = v
+    s = x + F(rng.randint(-4, 8), 4)
+    if rng.random() < 0.2:
+        shift = dict(zip(sorted({y for j, _ in xi for y in (j.u, j.v)}), (F(1, p**12) for p in LARGE_PRIMES)))
+        xi = [(Interval(shift[j.u] + j.u, shift[j.v] + j.v, j.p, j.q), m) for j, m in xi]
+    rng.shuffle(xi)
+    return xi, s if s > 0 else F(1, 4)
+
+
+def test_chain_trace_matches_the_per_segment_path(carrier, monkeypatch):
+    # 2,000 chain draws per carrier (``rand_trace_chain``), each traced on
+    # the chain path and again on the per-segment path: the same loops
+    # (``_layout``: scale, breakpoints, tracks and list sharing) and the
+    # same text or error.  Where the chain path runs, its windows come up
+    # with a cut pair that pairs and with one cut on both sides that does
+    # not, its tracks cross, and the draws hold degenerate points and zero
+    # labels and large scales; a failing window sends the trace down the
+    # per-segment path, and some loops fail their end or continuity check
+    made, reads, chained, crossed = [], [], [], []
+    scaled, chain_segments, segment_tracks, crossings = (
+        scanning.MooreLoop._scaled, scanning._chain_segments, scanning._segment_tracks, scanning._crossings)
+
+    def capturing_loop(*args):
+        made.append(_layout(scaled(*args)))
+        return scaled(*args)
+
+    def recording_chain(*args):
+        out = chain_segments(*args)
+        chained.append(out is not None)
+        return out
+
+    def recording_tracks(units, c, m, k):
+        reads.append((units, c, k))
+        return segment_tracks(units, c, m, k)
+
+    def recording_crossings(*args):
+        out = crossings(*args)
+        crossed.append(bool(out))
+        return out
+
+    monkeypatch.setattr(scanning.MooreLoop, "_scaled", capturing_loop)
+    monkeypatch.setattr(scanning, "_chain_segments", recording_chain)
+    monkeypatch.setattr(scanning, "_segment_tracks", recording_tracks)
+    monkeypatch.setattr(scanning, "_crossings", recording_crossings)
+    rng = random.Random("chain-trace-" + carrier.name)
+    labels = [m for m in carrier.elements if m != UNIT]
+    seen = Counter()
+    for _ in range(2000):
+        xi, s = rand_trace_chain(rng, labels)
+        windows = WindowIndex(xi, carrier)
+        assert windows._chain is not None, xi
+        del made[:], chained[:], reads[:], crossed[:]
+        text = _trace_text(alpha_trace, xi, s, carrier)
+        got, crossing = made[:], any(crossed)
+        with monkeypatch.context() as mp:
+            _per_segment(mp)
+            del made[:], reads[:]
+            assert _trace_text(alpha_trace, xi, s, carrier) == text, (xi, s)
+        assert made == got, (xi, s)
+        if not chained[0]:
+            assert text.startswith("DecomposeError: window ("), (xi, s, text)
+            seen["failing window"] += 1
+            continue
+        seen[text.split(":")[0] if "Error" in text else "loop"] += 1
+        seen["crossing"] += crossing
+        seen["degenerate or zero"] += any(j.u == j.v or m == UNIT for j, m in xi)
+        seen["large scale"] += windows.scale.bit_length() > 80
+        for units, c, k in reads:
+            singles = [keys[0] for keys, _ in units if len(keys) == 1]
+            if any(len(keys) == 2 for keys, _ in units):
+                seen["pair"] += 1
+            elif any(u == c - k < v < c + k for u, v, _, _ in singles) and any(c - k < u < v == c + k for u, v, _, _ in singles):
+                seen["cut on both sides, unpaired"] += 1
+    assert min(seen.values()) >= 100 and len(seen) == 8, seen
 
 
 def test_circle_sums_match_bm_canon():
