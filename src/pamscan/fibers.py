@@ -377,10 +377,13 @@ def glue_g(eta, alpha, z, pam):
     with the prescribed partitions alpha sits at the origin, the cut strands
     reaching the payload seam.
 
-    A partition (a, a) with a nonzero at a base point u = +-1/2 is refused
-    (DomainError): the central piece (-1/4, 1/4) and the cut strand from
-    1/4 would share the label a and meet at 1/4 with complementary
-    parities, so they paste, and the output would not lie over z.
+    Base points u1 and u2 of one sign, u1 = u2 allowed, with
+    |u1| + |u2| = 1 are refused (DomainError) when the central label a1
+    of u1 is the strand label b2 of u2 and is nonzero.  The central piece
+    of u1, (-r, r) with r = (1 - |u1|)/2, and the cut strands of u2, from
+    +-|u2|/2 = +-r, would share that label and meet at +-r with
+    complementary parities, so they paste, and the output would not lie
+    over z.
     """
     alpha = tuple(alpha)
     if len(alpha) != len(z.points):
@@ -390,11 +393,13 @@ def glue_g(eta, alpha, z, pam):
             raise DomainError(
                 "(%s, %s) is not a partition of the label %s at %s" % (a, b, m, u)
             )
-        if a == b != UNIT and abs(u) == Fraction(1, 2):
-            raise DomainError(
-                "partition (%s, %s) at %s would paste its central piece to its cut strand"
-                % (a, b, u)
-            )
+    for (u1, _), (a1, b1) in zip(z.points, alpha):
+        for (u2, _), (_, b2) in zip(z.points, alpha):
+            if a1 == b2 != UNIT and (u1 > 0) == (u2 > 0) and abs(u1) + abs(u2) == 1:
+                raise DomainError(
+                    "partition (%s, %s) at %s would paste its central piece to %s"
+                    % (a1, b1, u1, "its cut strand" if u2 == u1 else "the cut strand at %s" % u2)
+                )
     p_eta = path_eval_at_zero(eta, pam)
     cls = classify_fiber(eta, p_eta, pam)
     if cls.verdict != "in-H":

@@ -11,7 +11,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import accumulate, count, groupby
+from itertools import accumulate, count, groupby, repeat
 from math import gcd, inf, lcm
 
 from .pam import UNIT, DomainError
@@ -617,37 +617,10 @@ class WindowIndex:
         falls through to the general read, which words its error, so
         ``clip`` alone writes how a piece is clipped.
 
-        The read rests on NF(clip(C, W)) = clip(NF(C), W) for a chain C
-        with no degenerate or zero-label piece.  The pieces of the general
-        read's ``clip`` that C leaves out are degenerate or zero-labeled,
-        and ``_normal_keys`` drops them (a zero label coincident with a
-        kept piece adds nothing to its merge).  Clipping a chain keeps a
-        chain: a piece that meets W keeps its ends inside W and the
-        parities there, and ends cut at lo or hi open.  A joint of C (one
-        piece ending where the next starts) at x survives the clip exactly
-        when lo < x < hi, since a piece that ends at or before lo, or starts
-        at or after hi, clips to nothing; a joint at or outside a window
-        end loses one of its two pieces.  The clipped pieces are distinct
-        and nondegenerate, so the normal form of clip(C, W) only pastes the
-        surviving equal-label joints.  Pasting a joint at x inside W and
-        then clipping gives the paste of the two clipped pieces, and
-        pasting one at x <= lo (x >= hi) and then clipping gives the clip
-        of the piece on the far side of x alone.  So both sides paste the
-        same joints, and the clip of a normal chain is sorted and normal.
-
-        The chain's left ends and right ends both increase, so bisecting
-        them, as ``_bounds`` does, finds the slice of pieces that meet W.
-        Only the first piece of the slice can start at or before lo, and
-        only the last can end at or after hi: every other piece starts at
-        or after its left neighbour's right end, which exceeds lo, and ends
-        at or before its right neighbour's left end, which lies below hi.
-        So ``_classify`` needs no comparisons here: a piece cut on both
-        sides is the whole window, one cut on one side is anchored there,
-        and an uncut piece lies strictly inside W and is elementary exactly
-        when p + q = 0.  The left-cut piece and the right-cut piece are the
-        only anchored ones, so first fit is one test (``_pairs``) between
-        them, and the items come out in sort order: the anchored single
-        pieces at the ends of the slice and a cut pair last.
+        This is the one-window form of ``_chain_reads``, which proves it:
+        the same slice, the same cuts and cut pair, and the same one sum.
+        The items come out in sort order: the anchored single pieces at the
+        ends of the slice, the inner ones between, and a cut pair last.
         """
         if self._chain is not None:
             f = scale // self.scale
@@ -1032,9 +1005,11 @@ def _reads(windows, k, e, centres, pam):
     state of the centre before it.  On integer centres the first count
     grows at t = x + e and the second at t = x - e + 1, so one sorted list
     of those change points (``_change_points``) tells whether the state
-    has changed: ``_starts`` finds the centres where it has by one
-    bisection per change point, and ``_read_centres`` lists the read
-    centres of a sweep from the change points alone.
+    has changed.  A later centre starts a new content exactly when a change
+    point lies between the centre before it, exclusive, and itself,
+    inclusive, so one bisection per change point finds those centres, and
+    ``_read_centres`` lists the read centres of a sweep from the change
+    points alone.
 
     Two centres c < t with one state have one content, up to the clipped
     ends.  ``WindowIndex.clip`` clips an end on lo like one below lo and an
@@ -1058,23 +1033,11 @@ def _reads(windows, k, e, centres, pam):
     centre takes the last read, moved, and the first centre of a failing
     content is read, so the first failing window words its own error.
     """
-    starts = set(_starts(_change_points(windows, k, e), centres))
+    starts = {0, *(bisect_left(centres, x) for x in _change_points(windows, k, e) if x > centres[0])}
     for j, t in enumerate(centres):
         if j in starts:
             c, items = t, windows.read(k, t - e, t + e, pam)
         yield c, items
-
-
-def _starts(changes, centres):
-    """The sorted indices of the increasing ``centres`` that start a window content.
-
-    The first centre does, and so does the first centre at or past each
-    of the ``changes`` (``_change_points``) beyond it: a later centre
-    starts one exactly when a change point lies between the centre before
-    it, exclusive, and itself, inclusive (see ``_reads``).
-    """
-    after = {bisect_left(centres, x) for x in changes if x > centres[0]}
-    return sorted({0, *after} - {len(centres)})
 
 
 def _change_points(windows, k, e):
@@ -1087,7 +1050,7 @@ def _read_centres(windows, eps):
     """(K, e, centres): the centres of ``_sweep_centres`` that ``_reads`` reads.
 
     One centre per window content; ``is_admissible`` decides its windows
-    at them (``_centres_to_read``).  Those are crit[0] - K and the first
+    at them (``_chain_reads``).  Those are crit[0] - K and the first
     centre at or past each change point.  Over K every end and e are even, so a change point x + e is a
     critical point, its own centre, and one x - e + 1 lies just past the
     critical point x - e, below the largest.  Its centre is the midpoint of
@@ -1102,33 +1065,71 @@ def _read_centres(windows, eps):
     return k, e, centres
 
 
-def _centres_to_read(windows, k, e, centres, pam):
-    """The increasing ``centres`` at which ``is_admissible`` reads its window.
+def _chain_reads(windows, k, e, centres, pam):
+    """The chain read of ``WindowIndex.read`` at each of the increasing ``centres``.
 
-    Every centre, unless ``windows`` stores a chain; then, with no window
-    read, those at which the chain read of ``WindowIndex.read`` finds no
-    first fit, where the general read fails too and words the error.
-    ``scanning.alpha_trace`` asks it of the first centre of each window
-    content, and builds a chain's loop with no read when none fails.  At
-    a centre that read slices the chain to the pieces [first, stop) that
-    meet the window (lo, hi), and as the window moves right both ends only
-    move forward.  Only the first piece can start at or before lo and only
-    the last can end at or after hi; with l and r telling whether they do,
-    the strictly inner pieces are [first + l, stop - r), or none when one
-    piece is cut on both sides (then stop - r = first + l - 1).  The read
-    breaks exactly when one of them has p + q != 0, which a prefix count
-    of such pieces tells.  Otherwise its items are the pieces of the
-    slice, except that the left-cut and right-cut pieces, two of one
-    label, make a cut pair with that label when ``_pairs`` accepts them.
-    A cut keeps the uncut end and its parity, all that ``_pairs``
-    compares, so it is asked of the chain keys.  So the items' labels are
-    those of [first, stop - paired), and the read succeeds exactly when
-    fewer than two remain or they sum (``_sums``); ``FinitePam.sum_tuple``
-    is order-free, so each range is summed once.
+    ``windows`` is a WindowIndex, ``k`` a multiple of its scale, and the
+    window at a centre t is W = (lo, hi) = (t - e, t + e), all integers
+    over k.  Yields, for each t, None where the read finds no first fit,
+    and there the general read fails too and words the error; else
+    (first, stop, paired): first fit's items are the stored chain's pieces
+    [first, stop) clipped to W, the first and the last joined into one cut
+    pair when ``paired``.  Every centre yields None when no chain is
+    stored.  The scaled ends, the labels and a prefix count are built once
+    per pass, and each range of labels is summed once.
+
+    The read rests on NF(clip(C, W)) = clip(NF(C), W) for a chain C
+    with no degenerate or zero-label piece.  The pieces of the general
+    read's ``clip`` that C leaves out are degenerate or zero-labeled,
+    and ``_normal_keys`` drops them (a zero label coincident with a
+    kept piece adds nothing to its merge).  Clipping a chain keeps a
+    chain: a piece that meets W keeps its ends inside W and the
+    parities there, and ends cut at lo or hi open.  A joint of C (one
+    piece ending where the next starts) at x survives the clip exactly
+    when lo < x < hi, since a piece that ends at or before lo, or starts
+    at or after hi, clips to nothing; a joint at or outside a window
+    end loses one of its two pieces.  The clipped pieces are distinct
+    and nondegenerate, so the normal form of clip(C, W) only pastes the
+    surviving equal-label joints.  Pasting a joint at x inside W and
+    then clipping gives the paste of the two clipped pieces, and
+    pasting one at x <= lo (x >= hi) and then clipping gives the clip
+    of the piece on the far side of x alone.  So both sides paste the
+    same joints, and the clip of a normal chain is sorted and normal.
+
+    The chain's left ends and right ends both increase, so bisecting
+    them, as ``_bounds`` does, finds the slice [first, stop) of pieces
+    that meet W, and as the window moves right both ends of the slice only
+    move forward.  Only the first piece can start at or before lo, and
+    only the last can end at or after hi: every other piece starts at or
+    after its left neighbour's right end, which exceeds lo, and ends at or
+    before its right neighbour's left end, which lies below hi.  So
+    ``_classify`` needs no comparisons here: a piece cut on both sides is
+    the whole window, one cut on one side is anchored there, and an uncut
+    piece lies strictly inside W and is elementary exactly when p + q = 0.
+    With l and r telling whether the first and last pieces are cut, the
+    inner pieces are [first + l, stop - r), or none when one piece is cut
+    on both sides (then stop - r = first + l - 1), and a prefix count of
+    the pieces with p + q != 0 tells whether one of them is not
+    elementary.  The left-cut piece and the right-cut piece are the only
+    anchored ones, so first fit is one test between them: two of one
+    label make a cut pair when ``_pairs`` accepts them.  A cut keeps the
+    uncut end and its parity, all that ``_pairs`` compares, so it is asked
+    of the chain keys.  So the items' labels are those of
+    [first, stop - paired), and the read succeeds exactly when fewer than
+    two remain or they sum (``_sums``); ``FinitePam.sum_tuple`` is
+    order-free, so each range is summed once.
+
+    The slice and its cuts, and so the read, change only at a chain
+    endpoint +-e: first grows where lo reaches a right end, stop where hi
+    passes a left end, and a cut appears where lo reaches the left end it
+    cuts and goes where hi passes the right end it cut.  So two centres
+    with no chain endpoint +-e between them, the two included, share one
+    read.  ``scanning.alpha_trace`` asks at the midpoints of the segments
+    that start at a chain endpoint +-1 only, for that reason.
     """
     chain = windows._chain
     if chain is None:
-        yield from centres
+        yield from repeat(None, len(centres))
         return
     f = k // windows.scale
     lefts = [u * f for u in windows._chain_lefts]
@@ -1141,10 +1142,11 @@ def _centres_to_read(windows, k, e, centres, pam):
         first = bisect_right(rights, lo, first)
         stop = bisect_left(lefts, hi, stop)
         if first == stop:
+            yield first, stop, False
             continue
         cut_l, cut_r = lefts[first] <= lo, rights[stop - 1] >= hi
         if flagged[stop - cut_r] > flagged[first + cut_l]:
-            yield t
+            yield None
             continue
         paired = (cut_l and cut_r and stop - first > 1 and labels[first] == labels[stop - 1]
                   and _pairs(chain[first][0], chain[stop - 1][0]))
@@ -1153,7 +1155,9 @@ def _centres_to_read(windows, k, e, centres, pam):
             if (first, j) not in sums:
                 sums[first, j] = pam.sum_tuple(labels[first:j]) is not None
             if not sums[first, j]:
-                yield t
+                yield None
+                continue
+        yield first, stop, paired
 
 
 def _moved(keys, a, b, d):
@@ -1347,7 +1351,7 @@ def is_admissible(xi, eps, support, pam):
     membership on its keys; they are in ``lc_sorted`` order, so a witness
     names positions in ``lc_sorted(xi)``.  The windows are decided at the
     centres of ``_read_centres``, one per content.  On a stored chain one
-    pass (``_centres_to_read``) decides them with no window read, and only
+    pass (``_chain_reads``) decides them with no window read, and only
     the first failing window is read, by ``WindowIndex.read``, to word its
     error; other configurations read each of them.  The support check
     clips on the keys too.  ``restrict`` to the inner window keeps the
@@ -1370,8 +1374,9 @@ def is_admissible(xi, eps, support, pam):
         # sum and counts nothing.  Over a self-insummable pam a summable
         # tuple holds each nonzero label at most once, which forces the
         # matching, so the count ``admissibility_sweep`` reports is 1 there.
-        for t in _centres_to_read(windows, k, e, centres, pam):
-            windows.read(k, t - e, t + e, pam)
+        for t, read in zip(centres, _chain_reads(windows, k, e, centres, pam)):
+            if read is None:
+                windows.read(k, t - e, t + e, pam)
     except DecomposeError as err:
         return AdmissibilityReport(False, str(err), err.window)
     except DomainError as err:

@@ -28,7 +28,7 @@ key their arguments the same way and wrap the integer evaluators.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -41,14 +41,11 @@ from .labeled import (
     E1_LEFT,
     E1_RIGHT,
     WindowIndex,
-    _centres_to_read,
-    _change_points,
+    _chain_reads,
     _interval,
     _moved,
     _num,
-    _pairs,
     _reads,
-    _starts,
 )
 from .tensor import bm_canon
 
@@ -372,25 +369,23 @@ def alpha_trace(xi, s, pam):
     -1, 0 or 1, and the tracks are affine at m.
 
     When the index stores a chain, the chain path (``_chain_segments``)
-    reads no window.  ``labeled._centres_to_read`` first decides, with no
-    read, the window at the first midpoint of each window content
-    (``labeled._starts``), where the general path would read; if one
-    fails, the general path runs and raises that window's error.  Else at
-    each midpoint m the chain read of (m - T, m + T) is the slice of the
-    chain's pieces that meet it, kept by hinted bisection as m grows, and
-    its units are those pieces, an end cut at m - T or m + T (where
+    reads no window.  The chain read of (m - T, m + T) changes only where
+    m passes a chain endpoint +-T, a breakpoint, so one pass of
+    ``labeled._chain_reads`` decides it at the first segment and at each
+    segment that starts there, and every other segment shares the read
+    before it.  Those segments start window contents of the general path,
+    and each of its content starts shares the read of the last of them, so
+    when one fails the general path runs and raises that window's error.
+    Else the read is the slice of the chain's pieces that meet the window,
+    and its units are those pieces, an end cut at m - T or m + T (where
     ``_moved`` puts it) taking the parity opposite to the piece's other
     end, as ``_units`` closes it (``_cut_key``), and the whole window open
-    at both.  Only the first piece can be cut on the left and only the
-    last on the right, and when both are, with one label, and ``_pairs``
-    accepts them, they make a cut pair, whose track goes last; the other
-    tracks come in chain order.  The slice and its cuts, and so the cut
-    pair, change only where m passes a chain endpoint +-T, a breakpoint,
-    so they are bisected again only at a segment that starts there.  The
-    tracks are evaluated at the first segment, at a segment that starts
-    at a chain endpoint +-T/2, and at one whose cut pair (two pieces, or
-    none) differs from the segment before; every other segment takes the
-    list before it.  That list is the one an evaluation would give:
+    at both; a cut pair's track goes last, the other tracks come in chain
+    order.  The tracks are evaluated at the first segment, at a segment
+    that starts at a chain endpoint +-T/2, and at one whose cut pair (two
+    pieces, or none) differs from the segment before; every other segment
+    takes the list before it.  That list is the one an evaluation would
+    give:
 
     - A piece changes branch only where m passes an uncut end +-T/2, a
       breakpoint, and since m lies inside its segment, only at a segment
@@ -545,41 +540,34 @@ def _chain_segments(windows, k, grid, mids, pam):
     chain = windows._chain
     if chain is None:
         return None
-    starts = [mids[j] for j in _starts(_change_points(windows, k, k), mids)]
-    for _ in _centres_to_read(windows, k, k, starts, pam):
-        return None
     f = k // windows.scale
     keys = [(u * f, v * f, p, q) for (u, v, p, q), _, _ in chain]
     labels = [m for _, m, _ in chain]
-    lefts, rights = [key[0] for key in keys], [key[1] for key in keys]
     ends = {x for key in keys for x in key[:2]}
-    # past the first segment, the slice and its cuts change only at one
-    # that starts at an endpoint +-1, a branch only at an endpoint +-1/2
+    # past the first segment, the read changes only at one that starts at
+    # an endpoint +-1, a branch only at an endpoint +-1/2
     moves = {0, *(x + d for x in ends for d in (-k, k))}
     marks = {x + d for x in ends for d in (-k // 2, k // 2)}
-    out, tracks, pair, first, stop = [], None, None, 0, 0
+    reads = _chain_reads(windows, k, k, [m for lo, m in zip(grid, mids) if lo in moves], pam)
+    out, tracks, pair = [], None, None
     for lo, m in zip(grid, mids):
         a, b = m - k, m + k
         new = lo in marks
         if lo in moves:
-            first = bisect_right(rights, a, first)
-            stop = bisect_left(lefts, b, stop)
-            last = stop - 1
-            was, pair = pair, (
-                (first, last)
-                if last > first and lefts[first] <= a and rights[last] >= b
-                and labels[first] == labels[last] and _pairs(keys[first], keys[last])
-                else None
-            )
+            read = next(reads)
+            if read is None:
+                return None
+            first, stop, paired = read
+            was, pair = pair, (first, stop - 1) if paired else None
             new = new or tracks is None or pair != was
         if new:
             tracks = []
-            for i in range(first + (pair is not None), stop - (pair is not None)):
+            for i in range(first + paired, stop - paired):
                 val, c1 = _omega(_cut_key(keys[i], a, b), m, k)
                 if val != k:
                     tracks.append((c1, val - c1 * m, labels[i]))
-            if pair is not None:
-                val, c1 = _merged_strand(_cut_key(keys[first], a, b), _cut_key(keys[last], a, b), m, k)
+            if paired:
+                val, c1 = _merged_strand(_cut_key(keys[first], a, b), _cut_key(keys[stop - 1], a, b), m, k)
                 if val != k:
                     tracks.append((c1, val - c1 * m, labels[first]))
         out.append(tracks)

@@ -34,9 +34,11 @@ def decompose_reads(monkeypatch):
     """The (lo, hi, k) window of every call to ``labeled.WindowIndex.read``.
 
     The reads of ``labeled._reads`` (so of a trace on its per-segment
-    path; a trace of a stored chain whose windows decompose reads none),
-    of ``admissibility_sweep`` and of ``is_admissible`` are recorded in
-    call order; the reads that ``scanning.scan_core`` makes are not.  The
+    path), of ``admissibility_sweep`` and of ``is_admissible`` are
+    recorded in call order; the reads that ``scanning.scan_core`` makes
+    are not.  On a stored chain both a trace and ``is_admissible`` decide
+    their windows in one pass of ``labeled._chain_reads``: the trace reads
+    none, and ``is_admissible`` reads only a window that fails.  The
     list holds integers only, so a test that counts built Fractions is not
     disturbed.
     """

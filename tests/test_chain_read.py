@@ -12,7 +12,8 @@ from fractions import Fraction as F
 from math import lcm
 
 import pamscan.labeled as labeled
-from pamscan import CLOSED, OPEN, UNIT, DecomposeError, Interval, WindowIndex, is_admissible
+import pamscan.scanning as scanning
+from pamscan import CLOSED, OPEN, UNIT, DecomposeError, Interval, WindowIndex, alpha_trace, is_admissible
 from pamscan.dsl import parse_config
 
 from genutil import cyclic_pam, truncated_pam
@@ -151,3 +152,87 @@ def test_pinned_chain_reads(m3):
     bad = WindowIndex(parse_config("[1,2]:a", m3), m3)
     err = _outcome(bad.read, 1, 0, 3, m3)
     assert err == ("DecomposeError", "window (0, 3): piece Interval(u=Fraction(1, 1), v=Fraction(2, 1), p=1, q=1):a is not elementary", (0, 3))
+
+
+def _slice_items(windows, k, lo, hi, read):
+    """The keyed items that a ``_chain_reads`` answer (first, stop, paired) names.
+
+    The chain pieces [first, stop) clipped to (lo, hi) over k, the first
+    and the last joined into a cut pair when ``paired``, in sort order.
+    """
+    first, stop, paired = read
+    f = k // windows.scale
+    items, ends = [], []
+    for (u, v, p, q), m, _ in windows._chain[first:stop]:
+        u, v = u * f, v * f
+        if u <= lo and v >= hi:
+            items.append((0, (lo, hi, OPEN, OPEN), m, labeled.E1_WHOLE))
+        elif u <= lo:
+            ends.append(((lo, v, OPEN, q), m, labeled.E1_LEFT))
+        elif v >= hi:
+            ends.append(((u, hi, p, OPEN), m, labeled.E1_RIGHT))
+        else:
+            items.append((0, (u, v, p, q), m, labeled.E1_INTERIOR))
+    if paired:
+        (kl, m, _), (kr, _, _) = ends
+        items.append((1, kl, kr, m))
+    else:
+        items += [(0, key, m, kind) for key, m, kind in ends]
+    return sorted(items)
+
+
+def test_chain_reads_match_the_general_read(m3, z2):
+    # 1,000 chains per carrier, each read in one pass of ``_chain_reads``
+    # at 24 increasing centres of one radius, on scales 1 to 3 times finer
+    # than the centres need: the pass yields None exactly where the
+    # general read fails, and elsewhere the slice, its cuts and its pair
+    # are the general read's items
+    seen = dict.fromkeys(("fails", "empty", "whole", "cut pairs", "unpaired cuts"), 0)
+    for pam in (m3, z2, cyclic_pam(5), truncated_pam(6)):
+        rng = random.Random("chain-reads-" + pam.name)
+        for _ in range(1000):
+            xi = rand_chain(rng, pam)
+            windows = WindowIndex(xi, pam)
+            wins = rand_windows(rng, xi, 12)
+            e = (wins[0][1] - wins[0][0]) / 2
+            centres = sorted({lo + e for lo, _ in wins} | {hi - e for _, hi in wins})
+            k = lcm(windows.scale, e.denominator, *(t.denominator for t in centres)) * rng.choice((1, 2, 3))
+            ts = [t.numerator * (k // t.denominator) for t in centres]
+            ek = e.numerator * (k // e.denominator)
+            reads = list(labeled._chain_reads(windows, k, ek, ts, pam))
+            assert len(reads) == len(ts)
+            for t, read in zip(ts, reads):
+                lo, hi = t - ek, t + ek
+                want = _outcome(_general, windows, k, lo, hi, pam)
+                if read is None:
+                    assert isinstance(want, tuple), (xi, e, t, k)
+                    seen["fails"] += 1
+                    continue
+                assert want == _slice_items(windows, k, lo, hi, read), (xi, e, t, k)
+                seen["empty"] += read[0] == read[1]
+                seen["whole"] += any(e[0] == 0 and e[3] == labeled.E1_WHOLE for e in want)
+                seen["cut pairs"] += read[2]
+                seen["unpaired cuts"] += not read[2] and sum(e[0] == 0 and e[3] in ("left", "right") for e in want) == 2
+    assert min(seen.values()) >= 500, seen
+
+
+def test_one_chain_pass_per_trace_and_per_admissibility(m3, monkeypatch):
+    # a chain trace decides its windows in one pass of ``_chain_reads`` and
+    # lists no change points; ``is_admissible`` makes one pass too
+    passes, changes = [], []
+    chain_reads, change_points = labeled._chain_reads, labeled._change_points
+
+    def counting_reads(*args):
+        passes.append(args[3])
+        return chain_reads(*args)
+
+    monkeypatch.setattr(scanning, "_chain_reads", counting_reads)
+    monkeypatch.setattr(labeled, "_chain_reads", counting_reads)
+    monkeypatch.setattr(labeled, "_change_points", lambda *args: changes.append(args) or change_points(*args))
+    xi = parse_config("[2,4):a [5,6):a (7,9]:b [19/2,11):a", m3)
+    assert WindowIndex(xi, m3)._chain is not None
+    alpha_trace(xi, 13, m3)
+    assert len(passes) == 1 and changes == []
+    del passes[:]
+    assert is_admissible(xi, 1, (0, 13), m3)
+    assert len(passes) == 1 and len(passes[0]) > 1

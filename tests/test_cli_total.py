@@ -289,6 +289,10 @@ CASES = [
     # strands, and the glued configuration would lie over m at 0, not z
     (3, ["fiber", "glue", "--pam", "{z5}", "--z", "1/2:g3", "--alpha", "1/2:g4,g4", "∅"], "",
      "error: partition (g4, g4) at 1/2 would paste its central piece to its cut strand\n"),
+    # so would the central g1 piece of 1/4, radius 3/8, and the g1 strands
+    # of 3/4, from 3/8: the output would evaluate to 0:g1 3/4:g1 at 0
+    (3, ["fiber", "glue", "--pam", "{z5}", "--z", "1/4:g1 3/4:g2", "--alpha", "1/4:g1,0 3/4:g1,g1", "∅"], "",
+     "error: partition (g1, 0) at 1/4 would paste its central piece to the cut strand at 3/4\n"),
     # a point given twice is refused at its second token, in either order
     (2, ["fiber", "glue", "--pam", "{m3}", "--z", "1/2:c", "--alpha", "1/2:a,a 1/2:a,b", WIDE], None,
      "parse error: 1:9: alpha gives the point 1/2 twice\n"),

@@ -1,6 +1,7 @@
 """Fiber patterns, retraction, gluing and the covering homotopies."""
 
 import random
+from itertools import combinations, product
 from fractions import Fraction as F
 
 import pytest
@@ -554,3 +555,61 @@ def test_criterion_11_beyond_m3(carrier_name):
         cls2 = classify_fiber(glued, z_c, pam)
         assert cls2.verdict == "in-F" and cls2.alpha == ((a, b),), (a, b)
         assert path_eval_at_zero(glued, pam) == z_c
+
+
+def _glue_cases(pam):
+    """(points, alpha) for one or two base points on the eighths in (-1, 1), every partition."""
+    eighths = [F(i, 8) for i in range(-7, 8) if i]
+    labeled = [(m, ab) for m in pam.elements if m != "0" for ab in pam.partitions(m)]
+    for n in (1, 2):
+        for us in combinations(eighths, n):
+            for picks in product(labeled, repeat=n):
+                yield tuple((u, m) for u, (m, _) in zip(us, picks)), tuple(ab for _, ab in picks)
+
+
+def _pastes(points, alpha):
+    """Whether the central piece of some u1 meets a cut strand of u2 with its label.
+
+    u1 and u2 have one sign, u1 = u2 allowed, and |u1| + |u2| = 1.
+    """
+    pts = [(u, a, b) for (u, _), (a, b) in zip(points, alpha)]
+    return any(
+        (u1 > 0) == (u2 > 0) and abs(u1) + abs(u2) == 1 and a1 == b2 != "0"
+        for u1, a1, _ in pts
+        for u2, _, b2 in pts
+    )
+
+
+@pytest.mark.parametrize("pam", [cyclic_pam(5), truncated_pam(6)], ids=["z5", "trunc6"])
+def test_glue_refuses_every_paste(pam):
+    # eta empty, one or two base points on the eighths and every partition
+    # (36,680 cases over Z/5, 66,717 over {0..6}): glue_g refuses each case
+    # whose central piece would paste to a cut strand, and a seeded sample
+    # of the others glues as before.  Off the paste rule an output lies
+    # over z, fails to evaluate because z's own labels do not sum, or has
+    # two cut strands of one label, which first fit crosses (ROADMAP item
+    # 4); nothing else
+    rng = random.Random("glue-paste-" + pam.name)
+    pasting, others = [], []
+    for case in _glue_cases(pam):
+        (pasting if _pastes(*case) else others).append(case)
+    assert len(pasting) == {"Z5": 2768, "T6": 3105}[pam.name]
+    for points, alpha in pasting:
+        with pytest.raises(DomainError, match=r"^partition \(.*\) at .* would paste its central piece to "):
+            glue_g((), alpha, BMElement(None, points), pam)
+    seen = dict.fromkeys(("over z", "z unsummable", "two strands"), 0)
+    for points, alpha in rng.sample(others, 1500):
+        z = BMElement(None, points)
+        glued = glue_g((), alpha, z, pam)
+        if pam.sum_tuple([m for _, m in points]) is None:
+            with pytest.raises(DomainError):
+                path_eval_at_zero(glued, pam)
+            seen["z unsummable"] += 1
+        elif path_eval_at_zero(glued, pam) == z:
+            seen["over z"] += 1
+        else:
+            assert len(alpha) == 2 and alpha[0][1] == alpha[1][1] != "0", (z, alpha)
+            seen["two strands"] += 1
+    # every z sums over Z/5
+    assert seen["over z"] >= 200 and seen["two strands"] >= 10, seen
+    assert (seen["z unsummable"] >= 500) == (pam.name == "T6"), seen
