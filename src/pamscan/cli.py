@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success (or a true answer), 1 false/distinct/neither,
-2 parse error, 3 domain error, 4 undecided.  Results go to stdout,
+2 parse error, 3 domain error, 4 undecided.  Only ``config eq`` exits 4,
+when its bounded search ends without a verdict; no library call raises
+``UndecidedError``, which stays a public name.  Results go to stdout,
 errors to stderr.
 
 Each command is one row of ``COMMANDS``: verb, action (None for a verb
@@ -43,7 +45,7 @@ from .labeled import (
     mirror_config,
     positive_part,
 )
-from .pam import DomainError, PamError, UndecidedError
+from .pam import DomainError, PamError
 from .scanning import TraceError, alpha_eval, alpha_trace
 from .svg import bm_svg, config_svg, loop_svg
 from .tensor import EqVerdict, bm_canon
@@ -330,9 +332,6 @@ def main(argv=None):
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return EXIT_PARSE
-    except UndecidedError as e:
-        print("undecided: %s" % e, file=sys.stderr)
-        return EXIT_UNKNOWN
     except (PamError, DomainError, IncompatibleConfig, TraceError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_DOMAIN

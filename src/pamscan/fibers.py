@@ -26,7 +26,7 @@ from .labeled import (
     translate_config,
 )
 from .scanning import path_eval_at_zero
-from .tensor import BMElement, bm_canon
+from .tensor import BMElement, _require_joint_sum, bm_canon
 
 
 def _check_unit_t(t):
@@ -377,14 +377,17 @@ def glue_g(eta, alpha, z, pam):
     with the prescribed partitions alpha sits at the origin, the cut strands
     reaching the payload seam.
 
-    Base points u1 and u2 of one sign, u1 = u2 allowed, with
-    |u1| + |u2| = 1 are refused (DomainError) when the central label a1
-    of u1 is the strand label b2 of u2 and is nonzero.  The central piece
+    A z whose labels do not sum jointly lies outside the tensor region and
+    is refused first (DomainError), as ``bm_canon`` refuses it.  Base points
+    u1 and u2 of one sign, u1 = u2 allowed, with |u1| + |u2| = 1 are
+    refused (DomainError) when the central label a1 of u1 is the strand
+    label b2 of u2 and is nonzero.  The central piece
     of u1, (-r, r) with r = (1 - |u1|)/2, and the cut strands of u2, from
     +-|u2|/2 = +-r, would share that label and meet at +-r with
     complementary parities, so they paste, and the output would not lie
     over z.
     """
+    _require_joint_sum(pam, [m for _, m in z.to_pairs()])
     alpha = tuple(alpha)
     if len(alpha) != len(z.points):
         raise DomainError("alpha must assign one partition per base point")

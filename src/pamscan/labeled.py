@@ -334,8 +334,10 @@ def config_eq(x1, x2, pam, method="nf", depth=6):
 
     ``nf`` compares normal forms: EQUAL is always right, but DISTINCT is
     not exact over every carrier, where the moves need not converge (see
-    ``labeled_normalize``).  ``search`` runs a bounded bidirectional walk
-    over one-step rewrites and answers UNKNOWN once it is out of bounds.
+    ``labeled_normalize``).  ``search`` compares normal forms first when
+    both inputs lie in the tensor region T, and otherwise runs a bounded
+    bidirectional walk over one-step rewrites, answering UNKNOWN once it
+    is out of bounds.
 
     Both methods check the labels of x1 and x2 first, in input order, x1's
     before x2's, so an unknown label raises at any depth and before any
@@ -354,10 +356,24 @@ def config_eq(x1, x2, pam, method="nf", depth=6):
     odd endpoint halves it back, so equal configurations give equal nodes
     and the search sees the nodes the ``lc_sorted`` presentation would.
 
-    Exhausting both sides proves DISTINCT only when both starts are in the
-    tensor region T.  The moves out of a start outside T are filtered to
-    those that land in T, so from such a start the search answers UNKNOWN
-    instead; an EQUAL is a chain of moves and stands.
+    The search sweeps each start once (``_tensor_sweep``).  When both are
+    in T and their normal forms agree, it answers EQUAL with no walk.
+    Every step of the normal form (a drop of a zero label or a degenerate
+    piece, a merge of two coincident pieces, a paste of a touching pair)
+    is a rewrite move the walk makes, and moves map T into T (see
+    ``labeled_rewrite_neighbors``).  So from a start in T the normal form
+    is reached by a chain of moves that stays in T, which the walk
+    accepts, and no merge on it fails: ``_normal_keys`` cannot raise
+    there.  Agreeing normal forms thus join the starts by a chain of
+    moves, and the answer changes a walk's verdict only from UNKNOWN, on
+    a walk a depth or ``SEARCH_NODE_CAP`` stopped, to EQUAL.  It never
+    makes or unmakes a DISTINCT: a walk that exhausts both sides has
+    followed every chain of moves out of each start.
+
+    Exhausting both sides proves DISTINCT only when both starts are in T.
+    The moves out of a start outside T are filtered to those that land
+    in T, so from such a start the search answers UNKNOWN instead; an
+    EQUAL is a chain of moves and stands.
     """
     if method not in ("nf", "search"):
         raise ValueError("unknown method %r" % method)
@@ -365,15 +381,15 @@ def config_eq(x1, x2, pam, method="nf", depth=6):
     _check_labels(x1 + x2, pam)
     scale, keyed = _endpoint_keys(x1 + x2)
     parts = [sorted(keyed[: len(x1)]), sorted(keyed[len(x1) :])]
-    if method == "nf":
+    inside = method == "search" and all(_tensor_sweep(part, pam) is None for part in parts)
+    if method == "nf" or inside:
         w1, w2 = ([(key, m) for key, m, _ in _normal_keys(part, pam, scale)] for part in parts)
-        return EqVerdict.EQUAL if w1 == w2 else EqVerdict.DISTINCT
+        if method == "nf" or w1 == w2:
+            return EqVerdict.EQUAL if w1 == w2 else EqVerdict.DISTINCT
     cuts = sorted({x for key, _, _ in keyed for x in key[:2]})
     starts = [(0, tuple((key, m) for key, m, _ in part)) for part in parts]
     verdict = _bidirectional_search(*starts, lambda node: _rewrite_keys(node, pam, cuts, scale), depth)
-    if verdict is EqVerdict.DISTINCT and any(_tensor_sweep(items, pam) is not None for _, items in starts):
-        return EqVerdict.UNKNOWN
-    return verdict
+    return EqVerdict.UNKNOWN if verdict is EqVerdict.DISTINCT and not inside else verdict
 
 
 def labeled_rewrite_neighbors(xi, pam, extra_cuts=()):

@@ -25,7 +25,11 @@ class DomainError(Exception):
 
 
 class UndecidedError(DomainError):
-    """An internal bound ran out before the operation decided; the message names it."""
+    """An internal bound ran out before the operation decided; the message names it.
+
+    Nothing in the library raises it now: a bounded configuration search
+    reports UNKNOWN through ``EqVerdict``.  It stays a public name.
+    """
 
 
 class FinitePam:

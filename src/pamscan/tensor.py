@@ -320,11 +320,7 @@ def bm_canon(pam, pairs):
         if t != BASEPOINT and m != UNIT:
             labels.append(m)
             groups.setdefault(t, []).append(m)
-    if pam.sum_tuple(labels) is None:
-        raise DomainError(
-            "not in the tensor region: labels %r are not jointly summable"
-            % (_minimal_unsummable(pam.sum_tuple, labels),)
-        )
+    _require_joint_sum(pam, labels)
     m0, points = None, []
     for t in sorted(groups):
         total = pam.sum_tuple(groups[t])
@@ -335,6 +331,15 @@ def bm_canon(pam, pairs):
         else:
             points.append((t, total))
     return BMElement._canonical(m0, tuple(points))
+
+
+def _require_joint_sum(pam, labels):
+    """Raise DomainError, naming a minimal witness, unless ``labels`` sum jointly."""
+    if pam.sum_tuple(labels) is None:
+        raise DomainError(
+            "not in the tensor region: labels %r are not jointly summable"
+            % (_minimal_unsummable(pam.sum_tuple, labels),)
+        )
 
 
 def _minimal_unsummable(sums, items):

@@ -32,6 +32,7 @@ from pamscan import (
     Interval,
     config_eq,
     in_T_labeled,
+    labeled_normalize,
     labeled_rewrite_neighbors,
     lc_sorted,
 )
@@ -114,6 +115,31 @@ def _outcome(f, *args, **kwargs):
         return "ok", f(*args, **kwargs)
     except DomainError as e:
         return "raised", type(e), str(e)
+
+
+def expected_search(x1, x2, pam, depth, tally):
+    """``oracle_search``'s outcome with the outside-T and normal-form rules.
+
+    A DISTINCT from a start outside T becomes UNKNOWN.  An UNKNOWN between
+    two starts in T whose normal forms agree becomes EQUAL, which
+    ``config_eq`` proves from the normal forms without a walk.  Every
+    other verdict and every error stands.  ``tally`` counts the oracle's
+    own verdict or error class, and each rule that fires.
+    """
+    slow = _outcome(oracle_search, x1, x2, pam, depth)
+    tally[slow[1]] += 1
+    if slow[0] == "raised":
+        return slow
+    inside = in_T_labeled(x1, pam) and in_T_labeled(x2, pam)
+    if slow[1] is EqVerdict.DISTINCT:
+        # a walk never exhausts a nonempty start in T: it can always cut
+        assert not inside, (x1, x2)
+        tally["outside-T rule"] += 1
+        return "ok", EqVerdict.UNKNOWN
+    if slow[1] is EqVerdict.UNKNOWN and inside and labeled_normalize(x1, pam) == labeled_normalize(x2, pam):
+        tally["normal-form rule"] += 1
+        return "ok", EqVerdict.EQUAL
+    return slow
 
 
 M3 = FinitePam("M3", ["0", "a", "b", "c"], {("a", "b"): "c"})
@@ -256,21 +282,16 @@ def _search_pairs(rng, pam, n):
 def test_search_matches_fraction_search():
     """The keyed search gives the Fraction search's verdict or error.
 
-    The one exception is the outside-T rule: a DISTINCT from a start
-    outside T becomes UNKNOWN, and such pairs are counted.
+    The exceptions are the outside-T and normal-form rules
+    (``expected_search``), and the pairs each one changes are counted.
     """
     rng = random.Random("keyed-search")
     tally = Counter()
     for pam in SEARCH_CARRIERS:
         for x1, x2, depth in _search_pairs(rng, pam, 420):
             fast = _outcome(config_eq, x1, x2, pam, method="search", depth=depth)
-            slow = _outcome(oracle_search, x1, x2, pam, depth)
-            tally[slow[1]] += 1
+            slow = expected_search(x1, x2, pam, depth, tally)
             tally["depth %d" % depth] += 1
-            if slow == ("ok", EqVerdict.DISTINCT):
-                assert not (in_T_labeled(x1, pam) and in_T_labeled(x2, pam)), (x1, x2)
-                slow = ("ok", EqVerdict.UNKNOWN)
-                tally["outside-T rule"] += 1
             assert fast == slow, (x1, x2, pam, depth)
             xs = x1 + x2
             tally["degenerate"] += any(j.is_degenerate for j, _ in xs)
@@ -279,7 +300,87 @@ def test_search_matches_fraction_search():
                 tally["outside T"] += not (in_T_labeled(x1, pam) and in_T_labeled(x2, pam))
     assert sum(tally["depth %d" % d] for d in range(5)) >= 2000
     assert min(tally[k] for k in (*EqVerdict, DomainError, "outside-T rule")) >= 20, tally
+    assert tally["normal-form rule"] >= 200, tally
     assert min(tally["degenerate"], tally["zero label"], tally["outside T"]) >= 100, tally
+
+
+NF_CARRIERS = (M3, cyclic_pam(2), cyclic_pam(5), truncated_pam(6))
+
+
+def _overlapping(rng, pam, n):
+    """``n`` pieces on a quarter grid that overlap, touch and repeat.
+
+    A third of the pieces reuse an earlier piece's interval, so coincident
+    labels merge; labels are nonzero, save a zero label now and then and,
+    rarer, one the carrier does not know.
+    """
+    xi = []
+    for _ in range(n):
+        if xi and rng.random() < 0.3:
+            j = rng.choice(xi)[0]
+        else:
+            u, v = sorted(rng.sample(range(9), 2))
+            j = Interval(F(u, 4), F(v, 4), rng.choice((CLOSED, OPEN)), rng.choice((CLOSED, OPEN)))
+        r = rng.random()
+        xi.append((j, "zz" if r < 0.01 else UNIT if r < 0.06 else rng.choice(pam.elements[1:])))
+    return xi
+
+
+def test_normal_form_never_raises_in_T():
+    """``labeled_normalize`` raises on no input in T, and its output stays in T.
+
+    ``config_eq``'s search relies on it: every step of the normal form is a
+    move, and moves keep T.  Over the groups Z2 and Z/5 every input is in
+    T; over M3 and {0..6} a merge of two coincident labels can fail, and
+    does only outside T.
+    """
+    tally = Counter()
+    for pam in NF_CARRIERS:
+        rng = random.Random("nf-in-T-" + pam.name)
+        for _ in range(2000):
+            xi = [(j, m) for j, m in _overlapping(rng, pam, rng.randint(1, 6)) if m in pam.elements]
+            if in_T_labeled(xi, pam):
+                assert in_T_labeled(labeled_normalize(xi, pam), pam), xi
+                tally[pam.name, "in T"] += 1
+                continue
+            tally[pam.name, "outside T"] += 1
+            try:
+                labeled_normalize(xi, pam)
+            except DomainError:
+                tally[pam.name, "raised"] += 1
+    assert min(tally[pam.name, "in T"] for pam in NF_CARRIERS) >= 400, tally
+    assert min(tally[name, "outside T"] for name in ("M3", "T6")) >= 1000, tally
+    assert min(tally[name, "raised"] for name in ("M3", "T6")) >= 500, tally
+
+
+def test_search_matches_the_walk_on_overlapping_inputs():
+    """Overlapping pairs: the search's verdict or error is the pure walk's.
+
+    The walk is ``oracle_search``, and ``expected_search`` applies the
+    outside-T rule and the normal-form rule to it: an UNKNOWN becomes
+    EQUAL only where both starts are in T and their normal forms agree.
+    x2 is a rewrite walk from x1 (which may leave T), a fresh draw, or
+    x1's normal form when x1 is in T.
+    """
+    tally = Counter()
+    for pam in NF_CARRIERS:
+        rng = random.Random("nf-search-" + pam.name)
+        for _ in range(600):
+            x1 = _overlapping(rng, pam, rng.randint(1, 4))
+            known = [(j, m) for j, m in x1 if m in pam.elements]
+            r = rng.random()
+            if r < 0.6:
+                x2 = _walk(rng, known, pam, rng.randint(1, 4))
+            elif r < 0.8 or not in_T_labeled(known, pam):
+                x2 = _overlapping(rng, pam, rng.randint(1, 4))
+            else:
+                x2 = labeled_normalize(known, pam)
+            depth = rng.randint(0, 3)
+            fast = _outcome(config_eq, x1, x2, pam, method="search", depth=depth)
+            assert fast == expected_search(x1, x2, pam, depth, tally), (x1, x2, pam, depth)
+    assert sum(tally[k] for k in (*EqVerdict, DomainError)) >= 2000, tally
+    assert min(tally[k] for k in (*EqVerdict, DomainError, "outside-T rule")) >= 20, tally
+    assert tally["normal-form rule"] >= 300, tally
 
 
 def _count_calls(monkeypatch, name):
@@ -305,12 +406,20 @@ def test_membership_is_checked_once_per_node(monkeypatch):
     outside = parse_config("[0,2):a [1,3):a", M3)
     labeled_rewrite_neighbors(outside, M3)
     assert len(checks) == 1 + len(list(oracle_moves(outside, M3)))
-    # the search expands nodes in T only, one membership check each
+    # the search sweeps each start once up front, to decide whether their
+    # normal forms may answer (here they differ), and then the walk expands
+    # nodes in T only, one membership check each
     checks.clear()
     nodes = _count_calls(monkeypatch, "_rewrite_keys")
     other = parse_config("[0,1):a [1,2):c [2,3):b", M3)
     assert config_eq(xi, other, M3, method="search").value == "equal"
-    assert nodes and len(checks) == len(nodes)
+    assert nodes and len(checks) == len(nodes) + 2
+    # equal normal forms answer with the two sweeps and no walk
+    checks.clear()
+    nodes.clear()
+    pasted = parse_config("[0,1):a [1,3):a", M3)
+    assert config_eq(parse_config("[0,3):a", M3), pasted, M3, method="search").value == "equal"
+    assert not nodes and len(checks) == 2
 
 
 def test_node_exponent_follows_the_rounds(monkeypatch):

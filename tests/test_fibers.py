@@ -584,32 +584,43 @@ def _pastes(points, alpha):
 def test_glue_refuses_every_paste(pam):
     # eta empty, one or two base points on the eighths and every partition
     # (36,680 cases over Z/5, 66,717 over {0..6}): glue_g refuses each case
-    # whose central piece would paste to a cut strand, and a seeded sample
-    # of the others glues as before.  Off the paste rule an output lies
-    # over z, fails to evaluate because z's own labels do not sum, or has
-    # two cut strands of one label, which first fit crosses (ROADMAP item
-    # 4); nothing else
+    # whose z's labels do not sum jointly, in bm_canon's words, and then
+    # each case whose central piece would paste to a cut strand; a seeded
+    # sample of the others glues as before.  Off those two rules an output
+    # lies over z or has two cut strands of one label, which first fit
+    # crosses (ROADMAP item 4); nothing else
     rng = random.Random("glue-paste-" + pam.name)
     pasting, others = [], []
     for case in _glue_cases(pam):
         (pasting if _pastes(*case) else others).append(case)
     assert len(pasting) == {"Z5": 2768, "T6": 3105}[pam.name]
+
+    def refuses_z(points, alpha):
+        with pytest.raises(DomainError) as canon:
+            bm_canon(pam, points)
+        with pytest.raises(DomainError, match=r"^not in the tensor region: labels \[.*\] are not jointly summable$") as e:
+            glue_g((), alpha, BMElement(None, points), pam)
+        assert str(e.value) == str(canon.value)
+
+    seen = dict.fromkeys(("pasting", "pasting, z unsummable", "over z", "z unsummable", "two strands"), 0)
     for points, alpha in pasting:
+        if pam.sum_tuple([m for _, m in points]) is None:
+            refuses_z(points, alpha)
+            seen["pasting, z unsummable"] += 1
+            continue
         with pytest.raises(DomainError, match=r"^partition \(.*\) at .* would paste its central piece to "):
             glue_g((), alpha, BMElement(None, points), pam)
-    seen = dict.fromkeys(("over z", "z unsummable", "two strands"), 0)
+        seen["pasting"] += 1
     for points, alpha in rng.sample(others, 1500):
         z = BMElement(None, points)
-        glued = glue_g((), alpha, z, pam)
         if pam.sum_tuple([m for _, m in points]) is None:
-            with pytest.raises(DomainError):
-                path_eval_at_zero(glued, pam)
+            refuses_z(points, alpha)
             seen["z unsummable"] += 1
-        elif path_eval_at_zero(glued, pam) == z:
+        elif path_eval_at_zero(glue_g((), alpha, z, pam), pam) == z:
             seen["over z"] += 1
         else:
             assert len(alpha) == 2 and alpha[0][1] == alpha[1][1] != "0", (z, alpha)
             seen["two strands"] += 1
     # every z sums over Z/5
-    assert seen["over z"] >= 200 and seen["two strands"] >= 10, seen
-    assert (seen["z unsummable"] >= 500) == (pam.name == "T6"), seen
+    assert seen["pasting"] >= 500 and seen["over z"] >= 200 and seen["two strands"] >= 10, seen
+    assert (seen["z unsummable"] >= 500) == (seen["pasting, z unsummable"] >= 100) == (pam.name == "T6"), seen

@@ -553,10 +553,17 @@ def test_circle_search_equal_means_equal_bm_canon(m3):
 def test_searches_stop_at_the_node_bound(m3, monkeypatch):
     pc = ListedPam(m3)
     a, b = [("c", "c")], [("a", "a"), ("b", "a"), ("a", "b"), ("b", "b")]
-    xi = parse_config("(0,2]:c", m3)
-    alt = parse_config("(0,1):a [1,2]:a (0,1):b [1,2]:b", m3)
+    # normal forms differ on this pair (ROADMAP item 1), so only the walk
+    # decides it
+    xi = parse_config("[0,2):a [1,3):b", m3)
+    alt = parse_config("[0,1):a [1,2):c [2,3):b", m3)
+    # normal forms agree on this pair, so no walk runs and no bound applies
+    merged = parse_config("(0,2]:c", m3)
+    split = parse_config("(0,1):a [1,2]:a (0,1):b [1,2]:b", m3)
     assert tensor_eq(pc, pc, a, b) == EqVerdict.EQUAL
     assert config_eq(xi, alt, m3, method="search") == EqVerdict.EQUAL
+    assert config_eq(merged, split, m3, method="search") == EqVerdict.EQUAL
     monkeypatch.setattr(tensor, "SEARCH_NODE_CAP", 3)
     assert tensor_eq(pc, pc, a, b) == EqVerdict.UNKNOWN
     assert config_eq(xi, alt, m3, method="search") == EqVerdict.UNKNOWN
+    assert config_eq(merged, split, m3, method="search") == EqVerdict.EQUAL
